@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import enumeration, harness, inequalities, instances, ortho, smoothed, walk
-from .exceptions import GswError
+from .exceptions import GswError, ParameterError
 
 DEFAULT_SEED = 0
 SEED_ENV = "GSWALK_SEED"
@@ -86,7 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=smoothed.DEFAULT_DELTA)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
     p = sub.add_parser("report", help="summarize a JSON or CSV report file")
     p.add_argument("--in", dest="path", required=True)
@@ -236,6 +235,8 @@ def _cmd_check_ineq(args) -> int:
 
 def _comparison_trials(trials: int, seed: int) -> float:
     """Min relative slack of the joint-vs-product comparison over random cases."""
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                        spawn_key=(11,)))
     worst = math.inf

@@ -2,33 +2,43 @@
 
 Expands the full decision tree of the walk, one branch per endpoint choice,
 multiplying branch probabilities.  Leaves carry the exact probability of each
-sign outcome together with the trace and its orthogonal decomposition, so
-expectations of any path functional can be computed without sampling.
+sign outcome together with the trace and its orthogonal decomposition (both
+built on first read), so expectations of any path functional can be computed
+without sampling.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .exceptions import DimensionError
+from .exceptions import DimensionError, DomainOverflowError
 from .instances import Instance
 from .ortho import OrthoDecomposition, decompose, variance_proxy
-from .walk import StepRecord, WalkState, WalkTrace, apply_step, resolve_step
+from .walk import Node, StepRecord, WalkState, WalkTrace, expand_node
 
 DEFAULT_PRUNE_TOL = 1e-15
 DEFAULT_DEPTH_CAP = 16
 MGF_EXP_LIMIT = 600.0
 
 
-@dataclass
+@dataclass(eq=False)
 class Leaf:
     signs: np.ndarray
     probability: float
-    trace: WalkTrace
-    ortho: OrthoDecomposition
     choices: tuple[bool, ...]       # True where the + endpoint was taken
+    steps: list[StepRecord] = field(repr=False)
+    inst: Instance = field(repr=False)
+
+    @cached_property
+    def trace(self) -> WalkTrace:
+        return WalkTrace(steps=self.steps, final_x=self.signs)
+
+    @cached_property
+    def ortho(self) -> OrthoDecomposition:
+        return decompose(self.inst, self.trace)
 
 
 @dataclass
@@ -49,31 +59,27 @@ def enumerate_walk(inst: Instance, prune_tol: float = DEFAULT_PRUNE_TOL,
     leaves: list[Leaf] = []
     pruned = 0.0
 
-    def expand(state: WalkState, records: list[StepRecord], prob: float,
-               choices: tuple[bool, ...]):
+    def descend(node: Node, steps: list[StepRecord], prob: float,
+                choices: tuple[bool, ...]):
         nonlocal pruned
-        if state.active.size == 0:
-            trace = WalkTrace(steps=list(records), final_x=state.x,
-                              total_steps=len(records))
-            leaves.append(Leaf(signs=state.x.copy(), probability=prob,
-                               trace=trace, ortho=decompose(inst, trace),
-                               choices=choices))
+        if node.u is None:
+            leaves.append(Leaf(signs=node.state.x, probability=prob,
+                               choices=choices, steps=steps, inst=inst))
             return
-        u, dm, dp = resolve_step(inst, state.x, state.active, state.pivot)
-        p_plus = dm / (dm + dp)
         for take_plus in (True, False):
-            p_branch = prob * (p_plus if take_plus else 1.0 - p_plus)
+            # The - branch multiplies 1 - p_plus, not the record's dp/(dm+dp):
+            # they can differ in the last bit, and leaf masses feed the
+            # byte-stable smoothed report.
+            p_branch = prob * (node.p_plus if take_plus else 1.0 - node.p_plus)
             if p_branch < prune_tol:
                 pruned += p_branch
                 continue
-            chosen = dp if take_plus else -dm
-            branch_prob = p_plus if take_plus else 1.0 - p_plus
-            new_state, rec = apply_step(state, u, chosen, dm, dp, branch_prob)
-            expand(new_state, records + [rec], p_branch, choices + (take_plus,))
+            state, rec = node.step(take_plus)
+            descend(expand_node(inst, state), steps + [rec], p_branch,
+                    choices + (take_plus,))
 
-    expand(WalkState.initial(inst.n), [], 1.0, ())
-    dist = LeafDistribution(leaves=leaves, d=inst.d, n=inst.n, pruned_mass=pruned)
-    return dist
+    descend(expand_node(inst, WalkState.initial(inst.n)), [], 1.0, ())
+    return LeafDistribution(leaves=leaves, d=inst.d, n=inst.n, pruned_mass=pruned)
 
 
 def exact_expectation(dist: LeafDistribution, f) -> float:
@@ -97,7 +103,7 @@ def verify_subgaussian(dist: LeafDistribution, inst: Instance, v,
         z = variance_proxy(inst, lf.ortho, v)
         arg = lam * float(inst.matrix @ lf.signs @ v) - 0.5 * lam * lam * z
         if abs(arg) > MGF_EXP_LIMIT:
-            raise OverflowError(f"mgf exponent {arg:.3g} out of range")
+            raise DomainOverflowError(f"mgf exponent {arg:.3g} out of range")
         return math.exp(arg)
 
     return exact_expectation(dist, moment)
@@ -149,7 +155,7 @@ def brute_force_min_discrepancy(inst: Instance) -> tuple[float, np.ndarray]:
         disc = np.abs(inst.matrix @ signs.T).max(axis=0)
         j = int(disc.argmin())
         # ties resolve to the smallest index, which is the lexicographic minimum
-        if disc[j] < best_val - 0.0:
+        if disc[j] < best_val:
             best_val = float(disc[j])
             best_idx = int(idx[j])
     signs = ((best_idx >> shifts) & 1) * 2.0 - 1.0

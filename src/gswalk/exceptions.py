@@ -5,6 +5,10 @@ class GswError(Exception):
     """Base class for all domain errors raised by gswalk."""
 
 
+class ParameterError(GswError, ValueError):
+    """An argument is outside the range the operation accepts."""
+
+
 class InstanceFormatError(GswError):
     """Instance file could not be parsed."""
 

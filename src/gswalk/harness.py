@@ -3,6 +3,11 @@
 Each run draws its generator from (master_seed, run_index), so results are
 identical regardless of execution order or worker count.  The per-run CSV is
 the canonical record; the JSON report aggregates it.
+
+Runs of one call share a prefix tree of the walk: a run re-enters the nodes
+and leaf statistics that earlier runs with the same choice prefix built,
+drawing the same random numbers as a plain ``run_walk``, so every value is
+unchanged.
 """
 from __future__ import annotations
 
@@ -10,17 +15,22 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .enumeration import brute_force_min_discrepancy
+from .exceptions import ParameterError
 from .inequalities import BoundInputs, theorem1_bound
 from .instances import Instance
 from .ortho import basis_variance_proxies, decompose
-from .walk import run_walk
+from .walk import Node, WalkState, WalkTrace, expand_node, walk_step
 
 DEFAULT_TAIL_GRID = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+# Floats (and indices) the prefix tree of one run_experiment call may keep
+# per process; runs past it continue on the plain walk.  Without a cap the
+# tree grows by ~3n floats per step at large n.
+CACHE_BUDGET_FLOATS = 1 << 17
 
 
 @dataclass
@@ -51,10 +61,7 @@ class ExperimentReport:
     tail: list[dict]
 
 
-def _run_one(inst: Instance, master_seed: int, run_index: int) -> RunStats:
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(run_index,)))
-    trace = run_walk(inst, rng)
+def _trace_stats(inst: Instance, run_index: int, trace: WalkTrace) -> RunStats:
     ortho = decompose(inst, trace)
     proxies = basis_variance_proxies(inst, ortho)
     disc = float(np.abs(inst.matrix @ trace.final_x).max())
@@ -64,18 +71,72 @@ def _run_one(inst: Instance, master_seed: int, run_index: int) -> RunStats:
                     signs=trace.final_x.copy())
 
 
+class _PrefixTree:
+    """Walk nodes and leaf statistics of one call, keyed by choice prefix.
+
+    Stops growing once ``CACHE_BUDGET_FLOATS`` is spent; a run that needs a
+    node past that point finishes on the plain walk.
+    """
+
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        self.root = expand_node(inst, WalkState.initial(inst.n))
+        self.leaf_stats: dict[Node, RunStats] = {}
+        self.spent = _floats(self.root)
+
+    def run(self, master_seed: int, run_index: int) -> RunStats:
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=master_seed, spawn_key=(run_index,)))
+        node, steps = self.root, []
+        while node.u is not None:
+            take_plus = rng.random() < node.p_plus
+            nxt = node.children[take_plus]
+            if nxt is None:
+                if self.spent >= CACHE_BUDGET_FLOATS:
+                    return self._finish_uncached(node, take_plus, steps, rng, run_index)
+                nxt = node.child(self.inst, take_plus)
+                self.spent += _floats(nxt)
+            node = nxt
+            steps.append(node.record)
+        stats = self.leaf_stats.get(node)
+        if stats is None:
+            stats = _trace_stats(self.inst, run_index, WalkTrace(steps, node.state.x))
+            if self.spent < CACHE_BUDGET_FLOATS:
+                self.leaf_stats[node] = stats
+                self.spent += stats.proxies.size + stats.signs.size
+        return replace(stats, run_index=run_index, proxies=stats.proxies.copy(),
+                       signs=stats.signs.copy())
+
+    def _finish_uncached(self, node: Node, take_plus: bool, steps: list,
+                         rng: np.random.Generator, run_index: int) -> RunStats:
+        """The rest of a run on the plain walk, from the step ``node`` takes."""
+        state, rec = node.step(take_plus)
+        steps.append(rec)
+        while state.active.size:
+            state, rec = walk_step(self.inst, state, rng)
+            steps.append(rec)
+        return _trace_stats(self.inst, run_index, WalkTrace(steps, state.x))
+
+
+def _floats(node: Node) -> int:
+    """Array entries a cached node holds; its record shares the parent's u."""
+    state = node.state
+    return state.x.size + state.active.size + (0 if node.u is None else node.u.size)
+
+
 def _run_range(args):
     inst, master_seed, start, stop = args
-    return [_run_one(inst, master_seed, r) for r in range(start, stop)]
+    tree = _PrefixTree(inst)
+    return [tree.run(master_seed, r) for r in range(start, stop)]
 
 
 def run_experiment(inst: Instance, runs: int, master_seed: int,
                    workers: int = 1) -> list[RunStats]:
     """Independent walk runs with per-run derived generators, sorted by index."""
     if runs < 1:
-        raise ValueError("runs must be >= 1")
+        raise ParameterError(f"runs must be >= 1, got {runs}")
     if workers <= 1 or runs < 4 * workers:
-        return [_run_one(inst, master_seed, r) for r in range(runs)]
+        return _run_range((inst, master_seed, 0, runs))
     bounds = np.linspace(0, runs, workers + 1).astype(int)
     chunks = [(inst, master_seed, int(a), int(b))
               for a, b in zip(bounds[:-1], bounds[1:]) if a < b]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import DomainOverflowError
+from .exceptions import DomainOverflowError, ParameterError
 
 EXP_GUARD = 50.0
 
@@ -118,9 +118,10 @@ def two_point_grid_min(step: float = 0.01, z_lim: float = 1.0,
 def cosh_chain_grid_min(step: float = 0.01, c_max: float = 10.0,
                         lam_max: float = 5.0) -> tuple[float, float]:
     """Minimum of both chain gaps over c in [2, c_max], lam in (0, lam_max]."""
+    _check_step(step)
     worst1 = worst2 = math.inf
-    cs = np.arange(2.0, c_max + step / 2, step)
-    lams = np.arange(step, lam_max + step / 2, step)
+    cs = _nonempty(np.arange(2.0, c_max + step / 2, step))
+    lams = _nonempty(np.arange(step, lam_max + step / 2, step))
     for c in cs:
         cl = c * lams
         e1 = np.expm1(cl) - cl
@@ -133,5 +134,18 @@ def cosh_chain_grid_min(step: float = 0.01, c_max: float = 10.0,
 
 
 def _grid(lim: float, step: float) -> np.ndarray:
+    _check_step(step)
     count = int(round(2 * lim / step)) + 1
-    return np.linspace(-lim, lim, count)
+    return _nonempty(np.linspace(-lim, lim, max(count, 0)))
+
+
+def _check_step(step: float) -> None:
+    if not step > 0:
+        raise ParameterError(f"grid step must be positive, got {step!r}")
+
+
+def _nonempty(axis: np.ndarray) -> np.ndarray:
+    """The axis itself; an empty grid certifies nothing, so it is refused."""
+    if axis.size == 0:
+        raise ParameterError("empty grid: nothing to certify")
+    return axis

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import erf, ndtr
 
-from .exceptions import ContractViolationError, DegeneratePairError
+from .exceptions import ContractViolationError, DegeneratePairError, ParameterError
 from .instances import Instance
 from .enumeration import LeafDistribution
 
@@ -39,11 +39,11 @@ class SmoothedConfig:
 
     def __post_init__(self):
         if self.sigma < 1 or self.kappa < 1:
-            raise ValueError("sigma and kappa must be >= 1")
+            raise ParameterError("sigma and kappa must be >= 1")
         if self.cutoff_c <= 1:
-            raise ValueError("cutoff_c must exceed 1")
+            raise ParameterError("cutoff_c must exceed 1")
         if self.epsilon < 0 or self.r_trials < 1:
-            raise ValueError("epsilon must be nonnegative and r_trials >= 1")
+            raise ParameterError("epsilon must be nonnegative and r_trials >= 1")
 
 
 @dataclass

@@ -5,6 +5,10 @@ largest-index active coordinate as pivot, moves along the column-cancelling
 direction of minimum residual norm, and steps to one endpoint of the feasible
 interval with the mean-zero choice of probabilities.  Coordinates reaching
 +-1 are snapped exactly and frozen.
+
+The walk is a binary decision tree whose nodes are choice prefixes.
+``expand_node`` resolves one node; sampling (``walk_step``), exact
+enumeration and the Monte Carlo prefix cache all step through it.
 """
 from __future__ import annotations
 
@@ -47,7 +51,10 @@ class StepRecord:
 class WalkTrace:
     steps: list[StepRecord]
     final_x: np.ndarray
-    total_steps: int
+
+    @property
+    def total_steps(self) -> int:
+        return len(self.steps)
 
     def replay(self) -> np.ndarray:
         x = np.zeros(len(self.final_x))
@@ -124,17 +131,61 @@ def apply_step(state: WalkState, u: np.ndarray, chosen_delta: float,
     return new_state, rec
 
 
+@dataclass(eq=False)
+class Node:
+    """One choice prefix of the walk's decision tree.
+
+    ``state`` is the state the prefix reaches and ``record`` the step that
+    led there (None at the root).  While coordinates remain active the node
+    also holds its resolved step: direction ``u``, endpoint magnitudes and
+    ``p_plus``, the probability of the + endpoint.  ``children[True]`` and
+    ``children[False]`` are the + and - successors, built on first request
+    by ``child``.  Nodes compare by identity.
+    """
+    state: WalkState
+    record: StepRecord | None = None
+    u: np.ndarray | None = field(default=None, repr=False)
+    delta_minus: float = 0.0
+    delta_plus: float = 0.0
+    p_plus: float = 0.0
+    children: list = field(default_factory=lambda: [None, None], repr=False)
+
+    def step(self, take_plus: bool) -> tuple[WalkState, StepRecord]:
+        """Move to the chosen endpoint; the successor state and its record."""
+        dm, dp = self.delta_minus, self.delta_plus
+        if take_plus:
+            chosen, prob = dp, self.p_plus
+        else:
+            # The record keeps dp/(dm+dp), which ``run --dump-trace`` prints;
+            # it can differ from 1 - p_plus in the last bit.
+            chosen, prob = -dm, dp / (dm + dp)
+        return apply_step(self.state, self.u, chosen, dm, dp, prob)
+
+    def child(self, inst: Instance, take_plus: bool) -> "Node":
+        """The successor node, expanded on first request and kept."""
+        node = self.children[take_plus]
+        if node is None:
+            node = self.children[take_plus] = expand_node(inst, *self.step(take_plus))
+        return node
+
+
+def expand_node(inst: Instance, state: WalkState,
+                record: StepRecord | None = None) -> Node:
+    """The node at ``state``, with its step resolved while coordinates remain."""
+    node = Node(state, record)
+    if state.active.size:
+        u, dm, dp = resolve_step(inst, state.x, state.active, state.pivot)
+        node.u, node.delta_minus, node.delta_plus = u, dm, dp
+        node.p_plus = dm / (dm + dp)
+    return node
+
+
 def walk_step(inst: Instance, state: WalkState, rng: np.random.Generator):
     """One randomized step: move to delta_plus with prob dm/(dm+dp), else -delta_minus."""
     if state.active.size == 0:
         raise ContractViolationError("walk_step called with empty active set")
-    u, dm, dp = resolve_step(inst, state.x, state.active, state.pivot)
-    p_plus = dm / (dm + dp)
-    if rng.random() < p_plus:
-        chosen, prob = dp, p_plus
-    else:
-        chosen, prob = -dm, dp / (dm + dp)
-    return apply_step(state, u, chosen, dm, dp, prob)
+    node = expand_node(inst, state)
+    return node.step(rng.random() < node.p_plus)
 
 
 def run_walk(inst: Instance, rng: np.random.Generator) -> WalkTrace:
@@ -144,4 +195,4 @@ def run_walk(inst: Instance, rng: np.random.Generator) -> WalkTrace:
     while state.active.size:
         state, rec = walk_step(inst, state, rng)
         steps.append(rec)
-    return WalkTrace(steps=steps, final_x=state.x, total_steps=len(steps))
+    return WalkTrace(steps=steps, final_x=state.x)

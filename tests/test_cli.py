@@ -177,6 +177,35 @@ class TestSmoothed:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestDomainErrors:
+    """Bad parameters exit 1 with one ``error:`` line and no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--instance", "{id4}", "--runs", "0", "--out", "{tmp}/r.json"],
+        ["smoothed", "--instance", "{id4}", "--sigma", "0.5"],
+        ["oracle", "--instance", "{id4}", "--check", "subgaussian",
+         "--lambda", "1000"],
+        ["check-ineq", "--which", "cosh", "--grid-step", "-1"],
+        ["check-ineq", "--which", "cosh", "--grid-step", "0"],
+        ["check-ineq", "--which", "lemma1", "--grid-step", "0"],
+        ["check-ineq", "--which", "hoeffding", "--grid-step", "-0.5"],
+        ["check-ineq", "--which", "comparison", "--trials", "0"],
+    ])
+    def test_message_not_traceback(self, id4, tmp_path, capsys, argv):
+        argv = [a.format(id4=id4, tmp=tmp_path) for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert "min gap" not in captured.out and "slack" not in captured.out
+
+    def test_smoothed_threads_flag_removed(self, id4):
+        with pytest.raises(SystemExit) as exc:
+            main(["smoothed", "--instance", str(id4), "--threads", "2"])
+        assert exc.value.code == 2
+
+
 class TestReportCmd:
     def test_json_summary(self, id4, tmp_path, capsys):
         rep = tmp_path / "rep.json"

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from gswalk import enumeration
 from gswalk.enumeration import (brute_force_min_discrepancy,
                                 conditional_increment_check, enumerate_walk,
                                 exact_expectation, verify_martingale,
                                 verify_subgaussian)
-from gswalk.exceptions import DimensionError
+from gswalk.exceptions import DimensionError, DomainOverflowError
 from gswalk.instances import generate_instance
+from gswalk.ortho import decompose
 from conftest import make_columns
 
 
@@ -39,6 +41,49 @@ class TestEnumerateWalk:
         dist = enumerate_walk(inst)
         for lf in dist.leaves:
             assert np.max(np.abs(lf.trace.replay() - lf.signs)) <= 1e-9
+
+    def test_leaf_decomposition_built_on_first_read(self, monkeypatch):
+        inst = generate_instance("random_unit_sphere", 3, 6, 2)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return decompose(*args)
+
+        monkeypatch.setattr(enumeration, "decompose", counting)
+        dist = enumerate_walk(inst)
+        assert calls == []
+        first = dist.leaves[0]
+        assert first.ortho is first.ortho
+        assert len(calls) == 1
+        for lf in dist.leaves:
+            want = decompose(inst, lf.trace)
+            got = lf.ortho
+            assert np.array_equal(got.order, want.order)
+            assert np.array_equal(got.directions, want.directions)
+            assert got.blocks == want.blocks
+            assert got.total_nontrivial == want.total_nontrivial
+        assert len(calls) == len(dist.leaves)
+
+    def test_branch_probability_forms(self):
+        # leaf mass multiplies 1 - p_plus on - branches while the records keep
+        # the sampled walk's dp/(dm+dp); the two differ in the last bit here
+        inst = generate_instance("random_unit_sphere", 3, 7, 4)
+        differ = 0
+        for lf in enumerate_walk(inst).leaves:
+            mass = 1.0
+            for rec in lf.trace.steps:
+                dm, dp = rec.delta_minus, rec.delta_plus
+                p_plus = dm / (dm + dp)
+                if rec.chosen_delta > 0:
+                    mass *= p_plus
+                    assert rec.choice_probability == p_plus
+                else:
+                    mass *= 1.0 - p_plus
+                    assert rec.choice_probability == dp / (dm + dp)
+                    differ += dp / (dm + dp) != 1.0 - p_plus
+            assert lf.probability == mass
+        assert differ > 0
 
     def test_depth_cap(self):
         inst = generate_instance("duplicated_column", 2, 17, 0)
@@ -116,6 +161,12 @@ class TestSubgaussian:
         expected = (math.exp(0.5) + math.exp(-1.5)) / 2.0
         assert val == pytest.approx(expected, rel=1e-12)
         assert val <= 1.0
+
+    def test_exponent_out_of_range(self):
+        inst = generate_instance("random_unit_sphere", 2, 4, 5)
+        dist = enumerate_walk(inst)
+        with pytest.raises(DomainOverflowError):
+            verify_subgaussian(dist, inst, [1.0, 0.0], 1000.0)
 
     def test_random_matrix_of_cases(self):
         rng = np.random.default_rng(17)

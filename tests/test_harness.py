@@ -4,11 +4,38 @@ import math
 import numpy as np
 import pytest
 
-from gswalk.harness import (build_report, empirical_tail, estimate_bound,
-                            parse_csv, report_to_json, run_experiment,
-                            stats_to_csv, write_report)
+from gswalk import harness
+from gswalk.exceptions import ParameterError
+from gswalk.harness import (RunStats, build_report, empirical_tail,
+                            estimate_bound, parse_csv, report_to_json,
+                            run_experiment, stats_to_csv, write_report)
 from gswalk.instances import generate_instance
+from gswalk.ortho import basis_variance_proxies, decompose
+from gswalk.walk import run_walk
 from conftest import make_columns
+
+# the instances run_experiment meets in the acceptance suite, plus the
+# degenerate kinds
+PREFIX_CACHE_CASES = [("identity", 4, 4, 0), ("random_unit_sphere", 8, 8, 4000),
+                      ("random_unit_sphere", 8, 8, 77), ("random_unit_sphere", 3, 5, 33),
+                      ("random_unit_sphere", 2, 4, 17), ("duplicated_column", 3, 6, 0),
+                      ("sign_columns", 4, 8, 1)]
+
+
+def reference_csv(inst, runs: int, master_seed: int) -> str:
+    """The per-run CSV computed run by run through the uncached run_walk."""
+    stats = []
+    for r in range(runs):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=master_seed, spawn_key=(r,)))
+        trace = run_walk(inst, rng)
+        dec = decompose(inst, trace)
+        proxies = basis_variance_proxies(inst, dec)
+        stats.append(RunStats(
+            run_index=r, discrepancy=float(np.abs(inst.matrix @ trace.final_x).max()),
+            block_count=dec.total_nontrivial, max_proxy=float(proxies.max()),
+            proxies=proxies, signs=trace.final_x))
+    return stats_to_csv(stats)
 
 
 class TestRunExperiment:
@@ -70,6 +97,39 @@ class TestRunExperiment:
         inst = generate_instance("identity", 2, 2, 0)
         with pytest.raises(ValueError):
             run_experiment(inst, 0, 0)
+        with pytest.raises(ParameterError):
+            run_experiment(inst, -3, 0)
+
+
+class TestPrefixCache:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind,d,n,seed", PREFIX_CACHE_CASES)
+    def test_matches_uncached_walk(self, kind, d, n, seed, workers):
+        inst = generate_instance(kind, d, n, seed)
+        cached = stats_to_csv(run_experiment(inst, 300, 5 + seed, workers=workers))
+        assert cached == reference_csv(inst, 300, 5 + seed)
+
+    @pytest.mark.parametrize("budget", [0, 40])
+    def test_budget_fallback_matches(self, monkeypatch, budget):
+        # budget 0 walks every run past the root plainly; 40 floats stop the
+        # tree a few nodes deep, so runs leave it at different depths
+        monkeypatch.setattr(harness, "CACHE_BUDGET_FLOATS", budget)
+        for kind, d, n, seed in PREFIX_CACHE_CASES[1:4]:
+            inst = generate_instance(kind, d, n, seed)
+            assert (stats_to_csv(run_experiment(inst, 200, 3))
+                    == reference_csv(inst, 200, 3))
+
+    def test_runs_do_not_share_arrays(self):
+        inst = generate_instance("identity", 3, 3, 0)
+        stats = run_experiment(inst, 200, 2)
+        first = next(s for s in stats[1:] if np.array_equal(s.signs, stats[0].signs))
+        want_signs, want_proxies = first.signs.copy(), first.proxies.copy()
+        stats[0].signs[:] = 0.0
+        stats[0].proxies[:] = -1.0
+        assert np.array_equal(first.signs, want_signs)
+        assert np.array_equal(first.proxies, want_proxies)
+        again = run_experiment(inst, 200, 2)
+        assert stats_to_csv(again[1:]) == stats_to_csv(stats[1:])
 
 
 class TestEstimateBound:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gswalk.exceptions import DomainOverflowError
+from gswalk.exceptions import DomainOverflowError, GswError
 from gswalk.inequalities import (BoundInputs, cosh_chain_check,
                                  cosh_chain_grid_min, lemma1_gap,
                                  lemma1_grid_min, theorem1_bound,
@@ -96,6 +96,26 @@ class TestCoshChain:
         g1, g2 = cosh_chain_grid_min(step=0.05)
         assert g1 > 0.0
         assert g2 >= 0.0
+
+
+class TestEmptyGrids:
+    @pytest.mark.parametrize("grid_min", [lemma1_grid_min, two_point_grid_min,
+                                          cosh_chain_grid_min])
+    @pytest.mark.parametrize("step", [0.0, -1.0, float("nan")])
+    def test_nonpositive_step_rejected(self, grid_min, step):
+        with pytest.raises(GswError):
+            grid_min(step=step)
+
+    def test_empty_domain_rejected(self):
+        # an empty grid certifies nothing, so none of these may return inf
+        with pytest.raises(GswError):
+            lemma1_grid_min(step=0.1, x_lim=-1.0)
+        with pytest.raises(GswError):
+            two_point_grid_min(step=0.1, b_lim=-1.0)
+        with pytest.raises(GswError):
+            cosh_chain_grid_min(step=0.1, c_max=1.0)
+        with pytest.raises(GswError):
+            cosh_chain_grid_min(step=0.1, lam_max=0.05)
 
 
 class TestTheorem1Bound:
