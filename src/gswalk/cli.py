@@ -15,10 +15,11 @@ import sys
 import numpy as np
 
 from . import enumeration, harness, inequalities, instances, ortho, smoothed, walk
-from .exceptions import GswError, ParameterError
+from .exceptions import GswError, ParameterError, ReportFormatError
 
 DEFAULT_SEED = 0
 SEED_ENV = "GSWALK_SEED"
+REPORT_KEYS = ("runs", "mean_hatT", "mean_maxZ", "theorem1_bound", "min_disc", "tail")
 
 
 def _resolve_seed(value):
@@ -100,7 +101,10 @@ def _direction(spec: str, d: int, seed: int) -> np.ndarray:
         v = rng.standard_normal(d)
         return v / np.linalg.norm(v)
     if spec.startswith("e"):
-        i = int(spec[1:])
+        try:
+            i = int(spec[1:])
+        except ValueError:
+            raise ParameterError(f"unknown direction spec {spec!r}") from None
         if not 1 <= i <= d:
             raise GswError(f"basis index {i} out of range 1..{d}")
         v = np.zeros(d)
@@ -304,7 +308,13 @@ def _cmd_report(args) -> int:
     with open(args.path, "r", encoding="utf-8") as fh:
         text = fh.read()
     if text.lstrip().startswith("{"):
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ReportFormatError(f"invalid JSON report: {exc}") from None
+        missing = [key for key in REPORT_KEYS if key not in payload]
+        if missing:
+            raise ReportFormatError(f"JSON report lacks {', '.join(missing)}")
         print(f"runs={payload['runs']} mean_hatT={payload['mean_hatT']:.6g} "
               f"mean_maxZ={payload['mean_maxZ']:.6g} "
               f"bound={payload['theorem1_bound']:.6g} "

@@ -19,8 +19,8 @@ from .instances import Instance
 from .ortho import OrthoDecomposition, decompose, variance_proxy
 from .walk import Node, StepRecord, WalkState, WalkTrace, expand_node
 
-DEFAULT_PRUNE_TOL = 1e-15
-DEFAULT_DEPTH_CAP = 16
+PRUNE_TOL = 1e-15                   # branches below this mass are dropped
+DEPTH_CAP = 16                      # largest n enumerated (up to 2^n leaves)
 MGF_EXP_LIMIT = 600.0
 
 
@@ -49,12 +49,11 @@ class LeafDistribution:
     pruned_mass: float = 0.0
 
 
-def enumerate_walk(inst: Instance, prune_tol: float = DEFAULT_PRUNE_TOL,
-                   depth_cap: int = DEFAULT_DEPTH_CAP) -> LeafDistribution:
+def enumerate_walk(inst: Instance) -> LeafDistribution:
     """All walk outcomes with exact probabilities; + branch expanded first."""
-    if inst.n > depth_cap:
+    if inst.n > DEPTH_CAP:
         raise DimensionError(
-            f"enumeration refused: n={inst.n} exceeds depth cap {depth_cap} "
+            f"enumeration refused: n={inst.n} exceeds depth cap {DEPTH_CAP} "
             f"(up to 2^n leaves)")
     leaves: list[Leaf] = []
     pruned = 0.0
@@ -71,7 +70,7 @@ def enumerate_walk(inst: Instance, prune_tol: float = DEFAULT_PRUNE_TOL,
             # they can differ in the last bit, and leaf masses feed the
             # byte-stable smoothed report.
             p_branch = prob * (node.p_plus if take_plus else 1.0 - node.p_plus)
-            if p_branch < prune_tol:
+            if p_branch < PRUNE_TOL:
                 pruned += p_branch
                 continue
             state, rec = node.step(take_plus)

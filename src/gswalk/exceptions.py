@@ -13,6 +13,10 @@ class InstanceFormatError(GswError):
     """Instance file could not be parsed."""
 
 
+class ReportFormatError(GswError):
+    """Report file could not be parsed."""
+
+
 class DimensionError(GswError):
     """Shapes or sizes are inconsistent with the requested operation."""
 

@@ -15,22 +15,25 @@ import io
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .enumeration import brute_force_min_discrepancy
-from .exceptions import ParameterError
+from .exceptions import ParameterError, ReportFormatError
 from .inequalities import BoundInputs, theorem1_bound
 from .instances import Instance
 from .ortho import basis_variance_proxies, decompose
 from .walk import Node, WalkState, WalkTrace, expand_node, walk_step
 
-DEFAULT_TAIL_GRID = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+# The report's empirical tail: coordinate and thresholds c.
+TAIL_COORD = 0
+TAIL_GRID = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 # Floats (and indices) the prefix tree of one run_experiment call may keep
 # per process; runs past it continue on the plain walk.  Without a cap the
 # tree grows by ~3n floats per step at large n.
 CACHE_BUDGET_FLOATS = 1 << 17
+CSV_HEADER = "run_index,discrepancy,hatT,maxZ,final_X"
 
 
 @dataclass
@@ -184,28 +187,13 @@ def write_report(report: ExperimentReport, path, fmt: str = "json",
 
 
 def report_to_json(report: ExperimentReport) -> str:
-    payload = {
-        "instance": report.instance,
-        "runs": report.runs,
-        "master_seed": report.master_seed,
-        "mean_hatT": report.mean_hatT,
-        "se_hatT": report.se_hatT,
-        "mean_maxZ": report.mean_maxZ,
-        "se_maxZ": report.se_maxZ,
-        "theorem1_bound": report.theorem1_bound,
-        "min_disc": report.min_disc,
-        "mean_disc": report.mean_disc,
-        "max_disc": report.max_disc,
-        "frac_within_bound": report.frac_within_bound,
-        "brute_force_opt": report.brute_force_opt,
-        "tail": report.tail,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The report as JSON; field order is the dataclass's, as in FORMATS.md."""
+    return json.dumps(asdict(report), indent=2) + "\n"
 
 
 def stats_to_csv(stats: list[RunStats]) -> str:
     buf = io.StringIO()
-    buf.write("run_index,discrepancy,hatT,maxZ,final_X\n")
+    buf.write(CSV_HEADER + "\n")
     for s in stats:
         signs = "".join("+1" if v > 0 else "-1" for v in s.signs)
         buf.write(f"{s.run_index},{s.discrepancy!r},{s.block_count},"
@@ -214,26 +202,34 @@ def stats_to_csv(stats: list[RunStats]) -> str:
 
 
 def parse_csv(text: str) -> list[dict]:
-    rows = []
+    """The rows of a per-run CSV; it needs the header and at least one row."""
     lines = text.strip().splitlines()
+    if not lines or lines[0] != CSV_HEADER:
+        raise ReportFormatError("neither a JSON report nor a per-run CSV with header "
+                                f"{CSV_HEADER!r}")
+    rows = []
     for line in lines[1:]:
-        idx, disc, blocks, maxz, signs = line.split(",")
-        rows.append({"run_index": int(idx), "discrepancy": float(disc),
-                     "hatT": int(blocks), "maxZ": float(maxz),
-                     "final_X": signs})
+        try:
+            idx, disc, blocks, maxz, signs = line.split(",")
+            rows.append({"run_index": int(idx), "discrepancy": float(disc),
+                         "hatT": int(blocks), "maxZ": float(maxz),
+                         "final_X": signs})
+        except ValueError:
+            raise ReportFormatError(f"malformed CSV row {line!r}") from None
+    if not rows:
+        raise ReportFormatError("CSV report has no run rows")
     return rows
 
 
 def build_report(inst: Instance, instance_desc: dict, stats: list[RunStats],
-                 master_seed: int, tail_coord: int = 0,
-                 tail_grid=DEFAULT_TAIL_GRID) -> ExperimentReport:
+                 master_seed: int) -> ExperimentReport:
     """Aggregate per-run statistics into the report structure."""
     blocks = np.array([s.block_count for s in stats], dtype=float)
     maxz = np.array([s.max_proxy for s in stats])
     disc = np.array([s.discrepancy for s in stats])
     runs = len(stats)
     bound, _ = estimate_bound(stats)
-    tail = empirical_tail(inst, stats, tail_coord, tail_grid)
+    tail = empirical_tail(inst, stats, TAIL_COORD, TAIL_GRID)
     opt = None
     if inst.n <= 20:
         opt = brute_force_min_discrepancy(inst)[0]

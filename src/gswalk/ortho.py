@@ -11,6 +11,7 @@ as recorded in the trace.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -30,35 +31,6 @@ class OrthoDecomposition:
     blocks: dict[tuple[int, int], tuple[int, ...]]  # (pivot, step) -> positions
     block_counts: dict[int, int]        # pivot -> nontrivial block count
     total_nontrivial: int               # sum of block_counts
-
-    def pivot_blocks(self, pivot: int) -> list[tuple[int, ...]]:
-        return [q for (p, _), q in self.blocks.items() if p == pivot and q]
-
-
-def freeze_order(trace: WalkTrace) -> np.ndarray:
-    """Permutation assigning positions: order[r] = column at position r.
-
-    The first pivot takes the top position; frozen coordinates take decreasing
-    positions in freeze order (largest index first within a step); each new
-    pivot takes the next free position when it first becomes pivot.
-    """
-    n = len(trace.final_x)
-    pos_of = np.full(n, -1, dtype=int)
-    next_pos = n - 1
-    for rec in trace.steps:
-        if pos_of[rec.pivot] < 0:
-            pos_of[rec.pivot] = next_pos
-            next_pos -= 1
-        for j in rec.frozen:        # already decreasing
-            if j == rec.pivot:
-                continue
-            pos_of[j] = next_pos
-            next_pos -= 1
-    if next_pos != -1 or np.any(pos_of < 0):
-        raise ContractViolationError("frozen sets of the trace do not partition [n]")
-    order = np.empty(n, dtype=int)
-    order[pos_of] = np.arange(n)
-    return order
 
 
 def gram_schmidt_sequence(inst: Instance, order: np.ndarray) -> np.ndarray:
@@ -83,59 +55,46 @@ def gram_schmidt_sequence(inst: Instance, order: np.ndarray) -> np.ndarray:
     return w
 
 
-def freeze_blocks(trace: WalkTrace, order: np.ndarray):
-    """Partition positions into per-pivot freeze blocks.
+def decompose(inst: Instance, trace: WalkTrace) -> OrthoDecomposition:
+    """Full decomposition of a trace, from one pass over its steps.
 
-    Returns ``(blocks, pivot_phases)`` where ``blocks[(p, t)]`` holds the
-    positions frozen at step t while p was pivot, plus the pivot's own
-    singleton block keyed by the step before its phase started.
+    Positions are handed out from the top down.  Each pivot takes the next
+    free position when its phase starts, keyed as its own singleton block
+    ``(pivot, start step - 1)``; the other coordinates a step freezes take the
+    next positions, largest index first, as block ``(pivot, step)``.  So every
+    block, and every pivot's phase, is a contiguous run of positions, and the
+    blocks of one pivot are adjacent in ``blocks``.  Blocks whose positions
+    all carry a zero residual direction add no orthogonal vector and are not
+    counted as nontrivial.
     """
-    n = len(order)
-    pos_of = np.empty(n, dtype=int)
-    pos_of[order] = np.arange(n)
+    n = len(trace.final_x)
+    placed: list[int] = []          # columns in decreasing position order
     blocks: dict[tuple[int, int], tuple[int, ...]] = {}
     phases: list[tuple[int, int]] = []
     for rec in trace.steps:
         if not phases or phases[-1][0] != rec.pivot:
             phases.append((rec.pivot, rec.t))
-            blocks[(rec.pivot, rec.t - 1)] = (int(pos_of[rec.pivot]),)
-        non_pivot = tuple(int(pos_of[j]) for j in rec.frozen if j != rec.pivot)
-        if non_pivot:
-            blocks[(rec.pivot, rec.t)] = non_pivot
-    covered = sorted(r for q in blocks.values() for r in q)
-    if covered != list(range(n)):
-        raise ContractViolationError("freeze blocks do not partition the positions")
-    return blocks, phases
-
-
-def count_nontrivial(blocks, directions: np.ndarray):
-    """Per-pivot counts of blocks contributing a nonzero direction, and their sum.
-
-    Blocks whose every position carries a zero residual direction are trivial:
-    they add no new orthogonal vector and are excluded from the count.
-    """
-    nonzero = np.linalg.norm(directions, axis=1) > 0.5
-    counts: dict[int, int] = {}
-    for (p, _), q in blocks.items():
-        if any(nonzero[r] for r in q):
-            counts[p] = counts.get(p, 0) + 1
-        else:
-            counts.setdefault(p, 0)
-    return counts, sum(counts.values())
-
-
-def decompose(inst: Instance, trace: WalkTrace) -> OrthoDecomposition:
-    """Full decomposition of a trace."""
-    order = freeze_order(trace)
+            blocks[(rec.pivot, rec.t - 1)] = (n - 1 - len(placed),)
+            placed.append(rec.pivot)
+        others = [j for j in rec.frozen if j != rec.pivot]   # already decreasing
+        if others:
+            top = n - 1 - len(placed)
+            blocks[(rec.pivot, rec.t)] = tuple(range(top, top - len(others), -1))
+            placed += others
+    if sorted(placed) != list(range(n)):
+        raise ContractViolationError("frozen sets of the trace do not partition [n]")
+    order = np.array(placed[::-1], dtype=int)
+    position = np.empty(n, dtype=int)
+    position[order] = np.arange(n)
     directions = gram_schmidt_sequence(inst, order)
-    blocks, phases = freeze_blocks(trace, order)
-    counts, total = count_nontrivial(blocks, directions)
-    position = np.empty(len(order), dtype=int)
-    position[order] = np.arange(len(order))
+    nonzero = (np.linalg.norm(directions, axis=1) > 0.5).tolist()
+    counts = {p: 0 for p, _ in phases}
+    for (p, _), q in blocks.items():
+        counts[p] += any(nonzero[q[-1]:q[0] + 1])
     return OrthoDecomposition(order=order, position=position,
                               directions=directions, pivot_phases=phases,
                               blocks=blocks, block_counts=counts,
-                              total_nontrivial=total)
+                              total_nontrivial=sum(counts.values()))
 
 
 def variance_proxy(inst: Instance, ortho: OrthoDecomposition, v) -> float:
@@ -151,13 +110,15 @@ def variance_proxy(inst: Instance, ortho: OrthoDecomposition, v) -> float:
 def variance_proxy_batch(inst: Instance, ortho: OrthoDecomposition,
                          vs: np.ndarray) -> np.ndarray:
     """Vectorized proxy for the columns of ``vs`` (shape (d, m))."""
-    m = vs.shape[1]
     beta = ortho.directions @ vs          # (n, m)
-    out = np.zeros(m)
-    for p, _ in ortho.pivot_phases:
+    out = np.zeros(vs.shape[1])
+    # each pivot's blocks are adjacent in ``blocks``, in phase order
+    for p, group in groupby(ortho.blocks.items(), key=lambda item: item[0][0]):
         alpha = ortho.directions @ inst.matrix[:, p]
-        acc = np.zeros(m)
-        for q in ortho.pivot_blocks(p):
+        acc = np.zeros_like(out)
+        for _, q in group:
+            # stored (decreasing) position order: a forward slice would sum
+            # the block in another order and change the last bit of Z
             idx = list(q)
             acc += np.abs(alpha[idx] @ beta[idx])
         out += acc ** 2
@@ -177,29 +138,26 @@ def direction_expansion_residual(inst: Instance, trace: WalkTrace,
     direction image expands over positions a-1..g.  A small residual ties the
     executed walk to the reconstructed decomposition.
     """
-    n = inst.n
     worst = 0.0
-    remaining = n
+    remaining = inst.n
     for rec in trace.steps:
-        lo = remaining - 1          # 0-based position of the first free slot
-        g = int(ortho.position[rec.pivot])
-        mu = inst.matrix @ rec.u
-        vp = inst.matrix[:, rec.pivot]
-        approx = np.zeros(inst.d)
-        for r in range(lo, g + 1):
-            approx += (ortho.directions[r] @ vp) * ortho.directions[r]
-        worst = max(worst, float(np.linalg.norm(mu - approx)))
+        w = ortho.directions[remaining - 1:ortho.position[rec.pivot] + 1]
+        approx = (w @ inst.matrix[:, rec.pivot]) @ w
+        worst = max(worst, float(np.linalg.norm(inst.matrix @ rec.u - approx)))
         remaining -= len(rec.frozen)
     return worst
 
 
 def project_pivot(ortho: OrthoDecomposition, pivot: int, v) -> np.ndarray:
-    """Orthogonal projection of v onto the subspace of the pivot's blocks."""
-    if all(p != pivot for p, _ in ortho.pivot_phases):
+    """Orthogonal projection of v onto the subspace of the pivot's blocks.
+
+    The pivot's blocks fill the positions from its own down to just above
+    the next pivot's (down to 0 for the last pivot).
+    """
+    pivots = [p for p, _ in ortho.pivot_phases]
+    if pivot not in pivots:
         raise ContractViolationError(f"index {pivot} never became pivot")
-    v = np.asarray(v, float)
-    out = np.zeros_like(v)
-    for q in ortho.pivot_blocks(pivot):
-        for r in q:
-            out += (ortho.directions[r] @ v) * ortho.directions[r]
-    return out
+    i = pivots.index(pivot)
+    lo = ortho.position[pivots[i + 1]] + 1 if i + 1 < len(pivots) else 0
+    w = ortho.directions[lo:ortho.position[pivot] + 1]
+    return (w @ np.asarray(v, float)) @ w

@@ -11,7 +11,7 @@ quadrature oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -23,8 +23,9 @@ from .enumeration import LeafDistribution
 
 WILSON_Z = 1.959963984540054        # two-sided 95%
 DEFAULT_DELTA = 0.1
-DEFAULT_LOWER_C = 0.5
-DEFAULT_RATIO_L = 10.0
+LOWER_C = 0.5                       # constant c of the epsilon lower bound
+RATIO_L = 10.0                      # lower bound on the aspect ratio n/d
+QUAD_POINTS = 64                    # Gauss-Legendre nodes per axis and panel
 
 
 @dataclass(frozen=True)
@@ -52,12 +53,6 @@ class TiltedDistribution:
     normalizer: float           # W
     half_variance: float        # V, with 2V the base mean of ||M x||^2
     cutoff_mass: float          # base probability of the cutoff set
-
-
-@dataclass
-class PerturbationSample:
-    matrix: np.ndarray = field(repr=False)
-    seed_index: int
 
 
 def build_augmented(inst: Instance) -> Instance:
@@ -109,25 +104,23 @@ def tilt_distribution(leaves: LeafDistribution, inst: Instance, sigma: float,
 
 
 def sample_perturbation(d: int, n: int, sigma: float,
-                        rng: np.random.Generator,
-                        seed_index: int = 0) -> PerturbationSample:
+                        rng: np.random.Generator) -> np.ndarray:
     """i.i.d. centered Gaussian d x n matrix with entry variance sigma^2/d."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    return PerturbationSample(matrix=rng.normal(0.0, sigma / math.sqrt(d), (d, n)),
-                              seed_index=seed_index)
+    return rng.normal(0.0, sigma / math.sqrt(d), (d, n))
 
 
-def inner_hit_probability(inst: Instance, perturbation: PerturbationSample,
+def inner_hit_probability(inst: Instance, perturbation: np.ndarray,
                           tilted: TiltedDistribution, epsilon: float) -> float:
     """Tilted mass of sign vectors with ||(M+R)x||_inf <= epsilon; exact."""
-    m = inst.matrix + perturbation.matrix
+    m = inst.matrix + perturbation
     return float(sum(tp for x, _, tp in tilted.support
                      if np.abs(m @ x).max() <= epsilon))
 
 
-def wilson_interval(successes: int, trials: int,
-                    z: float = WILSON_Z) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    z = WILSON_Z
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -143,7 +136,7 @@ def outer_success_estimate(inst: Instance, tilted: TiltedDistribution,
     for i in range(config.r_trials):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=config.master_seed, spawn_key=(i,)))
-        pert = sample_perturbation(inst.d, inst.n, config.sigma, rng, seed_index=i)
+        pert = sample_perturbation(inst.d, inst.n, config.sigma, rng)
         if inner_hit_probability(inst, pert, tilted, config.epsilon) > 0.0:
             hits += 1
     return hits / config.r_trials, wilson_interval(hits, config.r_trials)
@@ -176,8 +169,7 @@ def comparison_constant(row: np.ndarray, x: np.ndarray, y: np.ndarray,
 
 
 def joint_rect_probability(row: np.ndarray, x: np.ndarray, y: np.ndarray,
-                           sigma: float, d: int, n: int, epsilon: float,
-                           quad_points: int = 64) -> float:
+                           sigma: float, d: int, n: int, epsilon: float) -> float:
     """P(|s1 g1 - (m1+m2)/2| + |s2 g2 - (m1-m2)/2| <= eps) for independent
     standard Gaussians, s1 = sigma sqrt(k/d), s2 = sigma sqrt((n-k)/d).
 
@@ -190,14 +182,13 @@ def joint_rect_probability(row: np.ndarray, x: np.ndarray, y: np.ndarray,
     k = _overlap(x, y)
     if k <= 0 or k >= n:
         raise DegeneratePairError("sign vectors are equal or opposite")
-    quad_points = max(quad_points, 64)
     m1 = float(row @ x)
     m2 = float(row @ y)
     s1 = sigma * math.sqrt(k / d)
     s2 = sigma * math.sqrt((n - k) / d)
     mu = 0.5 * (m1 + m2)
     nu = 0.5 * (m1 - m2)
-    nodes, weights = leggauss(quad_points)
+    nodes, weights = leggauss(QUAD_POINTS)
     # Clip each axis to the density's effective support (12 standard
     # deviations) so the fixed node count resolves the peak even when the
     # region is much wider than the density.
@@ -237,12 +228,11 @@ def product_rect_probability(row: np.ndarray, x: np.ndarray, y: np.ndarray,
 
 
 def verify_comparison(row: np.ndarray, x: np.ndarray, y: np.ndarray,
-                      sigma: float, d: int, n: int, epsilon: float,
-                      quad_points: int = 64) -> float:
+                      sigma: float, d: int, n: int, epsilon: float) -> float:
     """Slack C_i * product - joint; nonnegative up to relative quadrature error."""
     ci = comparison_constant(row, x, y, sigma, d, n, epsilon)
     prod = product_rect_probability(row, x, y, sigma, d, n, epsilon)
-    joint = joint_rect_probability(row, x, y, sigma, d, n, epsilon, quad_points)
+    joint = joint_rect_probability(row, x, y, sigma, d, n, epsilon)
     return ci * prod - joint
 
 
@@ -254,9 +244,7 @@ def cube_gaussian_measure(radius: float, d: int) -> float:
 
 
 def admissibility_report(config: SmoothedConfig, inst: Instance,
-                         tilted: TiltedDistribution,
-                         ratio_l: float = DEFAULT_RATIO_L,
-                         lower_c: float = DEFAULT_LOWER_C) -> dict:
+                         tilted: TiltedDistribution) -> dict:
     """Evaluate the parameter conditions of the smoothed bound, with margins.
 
     A report, not a gate: every condition is returned as a named entry with
@@ -278,7 +266,7 @@ def admissibility_report(config: SmoothedConfig, inst: Instance,
         cube_gaussian_measure(math.sqrt(d) * eps / (math.sqrt(n) * sigma), d),
         math.exp(-n / 32.0), ">=")
     add("second_moment_scale", float(n), 8.0 * math.sqrt(d) * math.sqrt(2.0 * cv), ">=")
-    add("aspect_ratio", n / d, max(ratio_l, ratio_l / sigma ** 2, 16.0 * sigma ** 2), ">=")
+    add("aspect_ratio", n / d, max(RATIO_L, RATIO_L / sigma ** 2, 16.0 * sigma ** 2), ">=")
     add("epsilon_upper_variance",
         eps,
         (delta / 32.0) * sigma ** 2 * (n / d) ** 1.5 / math.sqrt(cv) if cv > 0 else math.inf,
@@ -287,12 +275,12 @@ def admissibility_report(config: SmoothedConfig, inst: Instance,
         eps, (math.sqrt(delta) / 4.0) * sigma * (n / d) * n ** -0.25, "<=")
     add("epsilon_lower",
         eps,
-        math.sqrt(math.pi / 2.0) * math.exp(lower_c ** 2 / 2.0)
+        math.sqrt(math.pi / 2.0) * math.exp(LOWER_C ** 2 / 2.0)
         * sigma * math.sqrt(n / d) * math.exp(-n / (32.0 * d)), ">=")
     return {
         "parameters": {"d": d, "n": n, "sigma": sigma, "kappa": config.kappa,
                        "cutoff_c": config.cutoff_c, "epsilon": eps,
-                       "delta": delta, "lower_c": lower_c, "ratio_l": ratio_l,
+                       "delta": delta, "lower_c": LOWER_C, "ratio_l": RATIO_L,
                        "half_variance": tilted.half_variance},
         "conditions": conditions,
         "all_hold": all(c["holds"] for c in conditions),

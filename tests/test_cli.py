@@ -190,6 +190,9 @@ class TestDomainErrors:
         ["check-ineq", "--which", "lemma1", "--grid-step", "0"],
         ["check-ineq", "--which", "hoeffding", "--grid-step", "-0.5"],
         ["check-ineq", "--which", "comparison", "--trials", "0"],
+        ["oracle", "--instance", "{id4}", "--check", "martingale", "--v", "e"],
+        ["oracle", "--instance", "{id4}", "--check", "martingale", "--v", "ex"],
+        ["oracle", "--instance", "{id4}", "--check", "martingale", "--v", "e1.5"],
     ])
     def test_message_not_traceback(self, id4, tmp_path, capsys, argv):
         argv = [a.format(id4=id4, tmp=tmp_path) for a in argv]
@@ -199,6 +202,21 @@ class TestDomainErrors:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in captured.err
         assert "min gap" not in captured.out and "slack" not in captured.out
+
+    @pytest.mark.parametrize("text", [
+        "run_index,discrepancy,hatT,maxZ,final_X\n",
+        "run_index,discrepancy,hatT,maxZ,final_X\n0,0.5,2,0.25\n",
+        "neither json nor csv\n",
+        '{"runs": 3, "mean_maxZ": 0.5}\n',
+    ], ids=["csv-header-only", "csv-four-fields", "not-a-report", "json-no-mean_hatT"])
+    def test_malformed_report(self, tmp_path, capsys, text):
+        path = tmp_path / "bad-report"
+        path.write_text(text)
+        assert main(["report", "--in", str(path), "--summary"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert captured.out == ""
 
     def test_smoothed_threads_flag_removed(self, id4):
         with pytest.raises(SystemExit) as exc:

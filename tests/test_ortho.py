@@ -1,14 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gswalk.exceptions import ContractViolationError
 from gswalk.instances import generate_instance
-from gswalk.ortho import (basis_variance_proxies, count_nontrivial, decompose,
-                          direction_expansion_residual, freeze_blocks,
-                          freeze_order, gram_schmidt_sequence, project_pivot,
-                          variance_proxy)
+from gswalk.ortho import (basis_variance_proxies, decompose,
+                          direction_expansion_residual, gram_schmidt_sequence,
+                          project_pivot, variance_proxy)
 from gswalk.walk import run_walk
 from conftest import make_columns
 
@@ -50,7 +50,58 @@ class TestFreezeOrder:
         trace, _ = walk_and_decompose(inst)
         trace.steps = trace.steps[:-1]      # a coordinate never freezes
         with pytest.raises(ContractViolationError):
-            freeze_order(trace)
+            decompose(inst, trace)
+
+
+class TestMultiFreeze:
+    """Steps that freeze several coordinates: one pass assigns every field."""
+
+    def walk(self):
+        inst = generate_instance("sign_columns", 3, 6, 1)
+        trace = run_walk(inst, np.random.default_rng(1))
+        assert [rec.frozen for rec in trace.steps] == [[5, 1, 0], [4, 3, 2]]
+        return inst, trace
+
+    def test_fields_pinned(self):
+        inst, trace = self.walk()
+        dec = decompose(inst, trace)
+        assert dec.order.tolist() == [2, 3, 4, 0, 1, 5]
+        assert dec.position.tolist() == [3, 4, 0, 1, 2, 5]
+        # insertion order too: the blocks of one pivot are adjacent
+        assert list(dec.blocks.items()) == [((5, 0), (5,)), ((5, 1), (4, 3)),
+                                            ((4, 1), (2,)), ((4, 2), (1, 0))]
+        assert dec.pivot_phases == [(5, 1), (4, 2)]
+        assert dec.block_counts == {5: 1, 4: 1}
+        assert dec.total_nontrivial == 2
+        proxies = basis_variance_proxies(inst, dec)
+        assert [float(z).hex() for z in proxies] == [
+            "0x1.ed097b425ed0ep-2", "0x1.da12f684bda16p-1", "0x1.ed097b425ed0fp-2"]
+
+    def test_proxies_bitwise_equal_blockwise_reference(self):
+        # Reference: per pivot, rescan every block and sum it in stored
+        # position order.  Z must keep that order of additions bit for bit.
+        for d, n in ((5, 12), (8, 16)):
+            for seed in range(6):
+                inst = generate_instance("sign_columns", d, n, seed)
+                _, dec = walk_and_decompose(inst, seed)
+                beta = dec.directions @ np.eye(d)
+                want = np.zeros(d)
+                for p, _ in dec.pivot_phases:
+                    alpha = dec.directions @ inst.matrix[:, p]
+                    acc = np.zeros(d)
+                    for (owner, _), q in dec.blocks.items():
+                        if owner == p:
+                            acc += np.abs(alpha[list(q)] @ beta[list(q)])
+                    want += acc ** 2
+                got = basis_variance_proxies(inst, dec)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("frozen", [[4, 3, 1], [4, 3], [4, 3, 2, 0]])
+    def test_column_frozen_twice_or_never(self, frozen):
+        inst, trace = self.walk()
+        trace.steps[1] = replace(trace.steps[1], frozen=frozen)
+        with pytest.raises(ContractViolationError):
+            decompose(inst, trace)
 
 
 class TestGramSchmidt:
