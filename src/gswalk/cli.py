@@ -7,6 +7,7 @@ supplies).  Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -284,9 +285,7 @@ def _cmd_smoothed(args) -> int:
     report = smoothed.admissibility_report(config, inst, tilted)
     payload = {
         "instance": {"d": inst.d, "n": inst.n, "path": args.instance},
-        "config": {"sigma": sigma, "kappa": args.kappa, "cutoff_c": cutoff,
-                   "epsilon": eps, "r_trials": args.r_trials,
-                   "master_seed": seed, "delta": args.delta},
+        "config": dataclasses.asdict(config),
         "tilted": {"support_size": len(tilted.support),
                    "normalizer": tilted.normalizer,
                    "half_variance": tilted.half_variance,
@@ -315,14 +314,18 @@ def _cmd_report(args) -> int:
         missing = [key for key in REPORT_KEYS if key not in payload]
         if missing:
             raise ReportFormatError(f"JSON report lacks {', '.join(missing)}")
-        print(f"runs={payload['runs']} mean_hatT={payload['mean_hatT']:.6g} "
-              f"mean_maxZ={payload['mean_maxZ']:.6g} "
-              f"bound={payload['theorem1_bound']:.6g} "
-              f"min_disc={payload['min_disc']:.6g}")
-        if args.summary:
-            for row in payload["tail"]:
-                print(f"  tail c={row['c']}: empirical {row['empirical']:.4g} "
-                      f"<= bound {row['bound']:.4g}")
+        try:
+            lines = [f"runs={payload['runs']} mean_hatT={payload['mean_hatT']:.6g} "
+                     f"mean_maxZ={payload['mean_maxZ']:.6g} "
+                     f"bound={payload['theorem1_bound']:.6g} "
+                     f"min_disc={payload['min_disc']:.6g}"]
+            if args.summary:
+                lines += [f"  tail c={row['c']}: empirical {row['empirical']:.4g} "
+                          f"<= bound {row['bound']:.4g}" for row in payload["tail"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ReportFormatError(
+                f"malformed JSON report ({type(exc).__name__}: {exc})") from None
+        print("\n".join(lines))
     else:
         rows = harness.parse_csv(text)
         disc = np.array([r["discrepancy"] for r in rows])

@@ -24,14 +24,14 @@ from .exceptions import ParameterError, ReportFormatError
 from .inequalities import BoundInputs, theorem1_bound
 from .instances import Instance
 from .ortho import basis_variance_proxies, decompose
-from .walk import Node, WalkState, WalkTrace, expand_node, walk_step
+from .walk import Node, WalkState, WalkTrace, expand_node
 
 # The report's empirical tail: coordinate and thresholds c.
 TAIL_COORD = 0
 TAIL_GRID = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 # Floats (and indices) the prefix tree of one run_experiment call may keep
-# per process; runs past it continue on the plain walk.  Without a cap the
-# tree grows by ~3n floats per step at large n.
+# per process; runs past it expand nodes without keeping them.  Without a
+# cap the tree grows by ~3n floats per step at large n.
 CACHE_BUDGET_FLOATS = 1 << 17
 CSV_HEADER = "run_index,discrepancy,hatT,maxZ,final_X"
 
@@ -78,7 +78,7 @@ class _PrefixTree:
     """Walk nodes and leaf statistics of one call, keyed by choice prefix.
 
     Stops growing once ``CACHE_BUDGET_FLOATS`` is spent; a run that needs a
-    node past that point finishes on the plain walk.
+    node past that point goes on over nodes the tree does not keep.
     """
 
     def __init__(self, inst: Instance):
@@ -95,10 +95,11 @@ class _PrefixTree:
             take_plus = rng.random() < node.p_plus
             nxt = node.children[take_plus]
             if nxt is None:
-                if self.spent >= CACHE_BUDGET_FLOATS:
-                    return self._finish_uncached(node, take_plus, steps, rng, run_index)
-                nxt = node.child(self.inst, take_plus)
-                self.spent += _floats(nxt)
+                if self.spent < CACHE_BUDGET_FLOATS:
+                    nxt = node.child(self.inst, take_plus)
+                    self.spent += _floats(nxt)
+                else:
+                    nxt = expand_node(self.inst, *node.step(take_plus))
             node = nxt
             steps.append(node.record)
         stats = self.leaf_stats.get(node)
@@ -109,16 +110,6 @@ class _PrefixTree:
                 self.spent += stats.proxies.size + stats.signs.size
         return replace(stats, run_index=run_index, proxies=stats.proxies.copy(),
                        signs=stats.signs.copy())
-
-    def _finish_uncached(self, node: Node, take_plus: bool, steps: list,
-                         rng: np.random.Generator, run_index: int) -> RunStats:
-        """The rest of a run on the plain walk, from the step ``node`` takes."""
-        state, rec = node.step(take_plus)
-        steps.append(rec)
-        while state.active.size:
-            state, rec = walk_step(self.inst, state, rng)
-            steps.append(rec)
-        return _trace_stats(self.inst, run_index, WalkTrace(steps, state.x))
 
 
 def _floats(node: Node) -> int:

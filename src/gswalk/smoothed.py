@@ -49,7 +49,9 @@ class SmoothedConfig:
 
 @dataclass
 class TiltedDistribution:
-    support: list[tuple[np.ndarray, float, float]]  # (signs, base_p, tilted_p)
+    support: np.ndarray         # (k, n) sign vectors of the cutoff set
+    base_p: np.ndarray          # their base probabilities
+    tilted_p: np.ndarray        # their reweighted, normalized probabilities
     normalizer: float           # W
     half_variance: float        # V, with 2V the base mean of ||M x||^2
     cutoff_mass: float          # base probability of the cutoff set
@@ -61,16 +63,15 @@ def build_augmented(inst: Instance) -> Instance:
     return Instance(stacked)
 
 
-def base_law(leaves: LeafDistribution) -> list[tuple[np.ndarray, float]]:
-    """Aggregate leaf probabilities over distinct sign vectors."""
-    agg: dict[bytes, tuple[np.ndarray, float]] = {}
-    for lf in leaves.leaves:
-        key = lf.signs.astype(np.int8).tobytes()
-        if key in agg:
-            agg[key] = (agg[key][0], agg[key][1] + lf.probability)
-        else:
-            agg[key] = (lf.signs.copy(), lf.probability)
-    return list(agg.values())
+def base_law(leaves: LeafDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct sign vectors (k, n) in first-leaf order and their summed leaf
+    probabilities, added in leaf order."""
+    signs = np.array([lf.signs for lf in leaves.leaves])
+    _, first, group = np.unique(signs, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    probs = np.bincount(np.argsort(order)[group],
+                        weights=[lf.probability for lf in leaves.leaves])
+    return signs[first[order]], probs
 
 
 def tilt_distribution(leaves: LeafDistribution, inst: Instance, sigma: float,
@@ -79,28 +80,25 @@ def tilt_distribution(leaves: LeafDistribution, inst: Instance, sigma: float,
 
     Weights exp(d ||M x||^2 / (2 sigma^2 n)) restricted to
     {||M x||^2 <= 2 * cutoff_c * V} and normalized; V is exact from the leaves.
+    The norms and weights are taken point by point and the reported sums left
+    to right, so the report's values do not depend on BLAS or SIMD order.
     """
     if leaves.n != inst.n:
         raise ContractViolationError("leaf law and instance disagree on n")
-    law = base_law(leaves)
+    signs, probs = base_law(leaves)
     d, n = inst.d, inst.n
-    sq_norms = [float(np.sum((inst.matrix @ x) ** 2)) for x, _ in law]
-    two_v = sum(p * s for (_, p), s in zip(law, sq_norms))
-    radius = cutoff_c * two_v
-    support = []
-    normalizer = 0.0
-    cutoff_mass = 0.0
-    for (x, p), s in zip(law, sq_norms):
-        if s <= radius * (1.0 + 1e-12) + 1e-300:
-            weight = math.exp(d * s / (2.0 * sigma * sigma * n))
-            support.append((x, p, p * weight))
-            normalizer += p * weight
-            cutoff_mass += p
+    sq_norms = np.array([float(np.sum((inst.matrix @ x) ** 2)) for x in signs])
+    two_v = float(sum(probs * sq_norms))
+    keep = sq_norms <= cutoff_c * two_v * (1.0 + 1e-12) + 1e-300
+    base_p = probs[keep]
+    mass = base_p * [math.exp(d * s / (2.0 * sigma * sigma * n)) for s in sq_norms[keep]]
+    normalizer = float(sum(mass))
     if normalizer <= 0.0:
         raise ContractViolationError("cutoff set carries no probability mass")
-    support = [(x, p, tp / normalizer) for x, p, tp in support]
-    return TiltedDistribution(support=support, normalizer=normalizer,
-                              half_variance=0.5 * two_v, cutoff_mass=cutoff_mass)
+    return TiltedDistribution(support=signs[keep], base_p=base_p,
+                              tilted_p=mass / normalizer, normalizer=normalizer,
+                              half_variance=0.5 * two_v,
+                              cutoff_mass=float(sum(base_p)))
 
 
 def sample_perturbation(d: int, n: int, sigma: float,
@@ -115,8 +113,8 @@ def inner_hit_probability(inst: Instance, perturbation: np.ndarray,
                           tilted: TiltedDistribution, epsilon: float) -> float:
     """Tilted mass of sign vectors with ||(M+R)x||_inf <= epsilon; exact."""
     m = inst.matrix + perturbation
-    return float(sum(tp for x, _, tp in tilted.support
-                     if np.abs(m @ x).max() <= epsilon))
+    hits = np.abs(tilted.support @ m.T).max(axis=1) <= epsilon
+    return float(tilted.tilted_p[hits].sum())
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:

@@ -247,7 +247,7 @@ def test_criterion_8_tilted_distribution():
         leaves = enumerate_walk(build_augmented(inst))
         tilted = tilt_distribution(leaves, inst, sigma, cutoff)
 
-        assert abs(sum(tp for _, _, tp in tilted.support) - 1.0) <= 1e-12
+        assert abs(sum(tilted.tilted_p) - 1.0) <= 1e-12
         assert tilted.cutoff_mass >= 1 - 1 / cutoff - 1e-9
 
         radius = 2 * cutoff * tilted.half_variance
@@ -322,7 +322,8 @@ def test_criterion_10_smoothed_sanity():
                            epsilon=eps10, r_trials=1, master_seed=0)
     # enumeration is infeasible beyond small n; the report only consumes the
     # half-variance, bounded above by the expected block count <= d
-    surrogate10 = TiltedDistribution(support=[], normalizer=1.0,
+    surrogate10 = TiltedDistribution(support=np.empty((0, 20)), base_p=np.empty(0),
+                                     tilted_p=np.empty(0), normalizer=1.0,
                                      half_variance=10.0, cutoff_mass=1.0)
     report = admissibility_report(
         cfg10, generate_instance("sign_columns", 10, 20, 0), surrogate10)
@@ -339,7 +340,8 @@ def test_criterion_10_smoothed_sanity():
                          master_seed=0)
     # enumeration is infeasible at this n; the report only consumes the
     # half-variance, bounded above by the expected block count <= d
-    surrogate = TiltedDistribution(support=[], normalizer=1.0,
+    surrogate = TiltedDistribution(support=np.empty((0, n)), base_p=np.empty(0),
+                                   tilted_p=np.empty(0), normalizer=1.0,
                                    half_variance=float(d), cutoff_mass=1.0)
     scale_report = admissibility_report(cfg, big, surrogate)
     assert len(scale_report["conditions"]) == 6

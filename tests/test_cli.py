@@ -208,7 +208,12 @@ class TestDomainErrors:
         "run_index,discrepancy,hatT,maxZ,final_X\n0,0.5,2,0.25\n",
         "neither json nor csv\n",
         '{"runs": 3, "mean_maxZ": 0.5}\n',
-    ], ids=["csv-header-only", "csv-four-fields", "not-a-report", "json-no-mean_hatT"])
+        '{"runs": 3, "mean_hatT": "x", "mean_maxZ": 1, "theorem1_bound": 1, '
+        '"min_disc": 1, "tail": []}\n',
+        '{"runs": 3, "mean_hatT": 1, "mean_maxZ": 1, "theorem1_bound": 1, '
+        '"min_disc": 1, "tail": [{"c": 0.5}]}\n',
+    ], ids=["csv-header-only", "csv-four-fields", "not-a-report", "json-no-mean_hatT",
+            "json-str-mean_hatT", "json-tail-no-bound"])
     def test_malformed_report(self, tmp_path, capsys, text):
         path = tmp_path / "bad-report"
         path.write_text(text)

@@ -1,5 +1,6 @@
 import math
 from decimal import Decimal, getcontext
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -51,8 +52,8 @@ class TestTiltedDistribution:
         assert tilted.half_variance == 0.0
         assert tilted.cutoff_mass == pytest.approx(1.0, abs=1e-12)
         assert tilted.normalizer == pytest.approx(1.0, abs=1e-12)
-        base = {x.tobytes(): p for x, p in base_law(leaves)}
-        for x, bp, tp in tilted.support:
+        base = {x.tobytes(): p for x, p in zip(*base_law(leaves))}
+        for x, bp, tp in zip(tilted.support, tilted.base_p, tilted.tilted_p):
             assert tp == pytest.approx(base[x.tobytes()], abs=1e-12)
             assert bp == pytest.approx(base[x.tobytes()], abs=1e-15)
 
@@ -60,14 +61,14 @@ class TestTiltedDistribution:
         for seed in range(4):
             inst = generate_instance("random_unit_sphere", 2, 4, seed)
             _, tilted = tilted_for(inst, sigma=1.5, cutoff=3.0)
-            total = sum(tp for _, _, tp in tilted.support)
+            total = sum(tilted.tilted_p)
             assert abs(total - 1.0) <= 1e-12
 
     def test_support_inside_cutoff_set(self):
         inst = generate_instance("random_unit_sphere", 2, 4, 7)
         _, tilted = tilted_for(inst, cutoff=1.5)
         radius = 2 * 1.5 * tilted.half_variance
-        for x, _, _ in tilted.support:
+        for x in tilted.support:
             assert np.sum((inst.matrix @ x) ** 2) <= radius + 1e-9
 
     def test_markov_cutoff_mass(self):
@@ -80,9 +81,9 @@ class TestTiltedDistribution:
         inst = generate_instance("random_unit_sphere", 2, 4, 5)
         leaves, tilted = tilted_for(inst, sigma=1e9, cutoff=2.0)
         conditioned = {x.tobytes(): bp / tilted.cutoff_mass
-                       for x, bp, _ in tilted.support}
+                       for x, bp in zip(tilted.support, tilted.base_p)}
         tv = 0.5 * sum(abs(tp - conditioned[x.tobytes()])
-                       for x, _, tp in tilted.support)
+                       for x, tp in zip(tilted.support, tilted.tilted_p))
         assert tv <= 1e-9
 
     def test_normalizer_double_entry(self):
@@ -105,6 +106,76 @@ class TestTiltedDistribution:
         e_blocks = sum(lf.probability * lf.ortho.total_nontrivial
                        for lf in leaves.leaves)
         assert 2 * tilted.half_variance <= 2 * e_blocks + 1e-9
+
+
+@lru_cache(maxsize=1)
+def augmented_leaves(kind, d, n, seed):
+    inst = generate_instance(kind, d, n, seed)
+    return inst, enumerate_walk(build_augmented(inst))
+
+
+def reference_tilt(leaves, inst, sigma, cutoff_c):
+    """The bytes-keyed dict and tuple loops the array form replaced."""
+    agg = {}
+    for lf in leaves.leaves:
+        key = lf.signs.astype(np.int8).tobytes()
+        if key in agg:
+            agg[key] = (agg[key][0], agg[key][1] + lf.probability)
+        else:
+            agg[key] = (lf.signs.copy(), lf.probability)
+    law = list(agg.values())
+    d, n = inst.d, inst.n
+    sq_norms = [float(np.sum((inst.matrix @ x) ** 2)) for x, _ in law]
+    two_v = sum(p * s for (_, p), s in zip(law, sq_norms))
+    radius = cutoff_c * two_v
+    support = []
+    normalizer = 0.0
+    cutoff_mass = 0.0
+    for (x, p), s in zip(law, sq_norms):
+        if s <= radius * (1.0 + 1e-12) + 1e-300:
+            weight = math.exp(d * s / (2.0 * sigma * sigma * n))
+            support.append((x, p, p * weight))
+            normalizer += p * weight
+            cutoff_mass += p
+    support = [(x, p, tp / normalizer) for x, p, tp in support]
+    return len(law), support, normalizer, 0.5 * two_v, cutoff_mass
+
+
+class TestArrayLawMatchesReference:
+    # both instances have leaves that share a sign vector
+    @pytest.mark.parametrize("case, sizes, sigma, cutoff, kept", [
+        (("random_unit_sphere", 4, 12, 1), (4096, 2734), 1.0, 2.0, 1496),
+        (("random_unit_sphere", 4, 12, 1), (4096, 2734), 1.5, 1.3, 794),
+        (("sign_columns", 3, 6, 1), (64, 56), 1.0, 2.0, 50),
+    ])
+    def test_bitwise(self, case, sizes, sigma, cutoff, kept):
+        inst, leaves = augmented_leaves(*case)
+        distinct, support, normalizer, half_variance, cutoff_mass = \
+            reference_tilt(leaves, inst, sigma, cutoff)
+        assert (len(leaves.leaves), distinct) == sizes
+        tilted = tilt_distribution(leaves, inst, sigma, cutoff)
+        assert len(tilted.support) == len(support) == kept < distinct
+        assert tilted.support.tobytes() == np.array([x for x, _, _ in support]).tobytes()
+        assert tilted.base_p.tobytes() == np.array([p for _, p, _ in support]).tobytes()
+        assert tilted.tilted_p.tobytes() == np.array([tp for _, _, tp in support]).tobytes()
+        assert tilted.normalizer == normalizer
+        assert tilted.half_variance == half_variance
+        assert tilted.cutoff_mass == cutoff_mass
+
+        grid = [0.0, epsilon_of(sigma, inst.d, 32.0), *np.linspace(0.25, 3.0, 12)]
+        positive = 0
+        for i in range(200):
+            pert = sample_perturbation(inst.d, inst.n, sigma, np.random.default_rng(i))
+            m = inst.matrix + pert
+            reach = [np.abs(m @ x).max() for x, _, _ in support]
+            for eps in grid:
+                ref = float(sum(tp for (_, _, tp), r in zip(support, reach) if r <= eps))
+                got = inner_hit_probability(inst, pert, tilted, eps)
+                # the masked sum may add in another order; the hit set is the same
+                assert (got > 0.0) == (ref > 0.0)
+                assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+                positive += ref > 0.0
+        assert 0 < positive < 200 * len(grid)
 
 
 class TestPerturbation:
