@@ -24,10 +24,18 @@ REPORT_KEYS = ("runs", "mean_hatT", "mean_maxZ", "theorem1_bound", "min_disc", "
 
 
 def _resolve_seed(value):
-    if value is not None:
-        return int(value)
-    env = os.environ.get(SEED_ENV)
-    return int(env) if env is not None else DEFAULT_SEED
+    """The --seed value, else GSWALK_SEED, else the default; a non-negative int."""
+    source = "--seed"
+    if value is None:
+        source = SEED_ENV
+        value = os.environ.get(SEED_ENV, DEFAULT_SEED)
+    try:
+        seed = int(value)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise ParameterError(f"{source} must be a non-negative integer, got {value!r}")
+    return seed
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -4,7 +4,8 @@ Expands the full decision tree of the walk, one branch per endpoint choice,
 multiplying branch probabilities.  Leaves carry the exact probability of each
 sign outcome together with the trace and its orthogonal decomposition (both
 built on first read), so expectations of any path functional can be computed
-without sampling.
+without sampling.  A decomposition depends only on the leaf's freeze sequence,
+so the leaves of one enumeration that share that sequence share one object.
 """
 from __future__ import annotations
 
@@ -31,6 +32,9 @@ class Leaf:
     choices: tuple[bool, ...]       # True where the + endpoint was taken
     steps: list[StepRecord] = field(repr=False)
     inst: Instance = field(repr=False)
+    # decompositions built so far, keyed by freeze sequence; one dict is
+    # shared by all leaves of an enumeration
+    decompositions: dict = field(repr=False)
 
     @cached_property
     def trace(self) -> WalkTrace:
@@ -38,7 +42,14 @@ class Leaf:
 
     @cached_property
     def ortho(self) -> OrthoDecomposition:
-        return decompose(self.inst, self.trace)
+        """The decomposition of the trace, shared with every leaf of the same
+        enumeration whose steps have the same pivots and frozen sets (all
+        that ``decompose`` reads besides n and the step numbers)."""
+        key = tuple((rec.pivot, *rec.frozen) for rec in self.steps)
+        dec = self.decompositions.get(key)
+        if dec is None:
+            dec = self.decompositions[key] = decompose(self.inst, self.trace)
+        return dec
 
 
 @dataclass
@@ -56,6 +67,7 @@ def enumerate_walk(inst: Instance) -> LeafDistribution:
             f"enumeration refused: n={inst.n} exceeds depth cap {DEPTH_CAP} "
             f"(up to 2^n leaves)")
     leaves: list[Leaf] = []
+    decompositions: dict = {}
     pruned = 0.0
 
     def descend(node: Node, steps: list[StepRecord], prob: float,
@@ -63,7 +75,8 @@ def enumerate_walk(inst: Instance) -> LeafDistribution:
         nonlocal pruned
         if node.u is None:
             leaves.append(Leaf(signs=node.state.x, probability=prob,
-                               choices=choices, steps=steps, inst=inst))
+                               choices=choices, steps=steps, inst=inst,
+                               decompositions=decompositions))
             return
         for take_plus in (True, False):
             # The - branch multiplies 1 - p_plus, not the record's dp/(dm+dp):
@@ -95,11 +108,19 @@ def verify_martingale(dist: LeafDistribution, inst: Instance, v) -> float:
 
 def verify_subgaussian(dist: LeafDistribution, inst: Instance, v,
                        lam: float) -> float:
-    """E exp(lam <M X, v> - lam^2 Z/2) with each leaf's own proxy Z."""
+    """E exp(lam <M X, v> - lam^2 Z/2) with each leaf's own proxy Z.
+
+    Z is computed once per distinct decomposition; leaves that share one
+    (see ``Leaf.ortho``) share their proxy.
+    """
     v = np.asarray(v, float)
+    proxies: dict[int, float] = {}      # id(decomposition) -> Z; leaves keep ids live
 
     def moment(lf: Leaf) -> float:
-        z = variance_proxy(inst, lf.ortho, v)
+        dec = lf.ortho
+        z = proxies.get(id(dec))
+        if z is None:
+            z = proxies[id(dec)] = variance_proxy(inst, dec, v)
         arg = lam * float(inst.matrix @ lf.signs @ v) - 0.5 * lam * lam * z
         if abs(arg) > MGF_EXP_LIMIT:
             raise DomainOverflowError(f"mgf exponent {arg:.3g} out of range")
@@ -115,26 +136,37 @@ def conditional_increment_check(dist: LeafDistribution) -> float:
     +1-z or -1-z (z its current fractional value) with probabilities (1+z)/2
     and (1-z)/2; both the probability masses and the conditional mean are
     checked.
+
+    Leaves are in depth-first order with the + branch first, so the leaves
+    below each node form a contiguous run; nodes are read from those runs in
+    preorder, summing each run's probabilities in leaf order.
     """
-    groups: dict[tuple[bool, ...], list[Leaf]] = {}
-    for lf in dist.leaves:
-        for depth in range(len(lf.choices)):
-            groups.setdefault(lf.choices[:depth], []).append(lf)
+    leaves = dist.leaves
     worst = 0.0
-    for prefix, members in groups.items():
-        depth = len(prefix)
-        rep = members[0].trace
-        x = np.zeros(dist.n)
-        for rec in rep.steps[:depth]:
-            x = x + rec.chosen_delta * rec.u
-        pivot = rep.steps[depth].pivot
+
+    def visit(lo: int, hi: int, depth: int, x: np.ndarray) -> None:
+        # leaves[lo:hi] are the leaves below one internal node at ``depth``;
+        # x is the replayed (unsnapped) coloring the node's prefix reaches
+        nonlocal worst
+        run = leaves[lo:hi]
+        pivot = run[0].steps[depth].pivot
         z = float(x[pivot])
-        total = sum(lf.probability for lf in members)
-        plus = sum(lf.probability for lf in members if lf.signs[pivot] > 0)
+        total = sum(lf.probability for lf in run)
+        plus = sum(lf.probability for lf in run if lf.signs[pivot] > 0)
         p_plus = plus / total
         worst = max(worst, abs(p_plus - (1.0 + z) / 2.0))
         mean_move = p_plus * (1.0 - z) + (1.0 - p_plus) * (-1.0 - z)
         worst = max(worst, abs(mean_move))
+        mid = lo
+        while mid < hi and leaves[mid].choices[depth]:
+            mid += 1
+        for child_lo, child_hi in ((lo, mid), (mid, hi)):
+            if child_lo < child_hi and len(leaves[child_lo].choices) > depth + 1:
+                rec = leaves[child_lo].steps[depth]
+                visit(child_lo, child_hi, depth + 1, x + rec.chosen_delta * rec.u)
+
+    if leaves and leaves[0].choices:
+        visit(0, len(leaves), 0, np.zeros(dist.n))
     return worst
 
 

@@ -22,11 +22,28 @@ def _check_exponent(*values):
         raise DomainOverflowError(f"argument magnitude {worst:.3g} exceeds {EXP_GUARD}")
 
 
+def two_point_moment(x, s, out=None, work=None):
+    """A(x, s) = (1-x)/2 exp(-(1+x)s) + (1+x)/2 exp((1-x)s).
+
+    The moment E exp(sY) of the mean-zero variable Y taking -(1+x) and 1-x,
+    for x in [-1,1].  ``out`` and ``work`` are optional buffers of the
+    broadcast shape; the result is written into ``out``.
+    """
+    shape = np.broadcast_shapes(np.shape(x), np.shape(s))
+    out = np.multiply(-(1.0 + x), s, out=np.empty(shape) if out is None else out)
+    np.exp(out, out=out)
+    np.multiply(0.5 * (1.0 - x), out, out=out)
+    work = np.multiply(1.0 - x, s, out=np.empty(shape) if work is None else work)
+    np.exp(work, out=work)
+    np.multiply(0.5 * (1.0 + x), work, out=work)
+    return np.add(out, work, out=out)
+
+
 def lemma1_gap(x, a, b):
     """Gap of the two-point moment-ratio bound, for x in [-1,1].
 
-    With A(s) = (1-x)/2 exp(-(1+x)s) + (1+x)/2 exp((1-x)s) the mean-zero
-    two-point moment at s, returns exp(|a||b| + b^2/2) - A(a+b)/A(a).
+    With A(s) the mean-zero two-point moment at s (``two_point_moment``),
+    returns exp(|a||b| + b^2/2) - A(a+b)/A(a).
     The ratio form is the inductive step the bound rests on; at b = 0 both
     sides are 1, and at x = a = 0 the ratio is cosh(b).  Nonnegative up to
     roundoff.  Accepts scalars or broadcasting arrays.
@@ -36,10 +53,7 @@ def lemma1_gap(x, a, b):
     b = np.asarray(b, float)
     _check_exponent(a, b)
     lhs = np.exp(np.abs(a) * np.abs(b) + 0.5 * b * b)
-    s = a + b
-    num = 0.5 * (1.0 - x) * np.exp(-(1.0 + x) * s) + 0.5 * (1.0 + x) * np.exp((1.0 - x) * s)
-    den = 0.5 * (1.0 - x) * np.exp(-(1.0 + x) * a) + 0.5 * (1.0 + x) * np.exp((1.0 - x) * a)
-    out = lhs - num / den
+    out = lhs - two_point_moment(x, a + b) / two_point_moment(x, a)
     return float(out) if out.ndim == 0 else out
 
 
@@ -49,9 +63,7 @@ def two_point_mgf_gap(z, b):
     z = np.asarray(z, float)
     b = np.asarray(b, float)
     _check_exponent(b)
-    lhs = np.exp(0.5 * b * b)
-    rhs = 0.5 * (1.0 - z) * np.exp(-(1.0 + z) * b) + 0.5 * (1.0 + z) * np.exp((1.0 - z) * b)
-    out = lhs - rhs
+    out = np.exp(0.5 * b * b) - two_point_moment(z, b)
     return float(out) if out.ndim == 0 else out
 
 
@@ -97,14 +109,30 @@ def theorem1_bound(inputs: BoundInputs) -> float:
 def lemma1_grid_min(step: float = 0.01, x_lim: float = 0.99,
                     ab_lim: float = 3.0) -> float:
     """Minimum lemma gap over the x in [-x_lim, x_lim], a,b in [-ab_lim, ab_lim] grid."""
-    xs = _grid(x_lim, step)
-    ab = _grid(ab_lim, step)
+    worst = math.inf
+    for gap in lemma1_sweep(_grid(x_lim, step), _grid(ab_lim, step)):
+        worst = min(worst, float(gap.min()))
+    return worst
+
+
+def lemma1_sweep(xs: np.ndarray, ab: np.ndarray):
+    """Yield ``lemma1_gap(x, ab[:, None], ab[None, :])`` for each x in ``xs``.
+
+    The x-independent terms are computed once and every gap is evaluated into
+    the same reused buffers, so a sweep allocates no per-x (len(ab), len(ab))
+    temporaries; each yielded array is overwritten by the next one.
+    """
     a = ab[:, None]
     b = ab[None, :]
-    worst = math.inf
+    _check_exponent(a, b)
+    lhs = np.exp(np.abs(a) * np.abs(b) + 0.5 * b * b)
+    s = a + b
+    gap = np.empty_like(s)
+    work = np.empty_like(s)
     for x in xs:
-        worst = min(worst, float(lemma1_gap(x, a, b).min()))
-    return worst
+        two_point_moment(x, s, out=gap, work=work)
+        np.divide(gap, two_point_moment(x, a), out=gap)
+        yield np.subtract(lhs, gap, out=gap)
 
 
 def two_point_grid_min(step: float = 0.01, z_lim: float = 1.0,
@@ -140,8 +168,8 @@ def _grid(lim: float, step: float) -> np.ndarray:
 
 
 def _check_step(step: float) -> None:
-    if not step > 0:
-        raise ParameterError(f"grid step must be positive, got {step!r}")
+    if not 0 < step < math.inf:
+        raise ParameterError(f"grid step must be positive and finite, got {step!r}")
 
 
 def _nonempty(axis: np.ndarray) -> np.ndarray:

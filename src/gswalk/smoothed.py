@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import erf, ndtr
 
 from .exceptions import ContractViolationError, DegeneratePairError, ParameterError
 from .instances import Instance
@@ -39,12 +38,17 @@ class SmoothedConfig:
     delta: float = DEFAULT_DELTA    # slack constant in the admissibility bounds
 
     def __post_init__(self):
+        reals = (self.sigma, self.kappa, self.cutoff_c, self.epsilon, self.delta)
+        if not all(math.isfinite(v) for v in reals):
+            raise ParameterError("sigma, kappa, cutoff_c, epsilon and delta must be finite")
         if self.sigma < 1 or self.kappa < 1:
             raise ParameterError("sigma and kappa must be >= 1")
         if self.cutoff_c <= 1:
             raise ParameterError("cutoff_c must exceed 1")
         if self.epsilon < 0 or self.r_trials < 1:
             raise ParameterError("epsilon must be nonnegative and r_trials >= 1")
+        if self.delta <= 0:
+            raise ParameterError("delta must be positive")
 
 
 @dataclass
@@ -217,6 +221,7 @@ def product_rect_probability(row: np.ndarray, x: np.ndarray, y: np.ndarray,
                              sigma: float, d: int, n: int,
                              epsilon: float) -> float:
     """Product of the two marginal interval probabilities, via the normal CDF."""
+    from scipy.special import ndtr      # here, so that importing gswalk skips SciPy
     m1 = float(row @ x)
     m2 = float(row @ y)
     s = sigma * math.sqrt(n / d)
@@ -236,6 +241,7 @@ def verify_comparison(row: np.ndarray, x: np.ndarray, y: np.ndarray,
 
 def cube_gaussian_measure(radius: float, d: int) -> float:
     """Standard Gaussian mass of the cube [-radius, radius]^d."""
+    from scipy.special import erf       # here, so that importing gswalk skips SciPy
     if radius <= 0:
         raise ValueError("radius must be positive")
     return float(erf(radius / math.sqrt(2.0)) ** d)

@@ -1,8 +1,12 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gswalk import cli
 from gswalk.cli import main
 from gswalk.instances import load_instance
 
@@ -193,6 +197,13 @@ class TestDomainErrors:
         ["oracle", "--instance", "{id4}", "--check", "martingale", "--v", "e"],
         ["oracle", "--instance", "{id4}", "--check", "martingale", "--v", "ex"],
         ["oracle", "--instance", "{id4}", "--check", "martingale", "--v", "e1.5"],
+        ["run", "--instance", "{id4}", "--seed", "-3"],
+        ["smoothed", "--instance", "{id4}", "--delta", "-1", "--out", "{tmp}/s.json"],
+        ["smoothed", "--instance", "{id4}", "--epsilon", "nan", "--out", "{tmp}/s.json"],
+        ["smoothed", "--instance", "{id4}", "--sigma", "nan", "--out", "{tmp}/s.json"],
+        ["check-ineq", "--which", "cosh", "--grid-step", "inf"],
+        ["check-ineq", "--which", "lemma1", "--grid-step", "inf"],
+        ["check-ineq", "--which", "hoeffding", "--grid-step", "inf"],
     ])
     def test_message_not_traceback(self, id4, tmp_path, capsys, argv):
         argv = [a.format(id4=id4, tmp=tmp_path) for a in argv]
@@ -202,6 +213,43 @@ class TestDomainErrors:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in captured.err
         assert "min gap" not in captured.out and "slack" not in captured.out
+        assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--kind", "identity", "--d", "2", "--n", "2", "--out", "{tmp}/g.txt"],
+        ["run", "--instance", "{id4}"],
+        ["trace", "--instance", "{id4}"],
+        ["mc", "--instance", "{id4}", "--runs", "2", "--out", "{tmp}/r.json"],
+        ["oracle", "--instance", "{id4}", "--check", "martingale", "--v", "random"],
+        ["check-ineq", "--which", "comparison", "--trials", "1"],
+        ["smoothed", "--instance", "{id4}", "--r-trials", "1"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("source,seed", [("flag", "-3"), ("env", "-3"),
+                                             ("env", "abc"), ("env", "")])
+    def test_bad_seed(self, id4, tmp_path, capsys, monkeypatch, argv, source, seed):
+        argv = [a.format(id4=id4, tmp=tmp_path) for a in argv]
+        if source == "flag":
+            argv += ["--seed", seed]
+        else:
+            monkeypatch.setenv("GSWALK_SEED", seed)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "non-negative integer" in lines[0]
+        assert captured.out == ""
+        assert not (tmp_path / "g.txt").exists() and not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("option", [["--delta", "-1"], ["--epsilon", "nan"],
+                                        ["--sigma", "nan"], ["--kappa", "inf"],
+                                        ["--cutoff-c", "nan"], ["--delta", "0"]])
+    def test_smoothed_config_checked_before_enumeration(self, id4, monkeypatch,
+                                                        option):
+        def refuse(inst):
+            raise AssertionError("enumeration reached with a bad config")
+
+        monkeypatch.setattr(cli.enumeration, "enumerate_walk", refuse)
+        assert main(["smoothed", "--instance", str(id4), *option]) == 1
 
     @pytest.mark.parametrize("text", [
         "run_index,discrepancy,hatT,maxZ,final_X\n",
@@ -246,3 +294,14 @@ class TestReportCmd:
         capsys.readouterr()
         assert main(["report", "--in", str(rep)]) == 0
         assert "runs=30" in capsys.readouterr().out
+
+
+def test_cli_import_skips_scipy():
+    # SciPy is imported only by the functions that use it, so starting the
+    # CLI does not pay for it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import gswalk.cli; "
+            "print('scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -10,8 +10,15 @@ from gswalk.enumeration import (brute_force_min_discrepancy,
                                 verify_subgaussian)
 from gswalk.exceptions import DimensionError, DomainOverflowError
 from gswalk.instances import generate_instance
-from gswalk.ortho import decompose
+from gswalk.ortho import decompose, variance_proxy
 from conftest import make_columns
+
+SHARING_CASES = [("random_unit_sphere", 3, 7, 4), ("sign_columns", 3, 8, 2),
+                 ("duplicated_column", 3, 7, 1), ("random_in_ball", 4, 9, 3)]
+
+
+def freeze_sequence(lf):
+    return tuple((rec.pivot, tuple(rec.frozen)) for rec in lf.trace.steps)
 
 
 class TestEnumerateWalk:
@@ -63,7 +70,37 @@ class TestEnumerateWalk:
             assert np.array_equal(got.directions, want.directions)
             assert got.blocks == want.blocks
             assert got.total_nontrivial == want.total_nontrivial
-        assert len(calls) == len(dist.leaves)
+        # one decomposition per distinct freeze sequence, not one per leaf
+        assert len(calls) == len({freeze_sequence(lf) for lf in dist.leaves})
+
+    @pytest.mark.parametrize("case", SHARING_CASES, ids=lambda c: f"{c[0]}-{c[2]}")
+    def test_shared_decompositions_equal_per_leaf(self, case):
+        inst = generate_instance(*case)
+        for lf in enumerate_walk(inst).leaves:
+            got, want = lf.ortho, decompose(inst, lf.trace)
+            assert np.array_equal(got.order, want.order)
+            assert np.array_equal(got.position, want.position)
+            assert np.array_equal(got.directions, want.directions)
+            assert got.pivot_phases == want.pivot_phases
+            assert list(got.blocks.items()) == list(want.blocks.items())
+            assert got.block_counts == want.block_counts
+            assert got.total_nontrivial == want.total_nontrivial
+
+    @pytest.mark.parametrize("case", SHARING_CASES, ids=lambda c: f"{c[0]}-{c[2]}")
+    def test_equal_freeze_sequences_share_one_decomposition(self, case):
+        dist = enumerate_walk(generate_instance(*case))
+        groups: dict[tuple, list] = {}
+        for lf in dist.leaves:
+            groups.setdefault(freeze_sequence(lf), []).append(lf)
+        assert len(groups) < len(dist.leaves)
+        for members in groups.values():
+            assert all(lf.ortho is members[0].ortho for lf in members)
+        assert len({id(lf.ortho) for lf in dist.leaves}) == len(groups)
+
+    def test_enumerations_do_not_share_decompositions(self):
+        inst = generate_instance("random_unit_sphere", 3, 6, 2)
+        first, second = enumerate_walk(inst), enumerate_walk(inst)
+        assert first.leaves[0].ortho is not second.leaves[0].ortho
 
     def test_branch_probability_forms(self):
         # leaf mass multiplies 1 - p_plus on - branches while the records keep
@@ -168,6 +205,25 @@ class TestSubgaussian:
         with pytest.raises(DomainOverflowError):
             verify_subgaussian(dist, inst, [1.0, 0.0], 1000.0)
 
+    @pytest.mark.parametrize("case", SHARING_CASES, ids=lambda c: f"{c[0]}-{c[2]}")
+    def test_one_proxy_per_decomposition(self, case, monkeypatch):
+        inst = generate_instance(*case)
+        v = np.linspace(1.0, -0.5, inst.d)
+        dist = enumerate_walk(inst)
+        # reference: each leaf decomposed and its proxy computed on its own
+        want = exact_expectation(dist, lambda lf: math.exp(
+            0.7 * float(inst.matrix @ lf.signs @ v)
+            - 0.5 * 0.7 * 0.7 * variance_proxy(inst, decompose(inst, lf.trace), v)))
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return variance_proxy(*args)
+
+        monkeypatch.setattr(enumeration, "variance_proxy", counting)
+        assert verify_subgaussian(dist, inst, v, 0.7) == want
+        assert len(calls) == len({freeze_sequence(lf) for lf in dist.leaves})
+
     def test_random_matrix_of_cases(self):
         rng = np.random.default_rng(17)
         for seed in range(4):
@@ -192,6 +248,54 @@ class TestConditionalIncrements:
             inst = generate_instance("random_unit_sphere", 3, 5, seed)
             dist = enumerate_walk(inst)
             assert conditional_increment_check(dist) <= 1e-10
+
+    @staticmethod
+    def regrouped(dist):
+        """Reference: regroup the leaves by prefix, one member list per node."""
+        groups: dict[tuple[bool, ...], list] = {}
+        for lf in dist.leaves:
+            for depth in range(len(lf.choices)):
+                groups.setdefault(lf.choices[:depth], []).append(lf)
+        worst = 0.0
+        for prefix, members in groups.items():
+            depth = len(prefix)
+            rep = members[0].trace
+            x = np.zeros(dist.n)
+            for rec in rep.steps[:depth]:
+                x = x + rec.chosen_delta * rec.u
+            pivot = rep.steps[depth].pivot
+            z = float(x[pivot])
+            total = sum(lf.probability for lf in members)
+            plus = sum(lf.probability for lf in members if lf.signs[pivot] > 0)
+            p_plus = plus / total
+            worst = max(worst, abs(p_plus - (1.0 + z) / 2.0))
+            mean_move = p_plus * (1.0 - z) + (1.0 - p_plus) * (-1.0 - z)
+            worst = max(worst, abs(mean_move))
+        return worst
+
+    @pytest.mark.parametrize("case", SHARING_CASES + [
+        ("random_unit_sphere", 3, 5, seed) for seed in range(5)] + [
+        ("random_unit_sphere", 2, 8, 5), ("identity", 3, 3, 0)],
+        ids=lambda c: f"{c[0]}-{c[1]}x{c[2]}-{c[3]}")
+    @pytest.mark.parametrize("law", ["exact", "perturbed", "pruned"])
+    def test_node_runs_bitwise_equal_regrouping(self, case, law):
+        dist = enumerate_walk(generate_instance(*case))
+        if law != "exact":
+            # a law that breaks the two-point form by O(0.1), so the worst
+            # node and its sums decide the result, not roundoff alone
+            factors = np.random.default_rng(5).uniform(0.8, 1.2, len(dist.leaves))
+            for lf, f in zip(dist.leaves, factors):
+                lf.probability *= float(f)
+        if law == "pruned":
+            # drop a - subtree and a + subtree, as pruning does, so that
+            # some nodes keep only one child, and all but one leaf below
+            # the node (False, True)
+            lone = [lf for lf in dist.leaves if lf.choices[:2] == (False, True)][:1]
+            dist.leaves = [lf for lf in dist.leaves if lf in lone or (
+                lf.choices[:2] not in ((True, False), (False, True))
+                and lf.choices[:3] != (False, False, True))]
+        got = conditional_increment_check(dist)
+        assert got.hex() == self.regrouped(dist).hex()
 
 
 class TestBruteForce:

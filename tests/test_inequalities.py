@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from gswalk.exceptions import DomainOverflowError, GswError
 from gswalk.inequalities import (BoundInputs, cosh_chain_check,
                                  cosh_chain_grid_min, lemma1_gap,
-                                 lemma1_grid_min, theorem1_bound,
-                                 two_point_grid_min, two_point_mgf_gap)
+                                 lemma1_grid_min, lemma1_sweep, theorem1_bound,
+                                 two_point_grid_min, two_point_mgf_gap,
+                                 two_point_moment)
 
 
 class TestLemma1:
@@ -52,6 +53,46 @@ class TestLemma1:
     def test_coarse_grid(self):
         # fine grid is exercised by the acceptance suite
         assert lemma1_grid_min(step=0.05) >= -1e-12
+
+    def test_sweep_bitwise_equal_gap(self):
+        xs = np.linspace(-0.99, 0.99, 34)
+        ab = np.linspace(-3.0, 3.0, 97)
+        count = 0
+        for x, gap in zip(xs, lemma1_sweep(xs, ab), strict=True):
+            want = lemma1_gap(x, ab[:, None], ab[None, :])
+            assert gap.shape == want.shape
+            assert np.array_equal(gap.view(np.int64), want.view(np.int64))
+            count += 1
+        assert count == len(xs)
+
+    def test_grid_min_is_min_of_gaps(self):
+        xs = np.linspace(-0.99, 0.99, 41)
+        ab = np.linspace(-3.0, 3.0, 121)
+        want = min(float(lemma1_gap(x, ab[:, None], ab[None, :]).min()) for x in xs)
+        assert lemma1_grid_min(step=0.05) == want
+
+
+class TestTwoPointMoment:
+    def test_closed_forms(self):
+        # A(x, 0) = 1 and A(0, s) = cosh(s)
+        assert two_point_moment(0.3, 0.0) == 1.0
+        for s in (-2.0, 0.5, 1.5):
+            assert float(two_point_moment(0.0, s)) == pytest.approx(math.cosh(s),
+                                                                     rel=1e-15)
+
+    def test_mean_zero_two_point_law(self):
+        x, s = 0.4, 0.7
+        lo, hi = -(1.0 + x), 1.0 - x
+        p_hi = (1.0 + x) / 2.0          # mean (1-p_hi) lo + p_hi hi = 0
+        want = (1.0 - p_hi) * math.exp(s * lo) + p_hi * math.exp(s * hi)
+        assert float(two_point_moment(x, s)) == pytest.approx(want, rel=1e-15)
+
+    def test_buffers_are_written(self):
+        s = np.linspace(-1.0, 1.0, 9)[None, :]
+        out, work = np.empty((1, 9)), np.empty((1, 9))
+        got = two_point_moment(-0.25, s, out=out, work=work)
+        assert got is out
+        assert np.array_equal(got, two_point_moment(-0.25, s))
 
 
 class TestTwoPoint:
@@ -101,7 +142,7 @@ class TestCoshChain:
 class TestEmptyGrids:
     @pytest.mark.parametrize("grid_min", [lemma1_grid_min, two_point_grid_min,
                                           cosh_chain_grid_min])
-    @pytest.mark.parametrize("step", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("step", [0.0, -1.0, float("nan"), float("inf")])
     def test_nonpositive_step_rejected(self, grid_min, step):
         with pytest.raises(GswError):
             grid_min(step=step)
