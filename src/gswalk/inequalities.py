@@ -14,6 +14,8 @@ import numpy as np
 from .exceptions import DomainOverflowError, ParameterError
 
 EXP_GUARD = 50.0
+MIN_AXIS_POINTS = 5             # a coarser grid axis certifies nothing
+MAX_GRID_CELLS = 1 << 23        # largest array a grid may allocate (64 MiB of floats)
 
 
 def _check_exponent(*values):
@@ -67,23 +69,26 @@ def two_point_mgf_gap(z, b):
     return float(out) if out.ndim == 0 else out
 
 
-def cosh_chain_check(c: float, lam: float) -> tuple[float, float]:
+def cosh_chain_check(c, lam):
     """Both gaps of the exponential-vs-cosh chain at (c, lam), c >= 2, lam > 0.
 
     First: (e^{c lam} - 1 - c lam) - lam^2 e^{c lam / 2}, strictly positive.
     Second: lam^2/(e^{c lam} - 1 - c lam) - lam^2/(2(cosh(c lam) - 1)).
+    Accepts scalars or broadcasting arrays.
     """
-    if c < 2 or lam <= 0:
+    c = np.asarray(c, float)
+    lam = np.asarray(lam, float)
+    if not (np.all(c >= 2) and np.all(lam > 0)):
         raise ValueError(f"need c >= 2 and lam > 0, got c={c}, lam={lam}")
-    if c * lam > 100.0:
-        raise DomainOverflowError(f"c*lam = {c * lam:.3g} exceeds 100")
     cl = c * lam
-    e1 = math.expm1(cl) - cl
-    e2 = 2.0 * (math.cosh(cl) - 1.0)
-    gap1 = e1 - lam * lam * math.exp(0.5 * cl)
+    if np.max(cl) > 100.0:
+        raise DomainOverflowError(f"c*lam = {np.max(cl):.3g} exceeds 100")
+    e1 = np.expm1(cl) - cl
+    e2 = 2.0 * (np.cosh(cl) - 1.0)
+    gap1 = e1 - lam * lam * np.exp(0.5 * cl)
     # e2 - e1 = expm1(-cl) + cl, which avoids cancellation at large cl
-    gap2 = lam * lam * (math.expm1(-cl) + cl) / (e1 * e2)
-    return gap1, gap2
+    gap2 = lam * lam * (np.expm1(-cl) + cl) / (e1 * e2)
+    return (float(gap1), float(gap2)) if gap1.ndim == 0 else (gap1, gap2)
 
 
 @dataclass(frozen=True)
@@ -109,6 +114,7 @@ def theorem1_bound(inputs: BoundInputs) -> float:
 def lemma1_grid_min(step: float = 0.01, x_lim: float = 0.99,
                     ab_lim: float = 3.0) -> float:
     """Minimum lemma gap over the x in [-x_lim, x_lim], a,b in [-ab_lim, ab_lim] grid."""
+    _check_grid(step, 2 * x_lim, 2 * ab_lim, 2 * ab_lim)
     worst = math.inf
     for gap in lemma1_sweep(_grid(x_lim, step), _grid(ab_lim, step)):
         worst = min(worst, float(gap.min()))
@@ -138,6 +144,7 @@ def lemma1_sweep(xs: np.ndarray, ab: np.ndarray):
 def two_point_grid_min(step: float = 0.01, z_lim: float = 1.0,
                        b_lim: float = 3.0) -> float:
     """Minimum Hoeffding-step gap over the z in [-1,1], b in [-b_lim, b_lim] grid."""
+    _check_grid(step, 2 * z_lim, 2 * b_lim)
     zs = _grid(z_lim, step)[:, None]
     bs = _grid(b_lim, step)[None, :]
     return float(two_point_mgf_gap(zs, bs).min())
@@ -146,34 +153,30 @@ def two_point_grid_min(step: float = 0.01, z_lim: float = 1.0,
 def cosh_chain_grid_min(step: float = 0.01, c_max: float = 10.0,
                         lam_max: float = 5.0) -> tuple[float, float]:
     """Minimum of both chain gaps over c in [2, c_max], lam in (0, lam_max]."""
-    _check_step(step)
-    worst1 = worst2 = math.inf
-    cs = _nonempty(np.arange(2.0, c_max + step / 2, step))
-    lams = _nonempty(np.arange(step, lam_max + step / 2, step))
-    for c in cs:
-        cl = c * lams
-        e1 = np.expm1(cl) - cl
-        e2 = 2.0 * (np.cosh(cl) - 1.0)
-        g1 = e1 - lams * lams * np.exp(0.5 * cl)
-        g2 = lams * lams * (np.expm1(-cl) + cl) / (e1 * e2)
-        worst1 = min(worst1, float(g1.min()))
-        worst2 = min(worst2, float(g2.min()))
-    return worst1, worst2
+    _check_grid(step, c_max - 2.0, lam_max - step)
+    cs = np.arange(2.0, c_max + step / 2, step)
+    lams = np.arange(step, lam_max + step / 2, step)
+    g1, g2 = cosh_chain_check(cs[:, None], lams[None, :])
+    return float(g1.min()), float(g2.min())
+
+
+def _check_grid(step: float, *spans: float) -> None:
+    """Refuse a grid before anything is allocated.
+
+    The step must be positive and finite; each axis, of width ``spans[i]``,
+    must hold MIN_AXIS_POINTS points ``step`` apart; and neither an axis nor
+    the array spanned by the last two may exceed MAX_GRID_CELLS points."""
+    if not 0 < step < math.inf:
+        raise ParameterError(f"grid step must be positive and finite, got {step!r}")
+    points = [span / step + 1 for span in spans]
+    if min(points) < MIN_AXIS_POINTS:
+        raise ParameterError(f"grid step {step!r} leaves an axis with fewer than "
+                             f"{MIN_AXIS_POINTS} points: nothing to certify")
+    cells = max(*points, points[-2] * points[-1])
+    if not cells <= MAX_GRID_CELLS:
+        raise ParameterError(f"grid step {step!r} needs arrays of {cells:.3g} points; "
+                             f"at most {MAX_GRID_CELLS} fit")
 
 
 def _grid(lim: float, step: float) -> np.ndarray:
-    _check_step(step)
-    count = int(round(2 * lim / step)) + 1
-    return _nonempty(np.linspace(-lim, lim, max(count, 0)))
-
-
-def _check_step(step: float) -> None:
-    if not 0 < step < math.inf:
-        raise ParameterError(f"grid step must be positive and finite, got {step!r}")
-
-
-def _nonempty(axis: np.ndarray) -> np.ndarray:
-    """The axis itself; an empty grid certifies nothing, so it is refused."""
-    if axis.size == 0:
-        raise ParameterError("empty grid: nothing to certify")
-    return axis
+    return np.linspace(-lim, lim, int(round(2 * lim / step)) + 1)

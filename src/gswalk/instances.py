@@ -65,20 +65,14 @@ def generate_instance(kind: str, d: int, n: int, seed: int) -> Instance:
         m = np.zeros((d, n))
         m[0, :] = 1.0
         return Instance(m)
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
     if kind == "sign_columns":
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-        m = rng.choice([-1.0, 1.0], size=(d, n)) / math.sqrt(d)
-        return Instance(m)
-    if kind == "random_unit_sphere":
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+        return Instance(rng.choice([-1.0, 1.0], size=(d, n)) / math.sqrt(d))
+    if kind in ("random_unit_sphere", "random_in_ball"):
         m = rng.standard_normal((d, n))
         m /= np.linalg.norm(m, axis=0)
-        return Instance(m)
-    if kind == "random_in_ball":
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
-        m = rng.standard_normal((d, n))
-        m /= np.linalg.norm(m, axis=0)
-        m *= rng.random(n) ** (1.0 / d)
+        if kind == "random_in_ball":
+            m *= rng.random(n) ** (1.0 / d)
         return Instance(m)
     raise InstanceFormatError(f"unknown instance kind {kind!r}; expected one of {KINDS}")
 

@@ -221,13 +221,16 @@ def product_rect_probability(row: np.ndarray, x: np.ndarray, y: np.ndarray,
                              sigma: float, d: int, n: int,
                              epsilon: float) -> float:
     """Product of the two marginal interval probabilities, via the normal CDF."""
-    from scipy.special import ndtr      # here, so that importing gswalk skips SciPy
     m1 = float(row @ x)
     m2 = float(row @ y)
     s = sigma * math.sqrt(n / d)
-    p1 = ndtr((epsilon + m1) / s) - ndtr((-epsilon + m1) / s)
-    p2 = ndtr((epsilon + m2) / s) - ndtr((-epsilon + m2) / s)
-    return float(p1 * p2)
+    p1 = _normal_cdf((epsilon + m1) / s) - _normal_cdf((-epsilon + m1) / s)
+    p2 = _normal_cdf((epsilon + m2) / s) - _normal_cdf((-epsilon + m2) / s)
+    return p1 * p2
+
+
+def _normal_cdf(z: float) -> float:
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))     # accurate in both tails
 
 
 def verify_comparison(row: np.ndarray, x: np.ndarray, y: np.ndarray,
@@ -241,10 +244,9 @@ def verify_comparison(row: np.ndarray, x: np.ndarray, y: np.ndarray,
 
 def cube_gaussian_measure(radius: float, d: int) -> float:
     """Standard Gaussian mass of the cube [-radius, radius]^d."""
-    from scipy.special import erf       # here, so that importing gswalk skips SciPy
     if radius <= 0:
         raise ValueError("radius must be positive")
-    return float(erf(radius / math.sqrt(2.0)) ** d)
+    return math.erf(radius / math.sqrt(2.0)) ** d
 
 
 def admissibility_report(config: SmoothedConfig, inst: Instance,

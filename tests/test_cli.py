@@ -204,6 +204,12 @@ class TestDomainErrors:
         ["check-ineq", "--which", "cosh", "--grid-step", "inf"],
         ["check-ineq", "--which", "lemma1", "--grid-step", "inf"],
         ["check-ineq", "--which", "hoeffding", "--grid-step", "inf"],
+        ["check-ineq", "--which", "lemma1", "--grid-step", "5"],
+        ["check-ineq", "--which", "hoeffding", "--grid-step", "5"],
+        ["check-ineq", "--which", "cosh", "--grid-step", "5"],
+        ["check-ineq", "--which", "lemma1", "--grid-step", "0.00002"],
+        ["check-ineq", "--which", "hoeffding", "--grid-step", "0.00002"],
+        ["check-ineq", "--which", "cosh", "--grid-step", "0.00002"],
     ])
     def test_message_not_traceback(self, id4, tmp_path, capsys, argv):
         argv = [a.format(id4=id4, tmp=tmp_path) for a in argv]
@@ -296,12 +302,15 @@ class TestReportCmd:
         assert "runs=30" in capsys.readouterr().out
 
 
-def test_cli_import_skips_scipy():
-    # SciPy is imported only by the functions that use it, so starting the
-    # CLI does not pay for it
+def test_runs_without_scipy(rand24):
+    # gswalk needs numpy alone: with SciPy blocked, importing the CLI and the
+    # two commands that evaluate erf and the normal CDF still succeed
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = (f"import sys; sys.path.insert(0, {src!r}); import gswalk.cli; "
-            "print('scipy' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    code = (f"import sys; sys.modules['scipy'] = None; sys.path.insert(0, {src!r}); "
+            "from gswalk.cli import main; "
+            f"assert main(['smoothed', '--instance', {str(rand24)!r}, '--epsilon-auto', "
+            "'--r-trials', '5', '--seed', '1']) == 0; "
+            "assert main(['check-ineq', '--which', 'comparison', '--trials', '5']) == 0")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert "outer success fraction" in out.stdout and "relative slack" in out.stdout

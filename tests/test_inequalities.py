@@ -133,6 +133,24 @@ class TestCoshChain:
         with pytest.raises(DomainOverflowError):
             cosh_chain_check(50.0, 3.0)
 
+    def test_broadcasting(self):
+        cs = np.linspace(2.0, 10.0, 6)
+        lams = np.linspace(0.05, 5.0, 9)
+        g1, g2 = cosh_chain_check(cs[:, None], lams[None, :])
+        assert g1.shape == g2.shape == (6, 9)
+        for i, c in enumerate(cs):
+            row1, row2 = cosh_chain_check(c, lams)
+            assert np.array_equal(g1[i], row1) and np.array_equal(g2[i], row2)
+            assert (float(g1[i, 4]), float(g2[i, 4])) == cosh_chain_check(c, lams[4])
+
+    def test_array_domain(self):
+        with pytest.raises(ValueError):
+            cosh_chain_check(np.array([2.0, 1.9]), 1.0)
+        with pytest.raises(ValueError):
+            cosh_chain_check(2.0, np.array([0.5, float("nan")]))
+        with pytest.raises(DomainOverflowError):
+            cosh_chain_check(np.array([2.0, 30.0]), np.array([1.0, 4.0]))
+
     def test_grid(self):
         g1, g2 = cosh_chain_grid_min(step=0.05)
         assert g1 > 0.0
@@ -142,10 +160,17 @@ class TestCoshChain:
 class TestEmptyGrids:
     @pytest.mark.parametrize("grid_min", [lemma1_grid_min, two_point_grid_min,
                                           cosh_chain_grid_min])
-    @pytest.mark.parametrize("step", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("step", [0.0, -1.0, float("nan"), float("inf"),
+                                      5.0, 2e-5, 5e-324])
     def test_nonpositive_step_rejected(self, grid_min, step):
         with pytest.raises(GswError):
             grid_min(step=step)
+
+    def test_min_axis_points_boundary(self):
+        # the x axis of lemma 1 is 1.98 wide: four steps of 0.495 fit, of 0.5 not
+        assert lemma1_grid_min(step=0.495) >= -1e-12
+        with pytest.raises(GswError):
+            lemma1_grid_min(step=0.5)
 
     def test_empty_domain_rejected(self):
         # an empty grid certifies nothing, so none of these may return inf
