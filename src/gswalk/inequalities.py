@@ -16,6 +16,10 @@ from .exceptions import DomainOverflowError, ParameterError
 EXP_GUARD = 50.0
 MIN_AXIS_POINTS = 5             # a coarser grid axis certifies nothing
 MAX_GRID_CELLS = 1 << 23        # largest array a grid may allocate (64 MiB of floats)
+# Domains of the grid certifications.
+X_LIM, AB_LIM = 0.99, 3.0       # lemma 1: |x| <= X_LIM, |a|, |b| <= AB_LIM
+Z_LIM, B_LIM = 1.0, 3.0         # Hoeffding step: |z| <= Z_LIM, |b| <= B_LIM
+C_MAX, LAM_MAX = 10.0, 5.0      # cosh chain: 2 <= c <= C_MAX, 0 < lam <= LAM_MAX
 
 
 def _check_exponent(*values):
@@ -111,12 +115,11 @@ def theorem1_bound(inputs: BoundInputs) -> float:
                      * math.sqrt(math.log(inputs.mean_block_count)))
 
 
-def lemma1_grid_min(step: float = 0.01, x_lim: float = 0.99,
-                    ab_lim: float = 3.0) -> float:
-    """Minimum lemma gap over the x in [-x_lim, x_lim], a,b in [-ab_lim, ab_lim] grid."""
-    _check_grid(step, 2 * x_lim, 2 * ab_lim, 2 * ab_lim)
+def lemma1_grid_min(step: float = 0.01) -> float:
+    """Minimum lemma gap over the x in [-X_LIM, X_LIM], a,b in [-AB_LIM, AB_LIM] grid."""
+    _check_grid(step, 2 * X_LIM, 2 * AB_LIM, 2 * AB_LIM)
     worst = math.inf
-    for gap in lemma1_sweep(_grid(x_lim, step), _grid(ab_lim, step)):
+    for gap in lemma1_sweep(_grid(-X_LIM, X_LIM, step), _grid(-AB_LIM, AB_LIM, step)):
         worst = min(worst, float(gap.min()))
     return worst
 
@@ -141,21 +144,19 @@ def lemma1_sweep(xs: np.ndarray, ab: np.ndarray):
         yield np.subtract(lhs, gap, out=gap)
 
 
-def two_point_grid_min(step: float = 0.01, z_lim: float = 1.0,
-                       b_lim: float = 3.0) -> float:
-    """Minimum Hoeffding-step gap over the z in [-1,1], b in [-b_lim, b_lim] grid."""
-    _check_grid(step, 2 * z_lim, 2 * b_lim)
-    zs = _grid(z_lim, step)[:, None]
-    bs = _grid(b_lim, step)[None, :]
+def two_point_grid_min(step: float = 0.01) -> float:
+    """Minimum Hoeffding-step gap over the z in [-Z_LIM, Z_LIM], b in [-B_LIM, B_LIM] grid."""
+    _check_grid(step, 2 * Z_LIM, 2 * B_LIM)
+    zs = _grid(-Z_LIM, Z_LIM, step)[:, None]
+    bs = _grid(-B_LIM, B_LIM, step)[None, :]
     return float(two_point_mgf_gap(zs, bs).min())
 
 
-def cosh_chain_grid_min(step: float = 0.01, c_max: float = 10.0,
-                        lam_max: float = 5.0) -> tuple[float, float]:
-    """Minimum of both chain gaps over c in [2, c_max], lam in (0, lam_max]."""
-    _check_grid(step, c_max - 2.0, lam_max - step)
-    cs = np.arange(2.0, c_max + step / 2, step)
-    lams = np.arange(step, lam_max + step / 2, step)
+def cosh_chain_grid_min(step: float = 0.01) -> tuple[float, float]:
+    """Minimum of both chain gaps over c in [2, C_MAX], lam in [step, LAM_MAX]."""
+    _check_grid(step, C_MAX - 2.0, LAM_MAX - step)
+    cs = _grid(2.0, C_MAX, step)
+    lams = _grid(step, LAM_MAX, step)
     g1, g2 = cosh_chain_check(cs[:, None], lams[None, :])
     return float(g1.min()), float(g2.min())
 
@@ -178,5 +179,6 @@ def _check_grid(step: float, *spans: float) -> None:
                              f"at most {MAX_GRID_CELLS} fit")
 
 
-def _grid(lim: float, step: float) -> np.ndarray:
-    return np.linspace(-lim, lim, int(round(2 * lim / step)) + 1)
+def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """Points from lo to hi, both included, about ``step`` apart."""
+    return np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)

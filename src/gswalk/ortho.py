@@ -38,11 +38,16 @@ def gram_schmidt_sequence(inst: Instance, order: np.ndarray) -> np.ndarray:
 
     Row r is the normalized residual of column order[r] against the span of the
     earlier columns, or exactly zero when the residual norm falls below
-    ``ZERO_RESIDUAL_RTOL`` relative to the column norm.
+    ``ZERO_RESIDUAL_RTOL`` relative to the column norm.  Once d rows are
+    nonzero they span R^d, every later residual is roundoff that this rule
+    zeroes, and the loop stops.
     """
     n = inst.n
     w = np.zeros((n, inst.d))
+    rank = 0
     for r in range(n):
+        if rank == inst.d:
+            break
         v = inst.matrix[:, order[r]].copy()
         scale = np.linalg.norm(v)
         if r:
@@ -52,7 +57,13 @@ def gram_schmidt_sequence(inst: Instance, order: np.ndarray) -> np.ndarray:
         nrm = np.linalg.norm(v)
         if scale > 0 and nrm > ZERO_RESIDUAL_RTOL * scale:
             w[r] = v / nrm
+            rank += 1
     return w
+
+
+def _nonzero_rows(directions: np.ndarray) -> list[bool]:
+    """Which rows of ``directions`` are unit vectors (the rest are exactly 0)."""
+    return (np.linalg.norm(directions, axis=1) > 0.5).tolist()
 
 
 def decompose(inst: Instance, trace: WalkTrace) -> OrthoDecomposition:
@@ -87,7 +98,7 @@ def decompose(inst: Instance, trace: WalkTrace) -> OrthoDecomposition:
     position = np.empty(n, dtype=int)
     position[order] = np.arange(n)
     directions = gram_schmidt_sequence(inst, order)
-    nonzero = (np.linalg.norm(directions, axis=1) > 0.5).tolist()
+    nonzero = _nonzero_rows(directions)
     counts = {p: 0 for p, _ in phases}
     for (p, _), q in blocks.items():
         counts[p] += any(nonzero[q[-1]:q[0] + 1])
@@ -111,12 +122,18 @@ def variance_proxy_batch(inst: Instance, ortho: OrthoDecomposition,
                          vs: np.ndarray) -> np.ndarray:
     """Vectorized proxy for the columns of ``vs`` (shape (d, m))."""
     beta = ortho.directions @ vs          # (n, m)
+    nonzero = _nonzero_rows(ortho.directions)
     out = np.zeros(vs.shape[1])
     # each pivot's blocks are adjacent in ``blocks``, in phase order
     for p, group in groupby(ortho.blocks.items(), key=lambda item: item[0][0]):
+        # a block of zero directions adds an exact 0, and so does a pivot
+        # left without blocks; skipping them changes no bit
+        live = [q for _, q in group if any(nonzero[q[-1]:q[0] + 1])]
+        if not live:
+            continue
         alpha = ortho.directions @ inst.matrix[:, p]
         acc = np.zeros_like(out)
-        for _, q in group:
+        for q in live:
             # stored (decreasing) position order: a forward slice would sum
             # the block in another order and change the last bit of Z
             idx = list(q)

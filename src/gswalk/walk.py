@@ -21,6 +21,7 @@ from .instances import Instance
 
 FREEZE_TOL = 1e-9
 RANK_RCOND = 1e-10
+GRAM_GUARD = 1e-6           # eigenvalue ratio below which the Gram solve defers to lstsq
 
 
 @dataclass
@@ -69,7 +70,9 @@ def min_norm_direction(inst: Instance, active, pivot: int) -> np.ndarray:
     Coefficients on the non-pivot active columns solve a least-squares problem;
     under rank deficiency the minimum-norm solution is taken (SVD cutoff
     ``RANK_RCOND`` relative to the top singular value), which makes the result
-    a pure function of the inputs.
+    a pure function of the inputs.  When there are more other active columns
+    than rows and they are well conditioned (``_gram_solve``), the same
+    minimum-norm solution comes from the d x d Gram matrix instead of an SVD.
     """
     active = np.asarray(active)
     u = np.zeros(inst.n)
@@ -77,9 +80,26 @@ def min_norm_direction(inst: Instance, active, pivot: int) -> np.ndarray:
     others = active[active != pivot]
     if others.size:
         a = inst.matrix[:, others]
-        coef, *_ = np.linalg.lstsq(a, -inst.matrix[:, pivot], rcond=RANK_RCOND)
+        target = -inst.matrix[:, pivot]
+        coef = _gram_solve(a, target) if others.size > inst.d else None
+        if coef is None:
+            coef, *_ = np.linalg.lstsq(a, target, rcond=RANK_RCOND)
         u[others] = coef
     return u
+
+
+def _gram_solve(a: np.ndarray, target: np.ndarray) -> np.ndarray | None:
+    """Minimum-norm solution a^T G^-1 target of a c = target, G = a a^T.
+
+    Returns None, leaving the solve to ``lstsq``, unless the eigenvalues of G
+    satisfy lambda_min > GRAM_GUARD lambda_max.  The singular values of ``a``
+    then lie within a factor 1e-3 of the largest, far above ``RANK_RCOND``,
+    so ``lstsq`` would truncate nothing and the two agree to roundoff.
+    """
+    lam, vecs = np.linalg.eigh(a @ a.T)
+    if not lam[0] > GRAM_GUARD * lam[-1]:
+        return None
+    return a.T @ (vecs @ ((vecs.T @ target) / lam))
 
 
 def feasible_interval(x: np.ndarray, u: np.ndarray) -> tuple[float, float]:
@@ -117,11 +137,11 @@ def apply_step(state: WalkState, u: np.ndarray, chosen_delta: float,
     x = state.x + chosen_delta * u
     hit = np.abs(x) >= 1.0 - FREEZE_TOL
     x[hit] = np.sign(x[hit])
-    frozen = [int(i) for i in state.active if hit[i]]
+    froze = hit[state.active]
+    frozen = state.active[froze][::-1].tolist()     # active is sorted
     if not frozen:
         raise ContractViolationError("step froze no coordinate")
-    frozen.sort(reverse=True)
-    active = state.active[~hit[state.active]]
+    active = state.active[~froze]
     pivot = int(active[-1]) if active.size else None
     rec = StepRecord(t=state.t, pivot=state.pivot, u=u,
                      delta_plus=delta_plus, delta_minus=delta_minus,

@@ -167,7 +167,7 @@ def test_criterion_5_conditional_increments(tree_suite):
 
 def test_criterion_6_lemma1_grid():
     started = time.monotonic()
-    assert lemma1_grid_min(step=0.01, x_lim=0.99, ab_lim=3.0) >= -1e-12
+    assert lemma1_grid_min(step=0.01) >= -1e-12
     elapsed = time.monotonic() - started
     assert elapsed < 60.0
     _report("criterion 6 (scalar inequality grid)", started)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gswalk import inequalities
 from gswalk.exceptions import DomainOverflowError, GswError
-from gswalk.inequalities import (BoundInputs, cosh_chain_check,
+from gswalk.inequalities import (BoundInputs, _check_grid, cosh_chain_check,
                                  cosh_chain_grid_min, lemma1_gap,
                                  lemma1_grid_min, lemma1_sweep, theorem1_bound,
                                  two_point_grid_min, two_point_mgf_gap,
@@ -156,6 +157,26 @@ class TestCoshChain:
         assert g1 > 0.0
         assert g2 >= 0.0
 
+    @pytest.mark.parametrize("step", [0.3, 0.07, 0.01])
+    def test_grid_axes_hit_domain_ends(self, monkeypatch, step):
+        # an arange axis overshot to c = 10.1, lam = 5.1 at step 0.3 and
+        # stopped at c = 9.98 at step 0.07
+        seen = []
+
+        def spy(c, lam):
+            seen.append((c.ravel(), lam.ravel()))
+            return cosh_chain_check(c, lam)
+
+        monkeypatch.setattr(inequalities, "cosh_chain_check", spy)
+        cosh_chain_grid_min(step=step)
+        (cs, lams), = seen
+        assert (cs[0], cs[-1]) == (2.0, inequalities.C_MAX)
+        assert (lams[0], lams[-1]) == (step, inequalities.LAM_MAX)
+        for axis in (cs, lams):
+            gaps = np.diff(axis)
+            assert gaps.min() > 0 and gaps.max() - gaps.min() < 1e-12
+            assert abs(gaps[0] - step) <= step / 2
+
 
 class TestEmptyGrids:
     @pytest.mark.parametrize("grid_min", [lemma1_grid_min, two_point_grid_min,
@@ -172,16 +193,12 @@ class TestEmptyGrids:
         with pytest.raises(GswError):
             lemma1_grid_min(step=0.5)
 
-    def test_empty_domain_rejected(self):
+    @pytest.mark.parametrize("spans", [(-2.0, 6.0, 6.0), (2.0, -2.0),
+                                       (-1.0, 4.9), (8.0, -0.05)])
+    def test_empty_domain_rejected(self, spans):
         # an empty grid certifies nothing, so none of these may return inf
         with pytest.raises(GswError):
-            lemma1_grid_min(step=0.1, x_lim=-1.0)
-        with pytest.raises(GswError):
-            two_point_grid_min(step=0.1, b_lim=-1.0)
-        with pytest.raises(GswError):
-            cosh_chain_grid_min(step=0.1, c_max=1.0)
-        with pytest.raises(GswError):
-            cosh_chain_grid_min(step=0.1, lam_max=0.05)
+            _check_grid(0.1, *spans)
 
 
 class TestTheorem1Bound:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from gswalk.exceptions import ContractViolationError
-from gswalk.instances import generate_instance
-from gswalk.ortho import (basis_variance_proxies, decompose,
+from gswalk.instances import Instance, generate_instance
+from gswalk.ortho import (ZERO_RESIDUAL_RTOL, basis_variance_proxies, decompose,
                           direction_expansion_residual, gram_schmidt_sequence,
-                          project_pivot, variance_proxy)
+                          project_pivot, variance_proxy, variance_proxy_batch)
 from gswalk.walk import run_walk
 from conftest import make_columns
 
@@ -102,6 +102,64 @@ class TestMultiFreeze:
         trace.steps[1] = replace(trace.steps[1], frozen=frozen)
         with pytest.raises(ContractViolationError):
             decompose(inst, trace)
+
+
+def full_gram_schmidt(inst, order):
+    """Reference: the residual of every position, with no early stop."""
+    w = np.zeros((inst.n, inst.d))
+    for r in range(inst.n):
+        v = inst.matrix[:, order[r]].copy()
+        scale = np.linalg.norm(v)
+        if r:
+            v -= w[:r].T @ (w[:r] @ v)
+            v -= w[:r].T @ (w[:r] @ v)
+        nrm = np.linalg.norm(v)
+        if scale > 0 and nrm > ZERO_RESIDUAL_RTOL * scale:
+            w[r] = v / nrm
+    return w
+
+
+def unskipped_proxies(inst, dec, vs):
+    """Reference: every pivot and every block, zero directions included."""
+    beta = dec.directions @ vs
+    out = np.zeros(vs.shape[1])
+    for p, _ in dec.pivot_phases:
+        alpha = dec.directions @ inst.matrix[:, p]
+        acc = np.zeros_like(out)
+        for (owner, _), q in dec.blocks.items():
+            if owner == p:
+                acc += np.abs(alpha[list(q)] @ beta[list(q)])
+        out += acc ** 2
+    return out
+
+
+class TestEarlyStopBitwise:
+    """The Gram-Schmidt early stop and the skipped zero blocks change no bit."""
+
+    def instances(self):
+        gen = np.random.default_rng(np.random.SeedSequence(entropy=1, spawn_key=(2,)))
+        m = gen.standard_normal((8, 532))
+        yield Instance(m / np.linalg.norm(m, axis=0)), 1       # benchmark-shaped
+        basis = np.linalg.qr(np.random.default_rng(5).standard_normal((6, 2)))[0]
+        low = basis @ np.random.default_rng(6).standard_normal((2, 30))
+        yield Instance(low / np.linalg.norm(low, axis=0)), 3    # rank 2 in R^6
+        yield generate_instance("sign_columns", 3, 6, 1), 1     # multi-freeze
+
+    def test_directions_and_proxies_match_full_loops(self):
+        for inst, seed in self.instances():
+            _, dec = walk_and_decompose(inst, seed)
+            full = full_gram_schmidt(inst, dec.order)
+            assert dec.directions.tobytes() == full.tobytes()
+            assert gram_schmidt_sequence(inst, dec.order).tobytes() == full.tobytes()
+            vs = np.column_stack([np.eye(inst.d), np.random.default_rng(seed)
+                                  .standard_normal((inst.d, 3))])
+            got = variance_proxy_batch(inst, dec, vs)
+            assert got.tobytes() == unskipped_proxies(inst, dec, vs).tobytes()
+            assert (basis_variance_proxies(inst, dec).tobytes()
+                    == unskipped_proxies(inst, dec, np.eye(inst.d)).tobytes())
+            if inst.n > 6:
+                # the skips are exercised: pivots whose blocks are all zero
+                assert 0 in dec.block_counts.values()
 
 
 class TestGramSchmidt:

@@ -6,10 +6,67 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gswalk.exceptions import ContractViolationError
-from gswalk.instances import generate_instance
-from gswalk.walk import (WalkState, feasible_interval, min_norm_direction,
-                         resolve_step, run_walk, walk_step)
+from gswalk.instances import Instance, generate_instance
+from gswalk.walk import (RANK_RCOND, WalkState, apply_step, feasible_interval,
+                         min_norm_direction, resolve_step, run_walk, walk_step)
 from conftest import make_columns
+
+EPS = np.finfo(float).eps
+GUARD = 1e-6        # documented eigenvalue ratio below which lstsq solves
+
+
+def lstsq_direction(inst, active, pivot):
+    """Reference direction with every solve done by lstsq."""
+    active = np.asarray(active)
+    u = np.zeros(inst.n)
+    u[pivot] = 1.0
+    others = active[active != pivot]
+    if others.size:
+        coef, *_ = np.linalg.lstsq(inst.matrix[:, others], -inst.matrix[:, pivot],
+                                   rcond=RANK_RCOND)
+        u[others] = coef
+    return u
+
+
+def gram_eigenvalues(inst, state):
+    """Eigenvalues of the other active columns' Gram matrix, or None when the
+    step is not wide (no more other active columns than rows)."""
+    a = inst.matrix[:, state.active[state.active != state.pivot]]
+    return np.linalg.eigh(a @ a.T)[0] if a.shape[1] > inst.d else None
+
+
+def walk_states(inst, seed):
+    """Every state a walk of ``inst`` steps from, in order."""
+    state, rng = WalkState.initial(inst.n), np.random.default_rng(seed)
+    while state.active.size:
+        yield state
+        state, _ = walk_step(inst, state, rng)
+
+
+def unit_columns(m):
+    return m / np.linalg.norm(m, axis=0)
+
+
+def bench_shaped(d, n, seed):
+    """Unit Gaussian columns drawn as the benchmark's wide workload draws them."""
+    gen = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(2,)))
+    return Instance(unit_columns(gen.standard_normal((d, n))))
+
+
+def degenerate(family, seed):
+    gen = np.random.default_rng(seed)
+    if family == "duplicated_column":
+        return generate_instance("duplicated_column", 3, 20, seed)
+    if family == "subspace":           # d = 8 columns spanning 3 dimensions
+        basis = np.linalg.qr(gen.standard_normal((8, 3)))[0]
+        return Instance(unit_columns(basis @ gen.standard_normal((3, 40))))
+    if family == "nearly_parallel":
+        return Instance(unit_columns(np.eye(4)[:, :1]
+                                     + 1e-7 * gen.standard_normal((4, 30))))
+    if family == "mixed_scale":
+        return Instance(unit_columns(gen.standard_normal((4, 30)))
+                        * 10.0 ** gen.uniform(-12, 0, 30))
+    return Instance(gen.uniform(-1, 1, (1, 20)))         # d = 1
 
 
 class FixedDraw:
@@ -52,6 +109,80 @@ class TestMinNormDirection:
             u = min_norm_direction(inst, list(range(5)), 4)
             assert (np.linalg.norm(inst.matrix @ u)
                     <= np.linalg.norm(inst.column(4)) + 1e-12)
+
+
+class TestGramDirection:
+    """Wide steps solve from the d x d Gram matrix; lstsq stays the reference."""
+
+    def check_walk(self, inst, seed):
+        """Compare every step of one walk with lstsq; (gram, refused) counts."""
+        gram = refused = 0
+        for state in walk_states(inst, seed):
+            u = min_norm_direction(inst, state.active, state.pivot)
+            want = lstsq_direction(inst, state.active, state.pivot)
+            lam = gram_eigenvalues(inst, state)
+            if lam is None or not lam[0] > GUARD * lam[-1]:
+                refused += lam is not None
+                assert u.tobytes() == want.tobytes()
+            else:
+                gram += 1
+                # the normal equations lose accuracy in proportion to cond(G)
+                rel = np.linalg.norm(u - want) / np.linalg.norm(want)
+                assert rel <= max(1e-12, 16 * EPS * lam[-1] / lam[0])
+        return gram, refused
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_bench_shaped_walk_within_1e12(self, seed):
+        inst = bench_shaped(8, 532, seed)
+        worst = 0.0
+        for state in walk_states(inst, seed):
+            u = min_norm_direction(inst, state.active, state.pivot)
+            want = lstsq_direction(inst, state.active, state.pivot)
+            worst = max(worst, np.linalg.norm(u - want) / np.linalg.norm(want))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("kind,d,n", [("random_unit_sphere", 8, 120),
+                                          ("random_unit_sphere", 4, 60),
+                                          ("random_in_ball", 5, 50),
+                                          ("random_unit_sphere", 1, 12)])
+    def test_differential_wide_random(self, kind, d, n):
+        for seed in range(3):
+            gram, refused = self.check_walk(generate_instance(kind, d, n, seed), seed)
+            assert gram > 0 and refused == 0
+
+    @pytest.mark.parametrize("family", ["duplicated_column", "subspace",
+                                        "nearly_parallel", "mixed_scale", "d1"])
+    def test_degenerate_families_fall_back_bitwise(self, family):
+        gram = refused = 0
+        for seed in range(4):
+            g, r = self.check_walk(degenerate(family, seed), seed)
+            gram, refused = gram + g, refused + r
+        if family == "d1":
+            assert gram > 0 and refused == 0
+        else:
+            assert refused > 0
+
+    def test_gram_branch_skips_lstsq(self, monkeypatch):
+        calls = []
+        real = np.linalg.lstsq
+
+        def counting(*args, **kw):
+            calls.append(args[0].shape)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counting)
+        inst = bench_shaped(8, 60, 0)
+        wide = narrow = 0
+        for state in walk_states(inst, 0):
+            before = len(calls)
+            min_norm_direction(inst, state.active, state.pivot)
+            if state.active.size - 1 > inst.d:
+                wide += 1
+                assert len(calls) == before
+            elif state.active.size > 1:
+                narrow += 1
+                assert len(calls) == before + 1
+        assert wide >= 40 and narrow > 0
 
 
 class TestFeasibleInterval:
@@ -120,6 +251,27 @@ class TestWalkStep:
         nxt, rec = walk_step(inst, state, rng)
         assert rec.frozen and rec.frozen == sorted(rec.frozen, reverse=True)
         assert nxt.active.size < state.active.size
+
+
+class TestApplyStep:
+    @pytest.mark.parametrize("d,n", [(3, 6), (5, 12), (8, 16)])
+    def test_frozen_decreasing_and_active_rest(self, d, n):
+        # sign columns freeze several coordinates in one step
+        multi = 0
+        for seed in range(10):
+            inst = generate_instance("sign_columns", d, n, seed)
+            for state in walk_states(inst, seed):
+                u, dm, dp = resolve_step(inst, state.x, state.active, state.pivot)
+                for chosen in (dp, -dm):
+                    nxt, rec = apply_step(state, u, chosen, dm, dp, 0.5)
+                    hit = [int(i) for i in state.active if abs(nxt.x[i]) == 1.0]
+                    assert rec.frozen == sorted(hit, reverse=True)
+                    assert all(type(i) is int for i in rec.frozen)
+                    assert nxt.active.tolist() == [int(i) for i in state.active
+                                                   if i not in hit]
+                    assert nxt.pivot == (nxt.active[-1] if nxt.active.size else None)
+                    multi += len(rec.frozen) > 1
+        assert multi > 0
 
 
 class TestRunWalk:
