@@ -105,9 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _direction(spec: str, d: int, seed: int) -> np.ndarray:
     if spec == "random":
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                           spawn_key=(97,)))
-        v = rng.standard_normal(d)
+        v = instances.stream_rng(seed, 97).standard_normal(d)
         return v / np.linalg.norm(v)
     if spec.startswith("e"):
         try:
@@ -130,36 +128,23 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _trace_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                        spawn_key=(0,)))
-
-
 def _cmd_run(args) -> int:
     inst = instances.load_instance(args.instance)
     seed = _resolve_seed(args.seed)
-    trace = walk.run_walk(inst, _trace_rng(seed))
+    trace = walk.run_walk(inst, instances.stream_rng(seed, 0))
     disc = float(np.abs(inst.matrix @ trace.final_x).max())
     signs = " ".join(f"{int(s):+d}" for s in trace.final_x)
     print(f"seed {seed}: T={trace.total_steps} discrepancy={disc:.12g} X=[{signs}]")
     if args.dump_trace:
-        payload = [{
-            "t": rec.t, "pivot": rec.pivot, "u": list(rec.u),
-            "delta_plus": rec.delta_plus, "delta_minus": rec.delta_minus,
-            "chosen_delta": rec.chosen_delta,
-            "choice_probability": rec.choice_probability,
-            "frozen": rec.frozen,
-        } for rec in trace.steps]
-        with open(args.dump_trace, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        payload = [{**dataclasses.asdict(rec), "u": list(rec.u)} for rec in trace.steps]
+        instances.write_text(args.dump_trace, instances.json_text(payload))
     return 0
 
 
 def _cmd_trace(args) -> int:
     inst = instances.load_instance(args.instance)
     seed = _resolve_seed(args.seed)
-    trace = walk.run_walk(inst, _trace_rng(seed))
+    trace = walk.run_walk(inst, instances.stream_rng(seed, 0))
     dec = ortho.decompose(inst, trace)
     proxies = ortho.basis_variance_proxies(inst, dec)
     print(f"seed {seed}: T={trace.total_steps}")
@@ -190,35 +175,32 @@ def _cmd_oracle(args) -> int:
     seed = _resolve_seed(args.seed)
     checks = ([args.check] if args.check != "all"
               else ["martingale", "subgaussian", "increments", "bruteforce"])
+    if "subgaussian" in checks and not math.isfinite(args.lam):
+        raise ParameterError(f"--lambda must be finite, got {args.lam}")
     dist = None
     if set(checks) & {"martingale", "subgaussian", "increments"}:
         dist = enumeration.enumerate_walk(inst)
     failures = 0
     for check in checks:
+        if check == "bruteforce":
+            val, signs = enumeration.brute_force_min_discrepancy(inst)
+            txt = " ".join(f"{int(s):+d}" for s in signs)
+            print(f"brute force min discrepancy = {val:.12g} at [{txt}]")
+            continue
         if check == "martingale":
             v = _direction(args.v, inst.d, seed)
             dev = enumeration.verify_martingale(dist, inst, v)
-            ok = dev <= 1e-10
-            print(f"martingale |E<MX,v>| = {dev:.3e} "
-                  f"({'ok' if ok else 'FAIL'})")
-            failures += not ok
+            ok, line = dev <= 1e-10, f"martingale |E<MX,v>| = {dev:.3e}"
         elif check == "subgaussian":
             v = _direction(args.v, inst.d, seed)
             m = enumeration.verify_subgaussian(dist, inst, v, args.lam)
             ok = m <= 1.0 + 1e-10
-            print(f"subgaussian moment (lambda={args.lam}) = {m:.12g} "
-                  f"({'ok' if ok else 'FAIL'})")
-            failures += not ok
-        elif check == "increments":
+            line = f"subgaussian moment (lambda={args.lam}) = {m:.12g}"
+        else:
             dev = enumeration.conditional_increment_check(dist)
-            ok = dev <= 1e-10
-            print(f"conditional increment max deviation = {dev:.3e} "
-                  f"({'ok' if ok else 'FAIL'})")
-            failures += not ok
-        elif check == "bruteforce":
-            val, signs = enumeration.brute_force_min_discrepancy(inst)
-            txt = " ".join(f"{int(s):+d}" for s in signs)
-            print(f"brute force min discrepancy = {val:.12g} at [{txt}]")
+            ok, line = dev <= 1e-10, f"conditional increment max deviation = {dev:.3e}"
+        print(f"{line} ({'ok' if ok else 'FAIL'})")
+        failures += not ok
     if failures:
         raise GswError(f"{failures} oracle check(s) failed")
     return 0
@@ -250,8 +232,7 @@ def _comparison_trials(trials: int, seed: int) -> float:
     """Min relative slack of the joint-vs-product comparison over random cases."""
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed,
-                                                       spawn_key=(11,)))
+    rng = instances.stream_rng(seed, 11)
     worst = math.inf
     count = 0
     while count < trials:
@@ -264,10 +245,7 @@ def _comparison_trials(trials: int, seed: int) -> float:
         row = rng.normal(0, 1 / math.sqrt(n), size=n)
         sigma = float(rng.uniform(1.0, 3.0))
         eps = float(rng.uniform(0.05, 1.0))
-        ci = smoothed.comparison_constant(row, x, y, sigma, d, n, eps)
-        prod = smoothed.product_rect_probability(row, x, y, sigma, d, n, eps)
-        joint = smoothed.joint_rect_probability(row, x, y, sigma, d, n, eps)
-        worst = min(worst, (ci * prod - joint) / (ci * prod))
+        worst = min(worst, smoothed.verify_comparison(row, x, y, sigma, d, n, eps))
         count += 1
     return worst
 
@@ -276,10 +254,9 @@ def _cmd_smoothed(args) -> int:
     inst = instances.load_instance(args.instance)
     seed = _resolve_seed(args.seed)
     sigma = args.sigma
-    if args.epsilon_auto or args.epsilon is None:
+    eps = args.epsilon
+    if args.epsilon_auto or eps is None:
         eps = smoothed.epsilon_of(sigma, max(inst.d, 2), args.kappa)
-    else:
-        eps = args.epsilon
     cutoff = args.cutoff_c
     if cutoff is None:
         cutoff = max(2.0, math.log(max(inst.d, 2)) ** 2)
@@ -302,18 +279,15 @@ def _cmd_smoothed(args) -> int:
                           "wilson_high": hi},
         "admissibility": report,
     }
-    text = json.dumps(payload, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        instances.write_text(args.out, instances.json_text(payload))
     print(f"outer success fraction {fraction:.4g} "
           f"(95% Wilson [{lo:.4g}, {hi:.4g}]), epsilon={eps:.6g}")
     return 0
 
 
 def _cmd_report(args) -> int:
-    with open(args.path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = instances.read_text(args.path, ReportFormatError)
     if text.lstrip().startswith("{"):
         try:
             payload = json.loads(text)
@@ -356,10 +330,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except GswError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GswError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

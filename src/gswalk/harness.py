@@ -12,8 +12,8 @@ unchanged.
 from __future__ import annotations
 
 import io
-import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -22,7 +22,7 @@ import numpy as np
 from .enumeration import brute_force_min_discrepancy
 from .exceptions import ParameterError, ReportFormatError
 from .inequalities import BoundInputs, theorem1_bound
-from .instances import Instance
+from .instances import Instance, json_text, stream_rng, write_text
 from .ortho import basis_variance_proxies, decompose
 from .walk import Node, WalkState, WalkTrace, expand_node
 
@@ -88,8 +88,7 @@ class _PrefixTree:
         self.spent = _floats(self.root)
 
     def run(self, master_seed: int, run_index: int) -> RunStats:
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=master_seed, spawn_key=(run_index,)))
+        rng = stream_rng(master_seed, run_index)
         node, steps = self.root, []
         while node.u is not None:
             take_plus = rng.random() < node.p_plus
@@ -126,9 +125,10 @@ def _run_range(args):
 
 def run_experiment(inst: Instance, runs: int, master_seed: int,
                    workers: int = 1) -> list[RunStats]:
-    """Independent walk runs with per-run derived generators, sorted by index."""
+    """Independent seeded walk runs, sorted by index, on <= os.cpu_count() processes."""
     if runs < 1:
         raise ParameterError(f"runs must be >= 1, got {runs}")
+    workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or runs < 4 * workers:
         return _run_range((inst, master_seed, 0, runs))
     bounds = np.linspace(0, runs, workers + 1).astype(int)
@@ -166,20 +166,19 @@ def write_report(report: ExperimentReport, path, fmt: str = "json",
                  stats: list[RunStats] | None = None) -> None:
     """Write the aggregate JSON report or the per-run CSV (requires stats)."""
     if fmt == "json":
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(report_to_json(report))
+        text = report_to_json(report)
     elif fmt == "csv":
         if stats is None:
             raise ValueError("csv format needs the per-run statistics")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(stats_to_csv(stats))
+        text = stats_to_csv(stats)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
+    write_text(path, text)
 
 
 def report_to_json(report: ExperimentReport) -> str:
     """The report as JSON; field order is the dataclass's, as in FORMATS.md."""
-    return json.dumps(asdict(report), indent=2) + "\n"
+    return json_text(asdict(report))
 
 
 def stats_to_csv(stats: list[RunStats]) -> str:

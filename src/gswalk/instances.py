@@ -2,9 +2,12 @@
 
 Columns must satisfy ||v_i||_2 <= 1 (up to a small load tolerance).  Instances
 are immutable after construction and safe to share between threads.
+Every random stream of the package is ``stream_rng(seed, *key)``; every file
+goes through ``read_text`` / ``write_text`` and every JSON document ``json_text``.
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -65,7 +68,7 @@ def generate_instance(kind: str, d: int, n: int, seed: int) -> Instance:
         m = np.zeros((d, n))
         m[0, :] = 1.0
         return Instance(m)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    rng = stream_rng(seed)
     if kind == "sign_columns":
         return Instance(rng.choice([-1.0, 1.0], size=(d, n)) / math.sqrt(d))
     if kind in ("random_unit_sphere", "random_in_ball"):
@@ -77,10 +80,35 @@ def generate_instance(kind: str, d: int, n: int, seed: int) -> Instance:
     raise InstanceFormatError(f"unknown instance kind {kind!r}; expected one of {KINDS}")
 
 
+def stream_rng(seed: int, *key: int) -> np.random.Generator:
+    """The generator of stream ``key`` under ``seed``; () is the root stream."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+def read_text(path, error) -> str:
+    """A UTF-8 file's text, universal newlines; undecodable bytes raise ``error``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8 with ``\n`` line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def json_text(obj) -> str:
+    """The package's JSON layout: two-space indent, keys in insertion order."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
 def load_instance(path) -> Instance:
     """Read an instance file: header line "d n", then d rows of n floats."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in (raw.strip() for raw in fh) if ln]
+    raw_lines = read_text(path, InstanceFormatError).split("\n")
+    lines = [ln for ln in (raw.strip() for raw in raw_lines) if ln]
     if not lines:
         raise InstanceFormatError(f"{path}: empty instance file")
     header = lines[0].split()
@@ -106,7 +134,5 @@ def load_instance(path) -> Instance:
 
 def save_instance(inst: Instance, path) -> None:
     """Write an instance in the plain-text format read by :func:`load_instance`."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{inst.d} {inst.n}\n")
-        for row in inst.matrix:
-            fh.write(" ".join(format(x, ".17g") for x in row) + "\n")
+    rows = [" ".join(format(x, ".17g") for x in row) for row in inst.matrix]
+    write_text(path, "\n".join([f"{inst.d} {inst.n}", *rows]) + "\n")

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .exceptions import ContractViolationError, DegeneratePairError, ParameterError
-from .instances import Instance
+from .instances import Instance, stream_rng
 from .enumeration import LeafDistribution
 
 WILSON_Z = 1.959963984540054        # two-sided 95%
@@ -38,9 +38,10 @@ class SmoothedConfig:
     delta: float = DEFAULT_DELTA    # slack constant in the admissibility bounds
 
     def __post_init__(self):
-        reals = (self.sigma, self.kappa, self.cutoff_c, self.epsilon, self.delta)
+        reals = (self.sigma * self.sigma, self.kappa, self.cutoff_c, self.epsilon,
+                 self.delta)
         if not all(math.isfinite(v) for v in reals):
-            raise ParameterError("sigma, kappa, cutoff_c, epsilon and delta must be finite")
+            raise ParameterError("non-finite sigma^2, kappa, cutoff_c, epsilon or delta")
         if self.sigma < 1 or self.kappa < 1:
             raise ParameterError("sigma and kappa must be >= 1")
         if self.cutoff_c <= 1:
@@ -136,8 +137,7 @@ def outer_success_estimate(inst: Instance, tilted: TiltedDistribution,
     with a 95% Wilson score interval.  Deterministic given the master seed."""
     hits = 0
     for i in range(config.r_trials):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=config.master_seed, spawn_key=(i,)))
+        rng = stream_rng(config.master_seed, i)
         pert = sample_perturbation(inst.d, inst.n, config.sigma, rng)
         if inner_hit_probability(inst, pert, tilted, config.epsilon) > 0.0:
             hits += 1
@@ -148,6 +148,8 @@ def epsilon_of(sigma: float, d: int, kappa: float) -> float:
     """Target tolerance sigma * sqrt(ln d) * d^(-kappa/32)."""
     if d < 2:
         raise ValueError("d must be >= 2")
+    if kappa < 1:
+        raise ParameterError("kappa must be >= 1")
     return sigma * math.sqrt(math.log(d)) * d ** (-kappa / 32.0)
 
 
@@ -235,11 +237,11 @@ def _normal_cdf(z: float) -> float:
 
 def verify_comparison(row: np.ndarray, x: np.ndarray, y: np.ndarray,
                       sigma: float, d: int, n: int, epsilon: float) -> float:
-    """Slack C_i * product - joint; nonnegative up to relative quadrature error."""
+    """Relative slack (C_i * prod - joint) / (C_i * prod); >= 0 up to quadrature."""
     ci = comparison_constant(row, x, y, sigma, d, n, epsilon)
     prod = product_rect_probability(row, x, y, sigma, d, n, epsilon)
     joint = joint_rect_probability(row, x, y, sigma, d, n, epsilon)
-    return ci * prod - joint
+    return (ci * prod - joint) / (ci * prod)
 
 
 def cube_gaussian_measure(radius: float, d: int) -> float:
@@ -255,7 +257,7 @@ def admissibility_report(config: SmoothedConfig, inst: Instance,
 
     A report, not a gate: every condition is returned as a named entry with
     both sides and whether it holds at the configured (sigma, kappa, cutoff_c,
-    epsilon, delta).
+    epsilon, delta).  A zero cube radius has Gaussian mass 0.
     """
     d, n = inst.d, inst.n
     sigma, eps, delta = config.sigma, config.epsilon, config.delta
@@ -268,8 +270,8 @@ def admissibility_report(config: SmoothedConfig, inst: Instance,
                            "sense": sense, "holds": bool(holds),
                            "margin": lhs - rhs if sense == ">=" else rhs - lhs})
 
-    add("gaussian_cube_mass",
-        cube_gaussian_measure(math.sqrt(d) * eps / (math.sqrt(n) * sigma), d),
+    radius = math.sqrt(d) * eps / (math.sqrt(n) * sigma)
+    add("gaussian_cube_mass", cube_gaussian_measure(radius, d) if radius > 0 else 0.0,
         math.exp(-n / 32.0), ">=")
     add("second_moment_scale", float(n), 8.0 * math.sqrt(d) * math.sqrt(2.0 * cv), ">=")
     add("aspect_ratio", n / d, max(RATIO_L, RATIO_L / sigma ** 2, 16.0 * sigma ** 2), ">=")

@@ -210,16 +210,40 @@ class TestDomainErrors:
         ["check-ineq", "--which", "lemma1", "--grid-step", "0.00002"],
         ["check-ineq", "--which", "hoeffding", "--grid-step", "0.00002"],
         ["check-ineq", "--which", "cosh", "--grid-step", "0.00002"],
+        ["run", "--instance", "{tmp}/latin1.txt"],
+        ["report", "--in", "{tmp}/latin1.json"],
+        ["smoothed", "--instance", "{id4}", "--kappa", "-100000", "--out", "{tmp}/s.json"],
+        ["smoothed", "--instance", "{id4}", "--sigma", "1e200", "--out", "{tmp}/s.json"],
+        ["oracle", "--instance", "{id4}", "--check", "subgaussian", "--lambda", "nan"],
+        ["oracle", "--instance", "{id4}", "--check", "all", "--lambda", "nan"],
     ])
     def test_message_not_traceback(self, id4, tmp_path, capsys, argv):
+        (tmp_path / "latin1.txt").write_bytes(b"2 2\n1 0\n0 1\n# caf\xe9\n")
+        (tmp_path / "latin1.json").write_bytes(b'{"runs": 1, "caf\xe9": 2}\n')
         argv = [a.format(id4=id4, tmp=tmp_path) for a in argv]
         assert main(argv) == 1
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in captured.err
-        assert "min gap" not in captured.out and "slack" not in captured.out
+        assert captured.out == ""
         assert not (tmp_path / "s.json").exists()
+
+    @pytest.mark.parametrize("option", [["--epsilon", "0"], ["--kappa", "1e6"]])
+    def test_zero_epsilon_reports(self, rand24, tmp_path, option):
+        out = tmp_path / "s.json"
+        assert main(["smoothed", "--instance", str(rand24), "--r-trials", "3",
+                     *option, "--out", str(out)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON")
+
+        payload = json.loads(out.read_text(encoding="utf-8"), parse_constant=refuse)
+        assert payload["config"]["epsilon"] == 0.0
+        assert payload["outer_success"]["fraction"] == 0.0
+        cond = payload["admissibility"]["conditions"][0]
+        assert cond["name"] == "gaussian_cube_mass"
+        assert cond["lhs"] == 0.0 and cond["holds"] is False
 
     @pytest.mark.parametrize("argv", [
         ["gen", "--kind", "identity", "--d", "2", "--n", "2", "--out", "{tmp}/g.txt"],

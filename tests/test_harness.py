@@ -75,6 +75,30 @@ class TestRunExperiment:
         parallel = stats_to_csv(run_experiment(inst, 64, 3, workers=2))
         assert serial == parallel
 
+    def test_pool_capped_at_cpu_count(self, monkeypatch):
+        # a fake pool records its size and maps in this process
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        inst = generate_instance("random_unit_sphere", 3, 5, 2)
+        capped = stats_to_csv(run_experiment(inst, 2000, 3, workers=500))
+        assert sizes == [3]
+        assert capped == stats_to_csv(run_experiment(inst, 2000, 3, workers=1))
+
     def test_invariants_per_run(self):
         inst = generate_instance("random_unit_sphere", 4, 8, 6)
         stats = run_experiment(inst, 100, 11)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from gswalk.exceptions import (DimensionError, InstanceFormatError,
-                               NormViolationError)
-from gswalk.instances import (Instance, generate_instance, load_instance,
-                              save_instance)
+                               NormViolationError, ReportFormatError)
+from gswalk.instances import (Instance, generate_instance, json_text, load_instance,
+                              read_text, save_instance, stream_rng, write_text)
 
 
 class TestInstance:
@@ -133,7 +133,46 @@ class TestFileFormat:
         save_instance(inst, p)
         assert np.array_equal(load_instance(p).matrix, inst.matrix)
 
+    def test_universal_newlines(self, tmp_path):
+        # \r\n and \r end lines; \x0c and \u2028 are whitespace inside one
+        p = tmp_path / "id.txt"
+        p.write_bytes("2 2\r\n1\x0c0\r0\u20281\n".encode("utf-8"))
+        assert np.array_equal(load_instance(p).matrix, np.eye(2))
+
+    def test_undecodable_instance(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"1 1\n0.5\xff\n")
+        with pytest.raises(InstanceFormatError, match="not UTF-8"):
+            load_instance(p)
+
     def test_save_unwritable(self, tmp_path):
         inst = generate_instance("identity", 2, 2, 0)
         with pytest.raises(OSError):
             save_instance(inst, tmp_path / "no" / "such" / "dir.txt")
+
+
+class TestSharedRules:
+    @pytest.mark.parametrize("key", [(), (0,), (97,), (5, 2)])
+    def test_stream_rng_is_the_seeded_stream(self, key):
+        ref = np.random.default_rng(np.random.SeedSequence(entropy=7, spawn_key=key))
+        assert np.array_equal(stream_rng(7, *key).random(5), ref.random(5))
+
+    def test_root_stream_is_the_plain_seed(self):
+        ref = np.random.default_rng(np.random.SeedSequence(entropy=7))
+        assert np.array_equal(stream_rng(7).random(5), ref.random(5))
+
+    def test_text_round_trip(self, tmp_path):
+        p = tmp_path / "t.txt"
+        write_text(p, "a\nb\u00e9\n")
+        assert p.read_bytes() == "a\nb\u00e9\n".encode("utf-8")
+        assert read_text(p, ReportFormatError) == "a\nb\u00e9\n"
+
+    def test_read_text_raises_callers_error(self, tmp_path):
+        p = tmp_path / "t.bin"
+        p.write_bytes(b"ok\n\x80\n")
+        with pytest.raises(ReportFormatError, match="not UTF-8"):
+            read_text(p, ReportFormatError)
+
+    def test_json_text_layout(self):
+        assert json_text({"b": [1, 2.5], "a": None}) == (
+            '{\n  "b": [\n    1,\n    2.5\n  ],\n  "a": null\n}\n')

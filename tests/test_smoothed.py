@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gswalk.enumeration import enumerate_walk
-from gswalk.exceptions import DegeneratePairError
+from gswalk.exceptions import DegeneratePairError, ParameterError
 from gswalk.instances import Instance, generate_instance
 from gswalk.smoothed import (SmoothedConfig, TiltedDistribution,
                              admissibility_report, base_law, build_augmented,
@@ -259,6 +259,14 @@ class TestEpsilonOf:
         with pytest.raises(ValueError):
             epsilon_of(1.0, 1, 32.0)
 
+    @pytest.mark.parametrize("kappa", [0.5, -100000.0, -math.inf])
+    def test_kappa_below_one_rejected(self, kappa):
+        with pytest.raises(ParameterError):
+            epsilon_of(1.0, 4, kappa)
+
+    def test_large_kappa_underflows_to_zero(self):
+        assert epsilon_of(1.0, 4, 1e6) == 0.0
+
 
 class TestComparisonConstant:
     def test_orthogonal_pair_is_one(self):
@@ -378,10 +386,9 @@ class TestRectProbabilities:
         row = rng.normal(0, 0.3, n)
         for eps in (0.2, 0.7, 2.0):
             ci = comparison_constant(row, x, y, 1.0, d, n, eps)
-            prod = product_rect_probability(row, x, y, 1.0, d, n, eps)
             slack = verify_comparison(row, x, y, 1.0, d, n, eps)
             assert ci == pytest.approx(1.0, rel=1e-14)
-            assert slack >= -1e-6 * ci * prod
+            assert slack >= -1e-6
 
     def test_verify_comparison_one_flip(self):
         rng = np.random.default_rng(6)
@@ -390,9 +397,15 @@ class TestRectProbabilities:
         y = x.copy()
         y[2] = -y[2]                      # k = n - 1
         row = rng.normal(0, 0.4, n)
-        ci = comparison_constant(row, x, y, 1.3, d, n, 0.5)
-        prod = product_rect_probability(row, x, y, 1.3, d, n, 0.5)
-        assert verify_comparison(row, x, y, 1.3, d, n, 0.5) >= -1e-6 * ci * prod
+        assert verify_comparison(row, x, y, 1.3, d, n, 0.5) >= -1e-6
+
+    def test_verify_comparison_is_relative_slack(self):
+        row, x, y, sigma, d, n = self.case()
+        ci = comparison_constant(row, x, y, sigma, d, n, 0.4)
+        prod = product_rect_probability(row, x, y, sigma, d, n, 0.4)
+        joint = joint_rect_probability(row, x, y, sigma, d, n, 0.4)
+        assert (verify_comparison(row, x, y, sigma, d, n, 0.4)
+                == (ci * prod - joint) / (ci * prod))
 
 
 class TestCubeMeasure:
@@ -435,6 +448,20 @@ class TestAdmissibility:
         for c in report["conditions"]:
             assert set(c) == {"name", "lhs", "rhs", "sense", "holds", "margin"}
             assert math.isfinite(c["margin"]) or c["rhs"] == math.inf
+
+    def test_zero_radius_has_no_cube_mass(self):
+        inst = generate_instance("random_unit_sphere", 2, 4, 1)
+        _, tilted = tilted_for(inst)
+        report = admissibility_report(self.config(0.0), inst, tilted)
+        cond = report["conditions"][0]
+        assert cond["name"] == "gaussian_cube_mass"
+        assert cond["lhs"] == 0.0 and cond["holds"] is False
+        assert report["all_hold"] is False
+
+    @pytest.mark.parametrize("sigma", [1e155, 1e200])
+    def test_config_rejects_overflowing_sigma(self, sigma):
+        with pytest.raises(ParameterError):
+            self.config(0.1, sigma=sigma)
 
     def test_parameters_echoed(self):
         inst = generate_instance("random_unit_sphere", 2, 4, 1)
