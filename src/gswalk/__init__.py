@@ -1,22 +1,32 @@
 """Vector balancing by the Gram-Schmidt walk, with exact small-instance
-enumeration, concentration instrumentation, and a smoothed-analysis simulator."""
+enumeration, concentration instrumentation, and a smoothed-analysis simulator.
 
-from .instances import Instance, generate_instance, load_instance, save_instance
-from .walk import WalkTrace, run_walk
-from .ortho import OrthoDecomposition, decompose, variance_proxy
-from .enumeration import LeafDistribution, enumerate_walk
-from .inequalities import BoundInputs, theorem1_bound
-from .harness import RunStats, ExperimentReport, run_experiment, build_report
-from .smoothed import SmoothedConfig, TiltedDistribution, build_augmented, tilt_distribution
+The public names load their module on first access (PEP 562), so importing
+the package imports no submodule.
+"""
 
-__all__ = [
-    "Instance", "generate_instance", "load_instance", "save_instance",
-    "WalkTrace", "run_walk",
-    "OrthoDecomposition", "decompose", "variance_proxy",
-    "LeafDistribution", "enumerate_walk",
-    "BoundInputs", "theorem1_bound",
-    "RunStats", "ExperimentReport", "run_experiment", "build_report",
-    "SmoothedConfig", "TiltedDistribution", "build_augmented", "tilt_distribution",
-]
+from importlib import import_module
+
+_EXPORTS = {
+    "instances": ("Instance", "generate_instance", "load_instance", "save_instance"),
+    "walk": ("WalkTrace", "run_walk"),
+    "ortho": ("OrthoDecomposition", "decompose", "variance_proxy"),
+    "enumeration": ("LeafDistribution", "enumerate_walk"),
+    "inequalities": ("BoundInputs", "theorem1_bound"),
+    "harness": ("RunStats", "ExperimentReport", "run_experiment", "build_report"),
+    "smoothed": ("SmoothedConfig", "TiltedDistribution", "build_augmented",
+                 "tilt_distribution"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value

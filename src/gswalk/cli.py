@@ -2,7 +2,8 @@
 
 Every invocation is fully determined by argv plus, when --seed is omitted,
 the GSWALK_SEED environment variable (echoed into reports via the seed it
-supplies).  Exit codes: 0 success, 1 domain error, 2 usage error.
+supplies).  Exit codes: 0 success, 1 domain error, 2 usage error.  Each
+command imports the modules it runs when it runs.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import enumeration, harness, inequalities, instances, ortho, smoothed, walk
+from . import instances
 from .exceptions import GswError, ParameterError, ReportFormatError
 
 DEFAULT_SEED = 0
@@ -93,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon-auto", action="store_true",
                    help="use sigma*sqrt(ln d)*d^(-kappa/32)")
     p.add_argument("--r-trials", type=int, default=50)
-    p.add_argument("--delta", type=float, default=smoothed.DEFAULT_DELTA)
+    p.add_argument("--delta", type=float)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
 
@@ -129,6 +130,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from . import walk
     inst = instances.load_instance(args.instance)
     seed = _resolve_seed(args.seed)
     trace = walk.run_walk(inst, instances.stream_rng(seed, 0))
@@ -142,6 +144,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from . import ortho, walk
     inst = instances.load_instance(args.instance)
     seed = _resolve_seed(args.seed)
     trace = walk.run_walk(inst, instances.stream_rng(seed, 0))
@@ -158,6 +161,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_mc(args) -> int:
+    from . import harness
     inst = instances.load_instance(args.instance)
     seed = _resolve_seed(args.seed)
     stats = harness.run_experiment(inst, args.runs, seed, workers=args.threads)
@@ -171,6 +175,7 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import enumeration
     inst = instances.load_instance(args.instance)
     seed = _resolve_seed(args.seed)
     checks = ([args.check] if args.check != "all"
@@ -207,6 +212,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_check_ineq(args) -> int:
+    from . import inequalities
     if args.which == "lemma1":
         gap = inequalities.lemma1_grid_min(step=args.grid_step)
         print(f"lemma1 min gap over grid: {gap:.3e}")
@@ -230,6 +236,7 @@ def _cmd_check_ineq(args) -> int:
 
 def _comparison_trials(trials: int, seed: int) -> float:
     """Min relative slack of the joint-vs-product comparison over random cases."""
+    from . import smoothed
     if trials < 1:
         raise ParameterError(f"trials must be >= 1, got {trials}")
     rng = instances.stream_rng(seed, 11)
@@ -251,6 +258,7 @@ def _comparison_trials(trials: int, seed: int) -> float:
 
 
 def _cmd_smoothed(args) -> int:
+    from . import enumeration, smoothed
     inst = instances.load_instance(args.instance)
     seed = _resolve_seed(args.seed)
     sigma = args.sigma
@@ -263,7 +271,8 @@ def _cmd_smoothed(args) -> int:
     config = smoothed.SmoothedConfig(sigma=sigma, kappa=args.kappa,
                                      cutoff_c=cutoff, epsilon=eps,
                                      r_trials=args.r_trials, master_seed=seed,
-                                     delta=args.delta)
+                                     delta=(smoothed.DEFAULT_DELTA if args.delta is None
+                                            else args.delta))
     leaves = enumeration.enumerate_walk(smoothed.build_augmented(inst))
     tilted = smoothed.tilt_distribution(leaves, inst, sigma, cutoff)
     fraction, (lo, hi) = smoothed.outer_success_estimate(inst, tilted, config)
@@ -309,6 +318,7 @@ def _cmd_report(args) -> int:
                 f"malformed JSON report ({type(exc).__name__}: {exc})") from None
         print("\n".join(lines))
     else:
+        from . import harness
         rows = harness.parse_csv(text)
         disc = np.array([r["discrepancy"] for r in rows])
         blocks = np.array([r["hatT"] for r in rows], dtype=float)

@@ -1,17 +1,19 @@
 """Exact small-instance oracle.
 
 Expands the full decision tree of the walk, one branch per endpoint choice,
-multiplying branch probabilities.  Leaves carry the exact probability of each
-sign outcome together with the trace and its orthogonal decomposition (both
-built on first read), so expectations of any path functional can be computed
-without sampling.  A decomposition depends only on the leaf's freeze sequence,
-so the leaves of one enumeration that share that sequence share one object.
+multiplying branch probabilities.  The leaf law is held as columns: the exact
+probability and sign outcome of each leaf and the id of its freeze sequence.
+A decomposition depends only on the freeze sequence, so one is built per id,
+on first read.  Per-leaf views with the trace of each path are built on first
+read of ``leaves``, so expectations of any path functional can be computed
+without sampling.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -26,58 +28,119 @@ MGF_EXP_LIMIT = 600.0
 
 
 @dataclass(eq=False)
-class Leaf:
-    signs: np.ndarray
-    probability: float
-    choices: tuple[bool, ...]       # True where the + endpoint was taken
-    steps: list[StepRecord] = field(repr=False)
+class LeafDistribution:
+    """The exact leaf law of one enumeration of ``inst``, held as columns.
+
+    Leaves are in depth-first order with the + branch first, so the leaves
+    below any node form a contiguous run.  Leaf i has mass
+    ``probabilities[i]``, outcome ``signs[i]`` and freeze sequence
+    ``freeze_ids[i]``: ids number the distinct sequences of (pivot, frozen
+    set) per step in order of first appearance.  ``nodes`` lists the internal
+    nodes in preorder as (lo, hi, pivot, z): leaves lo..hi-1 lie below the
+    node (none when every branch below was pruned), and z is the pivot's
+    coordinate in the coloring the node's prefix reaches.
+    """
     inst: Instance = field(repr=False)
-    # decompositions built so far, keyed by freeze sequence; one dict is
-    # shared by all leaves of an enumeration
-    decompositions: dict = field(repr=False)
+    probabilities: np.ndarray       # (m,)
+    signs: np.ndarray               # (m, n)
+    freeze_ids: np.ndarray          # (m,)
+    nodes: list[tuple[int, int, int, float]] = field(repr=False)
+    paths: list[list[StepRecord]] = field(repr=False)   # each leaf's steps
+    first_leaf: list[int] = field(repr=False)           # per freeze id
+    pruned_mass: float = 0.0
+
+    def __post_init__(self):
+        self._decompositions: list = [None] * len(self.first_leaf)     # per freeze id
+
+    @property
+    def d(self) -> int:
+        return self.inst.d
+
+    @property
+    def n(self) -> int:
+        return self.inst.n
+
+    def decomposition(self, freeze_id: int) -> OrthoDecomposition:
+        """The decomposition shared by every leaf with this freeze sequence,
+        built on first request from the first such leaf's trace.  Its steps
+        have the same pivots and frozen sets, all that ``decompose`` reads
+        besides n and the step numbers."""
+        dec = self._decompositions[freeze_id]
+        if dec is None:
+            dec = self._decompositions[freeze_id] = decompose(
+                self.inst, self.trace(self.first_leaf[freeze_id]))
+        return dec
+
+    def trace(self, i: int) -> WalkTrace:
+        return WalkTrace(steps=self.paths[i], final_x=self.signs[i])
+
+    @cached_property
+    def leaves(self) -> list[Leaf]:
+        return [Leaf(self, i) for i in range(len(self.paths))]
+
+
+@dataclass(eq=False)
+class Leaf:
+    """Leaf ``index`` of ``law``: a view of its columns, with its trace."""
+    law: LeafDistribution = field(repr=False)
+    index: int
+
+    @property
+    def probability(self) -> float:
+        return float(self.law.probabilities[self.index])
+
+    @property
+    def signs(self) -> np.ndarray:
+        return self.law.signs[self.index]
+
+    @property
+    def choices(self) -> tuple[bool, ...]:
+        """True where the + endpoint was taken."""
+        return tuple(rec.chosen_delta > 0 for rec in self.law.paths[self.index])
 
     @cached_property
     def trace(self) -> WalkTrace:
-        return WalkTrace(steps=self.steps, final_x=self.signs)
+        return self.law.trace(self.index)
 
-    @cached_property
+    @property
     def ortho(self) -> OrthoDecomposition:
-        """The decomposition of the trace, shared with every leaf of the same
-        enumeration whose steps have the same pivots and frozen sets (all
-        that ``decompose`` reads besides n and the step numbers)."""
-        key = tuple((rec.pivot, *rec.frozen) for rec in self.steps)
-        dec = self.decompositions.get(key)
-        if dec is None:
-            dec = self.decompositions[key] = decompose(self.inst, self.trace)
-        return dec
-
-
-@dataclass
-class LeafDistribution:
-    leaves: list[Leaf]
-    d: int
-    n: int
-    pruned_mass: float = 0.0
+        return self.law.decomposition(int(self.law.freeze_ids[self.index]))
 
 
 def enumerate_walk(inst: Instance) -> LeafDistribution:
-    """All walk outcomes with exact probabilities; + branch expanded first."""
+    """All walk outcomes with exact probabilities; + branch expanded first.
+
+    Each active set's direction is solved once per call; ``DEPTH_CAP`` bounds
+    the table to 2^n directions.
+    """
     if inst.n > DEPTH_CAP:
         raise DimensionError(
             f"enumeration refused: n={inst.n} exceeds depth cap {DEPTH_CAP} "
             f"(up to 2^n leaves)")
-    leaves: list[Leaf] = []
-    decompositions: dict = {}
+    probabilities: list[float] = []
+    signs: list[np.ndarray] = []
+    freeze_ids: list[int] = []
+    paths: list[list[StepRecord]] = []
+    first_leaf: list[int] = []
+    sequences: dict[tuple, int] = {}    # freeze sequence -> id
+    nodes: list = []
+    directions: dict = {}
     pruned = 0.0
 
-    def descend(node: Node, steps: list[StepRecord], prob: float,
-                choices: tuple[bool, ...]):
+    def descend(node: Node, steps: list[StepRecord], prob: float, key: tuple):
         nonlocal pruned
         if node.u is None:
-            leaves.append(Leaf(signs=node.state.x, probability=prob,
-                               choices=choices, steps=steps, inst=inst,
-                               decompositions=decompositions))
+            fid = sequences.setdefault(key, len(sequences))
+            if fid == len(first_leaf):
+                first_leaf.append(len(paths))
+            probabilities.append(prob)
+            signs.append(node.state.x)
+            freeze_ids.append(fid)
+            paths.append(steps)
             return
+        row = len(nodes)
+        nodes.append(None)
+        lo = len(paths)
         for take_plus in (True, False):
             # The - branch multiplies 1 - p_plus, not the record's dp/(dm+dp):
             # they can differ in the last bit, and leaf masses feed the
@@ -87,46 +150,64 @@ def enumerate_walk(inst: Instance) -> LeafDistribution:
                 pruned += p_branch
                 continue
             state, rec = node.step(take_plus)
-            descend(expand_node(inst, state), steps + [rec], p_branch,
-                    choices + (take_plus,))
+            descend(expand_node(inst, state, directions=directions), steps + [rec],
+                    p_branch, key + ((rec.pivot, *rec.frozen),))
+        pivot = node.state.pivot
+        nodes[row] = (lo, len(paths), pivot, float(node.state.x[pivot]))
 
-    descend(expand_node(inst, WalkState.initial(inst.n)), [], 1.0, ())
-    return LeafDistribution(leaves=leaves, d=inst.d, n=inst.n, pruned_mass=pruned)
+    descend(expand_node(inst, WalkState.initial(inst.n), directions=directions),
+            [], 1.0, ())
+    return LeafDistribution(inst=inst, probabilities=np.array(probabilities),
+                            signs=np.array(signs), freeze_ids=np.array(freeze_ids),
+                            nodes=nodes, paths=paths, first_leaf=first_leaf,
+                            pruned_mass=pruned)
+
+
+def _expectation(dist: LeafDistribution, values) -> float:
+    """Sum of p * value over the leaves (``values`` aligned with them), added
+    left to right in decreasing-probability order, ties in leaf order."""
+    order = np.argsort(-dist.probabilities, kind="stable")
+    terms = dist.probabilities[order] * np.asarray(values, float)[order]
+    return float(sum(terms.tolist()))
 
 
 def exact_expectation(dist: LeafDistribution, f) -> float:
     """Sum of p(leaf) * f(leaf), accumulated in decreasing-probability order."""
-    ordered = sorted(dist.leaves, key=lambda lf: -lf.probability)
-    return float(sum(lf.probability * f(lf) for lf in ordered))
+    return _expectation(dist, [f(lf) for lf in dist.leaves])
+
+
+def leaf_margins(dist: LeafDistribution, inst: Instance, v) -> np.ndarray:
+    """<M x, v> for each leaf outcome x.
+
+    The stacked products make, per leaf, the BLAS calls of ``M @ x @ v`` (a
+    matrix-vector product, then a dot), so every value keeps its per-leaf bits.
+    """
+    mx = np.matmul(inst.matrix, dist.signs[:, :, None])             # (m, d, 1)
+    return np.matmul(mx.transpose(0, 2, 1), np.asarray(v, float)[:, None])[:, 0, 0]
 
 
 def verify_martingale(dist: LeafDistribution, inst: Instance, v) -> float:
     """|E <M X, v>| over the exact leaf law; zero for the mean-zero walk."""
-    v = np.asarray(v, float)
-    return abs(exact_expectation(dist, lambda lf: float(inst.matrix @ lf.signs @ v)))
+    return abs(_expectation(dist, leaf_margins(dist, inst, v)))
 
 
 def verify_subgaussian(dist: LeafDistribution, inst: Instance, v,
                        lam: float) -> float:
     """E exp(lam <M X, v> - lam^2 Z/2) with each leaf's own proxy Z.
 
-    Z is computed once per distinct decomposition; leaves that share one
-    (see ``Leaf.ortho``) share their proxy.
+    Z is computed once per freeze sequence; the leaves that share one share
+    its decomposition, hence their proxy.
     """
     v = np.asarray(v, float)
-    proxies: dict[int, float] = {}      # id(decomposition) -> Z; leaves keep ids live
-
-    def moment(lf: Leaf) -> float:
-        dec = lf.ortho
-        z = proxies.get(id(dec))
-        if z is None:
-            z = proxies[id(dec)] = variance_proxy(inst, dec, v)
-        arg = lam * float(inst.matrix @ lf.signs @ v) - 0.5 * lam * lam * z
-        if abs(arg) > MGF_EXP_LIMIT:
-            raise DomainOverflowError(f"mgf exponent {arg:.3g} out of range")
-        return math.exp(arg)
-
-    return exact_expectation(dist, moment)
+    proxies = np.array([variance_proxy(inst, dist.decomposition(k), v)
+                        for k in range(len(dist.first_leaf))])
+    args = lam * leaf_margins(dist, inst, v) - 0.5 * lam * lam * proxies[dist.freeze_ids]
+    wild = np.flatnonzero(np.abs(args) > MGF_EXP_LIMIT)
+    if wild.size:
+        # report the leaf of largest probability, first in leaf order
+        arg = args[wild[np.argmax(dist.probabilities[wild])]]
+        raise DomainOverflowError(f"mgf exponent {arg:.3g} out of range")
+    return _expectation(dist, [math.exp(a) for a in args.tolist()])
 
 
 def conditional_increment_check(dist: LeafDistribution) -> float:
@@ -135,38 +216,21 @@ def conditional_increment_check(dist: LeafDistribution) -> float:
     At every internal node the pivot's remaining total movement must equal
     +1-z or -1-z (z its current fractional value) with probabilities (1+z)/2
     and (1-z)/2; both the probability masses and the conditional mean are
-    checked.
-
-    Leaves are in depth-first order with the + branch first, so the leaves
-    below each node form a contiguous run; nodes are read from those runs in
-    preorder, summing each run's probabilities in leaf order.
+    checked.  Each node sums the probabilities of its run of leaves in leaf
+    order; a node whose leaves were all pruned is skipped.
     """
-    leaves = dist.leaves
+    probs = dist.probabilities.tolist()
     worst = 0.0
-
-    def visit(lo: int, hi: int, depth: int, x: np.ndarray) -> None:
-        # leaves[lo:hi] are the leaves below one internal node at ``depth``;
-        # x is the replayed (unsnapped) coloring the node's prefix reaches
-        nonlocal worst
-        run = leaves[lo:hi]
-        pivot = run[0].steps[depth].pivot
-        z = float(x[pivot])
-        total = sum(lf.probability for lf in run)
-        plus = sum(lf.probability for lf in run if lf.signs[pivot] > 0)
+    for lo, hi, pivot, z in dist.nodes:
+        if lo == hi:
+            continue
+        run = probs[lo:hi]
+        total = sum(run)
+        plus = sum(compress(run, (dist.signs[lo:hi, pivot] > 0).tolist()))
         p_plus = plus / total
         worst = max(worst, abs(p_plus - (1.0 + z) / 2.0))
         mean_move = p_plus * (1.0 - z) + (1.0 - p_plus) * (-1.0 - z)
         worst = max(worst, abs(mean_move))
-        mid = lo
-        while mid < hi and leaves[mid].choices[depth]:
-            mid += 1
-        for child_lo, child_hi in ((lo, mid), (mid, hi)):
-            if child_lo < child_hi and len(leaves[child_lo].choices) > depth + 1:
-                rec = leaves[child_lo].steps[depth]
-                visit(child_lo, child_hi, depth + 1, x + rec.chosen_delta * rec.u)
-
-    if leaves and leaves[0].choices:
-        visit(0, len(leaves), 0, np.zeros(dist.n))
     return worst
 
 

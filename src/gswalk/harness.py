@@ -14,7 +14,6 @@ from __future__ import annotations
 import io
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -134,6 +133,7 @@ def run_experiment(inst: Instance, runs: int, master_seed: int,
     bounds = np.linspace(0, runs, workers + 1).astype(int)
     chunks = [(inst, master_seed, int(a), int(b))
               for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(_run_range, chunks))
     out = [s for part in parts for s in part]

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DimensionError, InstanceFormatError, NormViolationError
+from .exceptions import (ContractViolationError, DimensionError, InstanceFormatError,
+                         NormViolationError)
 
 NORM_TOL = 1e-9
 
@@ -101,8 +102,15 @@ def write_text(path, text: str) -> None:
 
 
 def json_text(obj) -> str:
-    """The package's JSON layout: two-space indent, keys in insertion order."""
-    return json.dumps(obj, indent=2) + "\n"
+    """The package's JSON layout: two-space indent, keys in insertion order.
+
+    Strict JSON: writers state a non-finite number as null, so one reaching
+    here is a ``ContractViolationError``, not an ``Infinity`` token.
+    """
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ContractViolationError(f"cannot write strict JSON: {exc}") from None
 
 
 def load_instance(path) -> Instance:

@@ -71,11 +71,10 @@ def build_augmented(inst: Instance) -> Instance:
 def base_law(leaves: LeafDistribution) -> tuple[np.ndarray, np.ndarray]:
     """Distinct sign vectors (k, n) in first-leaf order and their summed leaf
     probabilities, added in leaf order."""
-    signs = np.array([lf.signs for lf in leaves.leaves])
+    signs = leaves.signs
     _, first, group = np.unique(signs, axis=0, return_index=True, return_inverse=True)
     order = np.argsort(first)
-    probs = np.bincount(np.argsort(order)[group],
-                        weights=[lf.probability for lf in leaves.leaves])
+    probs = np.bincount(np.argsort(order)[group], weights=leaves.probabilities)
     return signs[first[order]], probs
 
 
@@ -123,12 +122,17 @@ def inner_hit_probability(inst: Instance, perturbation: np.ndarray,
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """The 95% Wilson score interval, clamped to [0, 1].  Its ends are exactly
+    0 with no success and exactly 1 with no failure, where roundoff in
+    ``center -+ half`` would leave them a few ulps inside."""
     z = WILSON_Z
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4 * trials * trials)) / denom
-    return center - half, center + half
+    low = 0.0 if successes == 0 else max(0.0, center - half)
+    high = 1.0 if successes == trials else min(1.0, center + half)
+    return low, high
 
 
 def outer_success_estimate(inst: Instance, tilted: TiltedDistribution,
@@ -257,7 +261,9 @@ def admissibility_report(config: SmoothedConfig, inst: Instance,
 
     A report, not a gate: every condition is returned as a named entry with
     both sides and whether it holds at the configured (sigma, kappa, cutoff_c,
-    epsilon, delta).  A zero cube radius has Gaussian mass 0.
+    epsilon, delta).  A zero cube radius has Gaussian mass 0.  A right-hand
+    side or margin that is not finite (an overflow, or no variance to bound
+    epsilon by) is written as None, which JSON states as null.
     """
     d, n = inst.d, inst.n
     sigma, eps, delta = config.sigma, config.epsilon, config.delta
@@ -266,9 +272,11 @@ def admissibility_report(config: SmoothedConfig, inst: Instance,
 
     def add(name, lhs, rhs, sense):
         holds = lhs >= rhs if sense == ">=" else lhs <= rhs
-        conditions.append({"name": name, "lhs": lhs, "rhs": rhs,
+        margin = lhs - rhs if sense == ">=" else rhs - lhs
+        conditions.append({"name": name, "lhs": lhs,
+                           "rhs": rhs if math.isfinite(rhs) else None,
                            "sense": sense, "holds": bool(holds),
-                           "margin": lhs - rhs if sense == ">=" else rhs - lhs})
+                           "margin": margin if math.isfinite(margin) else None})
 
     radius = math.sqrt(d) * eps / (math.sqrt(n) * sigma)
     add("gaussian_cube_mass", cube_gaussian_measure(radius, d) if radius > 0 else 0.0,

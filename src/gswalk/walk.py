@@ -123,13 +123,6 @@ def feasible_interval(x: np.ndarray, u: np.ndarray) -> tuple[float, float]:
     return -lo, hi
 
 
-def resolve_step(inst: Instance, x: np.ndarray, active, pivot: int):
-    """Deterministic part of one step: direction and endpoint magnitudes."""
-    u = min_norm_direction(inst, active, pivot)
-    delta_minus, delta_plus = feasible_interval(x, u)
-    return u, delta_minus, delta_plus
-
-
 def apply_step(state: WalkState, u: np.ndarray, chosen_delta: float,
                delta_minus: float, delta_plus: float,
                choice_probability: float) -> tuple[WalkState, StepRecord]:
@@ -189,12 +182,25 @@ class Node:
         return node
 
 
-def expand_node(inst: Instance, state: WalkState,
-                record: StepRecord | None = None) -> Node:
-    """The node at ``state``, with its step resolved while coordinates remain."""
+def expand_node(inst: Instance, state: WalkState, record: StepRecord | None = None,
+                directions: dict | None = None) -> Node:
+    """The node at ``state``, with its step resolved while coordinates remain.
+
+    The pivot is the largest active index, so the active set alone fixes the
+    direction.  ``directions``, when given, maps ``active.tobytes()`` to the
+    direction already solved for that set; a miss is solved and stored.  The
+    directions are shared, never written, by the nodes and records using them.
+    """
     node = Node(state, record)
     if state.active.size:
-        u, dm, dp = resolve_step(inst, state.x, state.active, state.pivot)
+        if directions is None:
+            u = min_norm_direction(inst, state.active, state.pivot)
+        else:
+            key = state.active.tobytes()
+            u = directions.get(key)
+            if u is None:
+                u = directions[key] = min_norm_direction(inst, state.active, state.pivot)
+        dm, dp = feasible_interval(state.x, u)
         node.u, node.delta_minus, node.delta_plus = u, dm, dp
         node.p_plus = dm / (dm + dp)
     return node

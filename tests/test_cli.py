@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gswalk import cli
+from gswalk import cli, enumeration
 from gswalk.cli import main
 from gswalk.instances import load_instance
 
@@ -245,6 +245,32 @@ class TestDomainErrors:
         assert cond["name"] == "gaussian_cube_mass"
         assert cond["lhs"] == 0.0 and cond["holds"] is False
 
+    @pytest.mark.parametrize("matrix, option, name, holds", [
+        # no variance to bound epsilon by: the rhs is +inf, so eps <= rhs
+        ("2 3\n0 0 0\n0 0 0\n", [], "epsilon_upper_variance", True),
+        # sigma^2 is finite but 16 sigma^2 overflows, so n/d >= rhs fails
+        (None, ["--sigma", "1e154"], "aspect_ratio", False),
+    ])
+    def test_non_finite_bounds_are_null(self, rand24, tmp_path, matrix, option, name,
+                                        holds):
+        inst = rand24
+        if matrix is not None:
+            inst = tmp_path / "zero.txt"
+            inst.write_text(matrix, encoding="utf-8")
+        out = tmp_path / "s.json"
+        assert main(["smoothed", "--instance", str(inst), "--r-trials", "3",
+                     *option, "--out", str(out)]) == 0
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        payload = json.loads(out.read_text(encoding="utf-8"), parse_constant=refuse)
+        conds = {c["name"]: c for c in payload["admissibility"]["conditions"]}
+        assert conds[name]["rhs"] is None and conds[name]["margin"] is None
+        assert conds[name]["holds"] is holds
+        others = [c for c in conds.values() if c["name"] != name]
+        assert all(c["rhs"] is not None and c["margin"] is not None for c in others)
+
     @pytest.mark.parametrize("argv", [
         ["gen", "--kind", "identity", "--d", "2", "--n", "2", "--out", "{tmp}/g.txt"],
         ["run", "--instance", "{id4}"],
@@ -278,7 +304,7 @@ class TestDomainErrors:
         def refuse(inst):
             raise AssertionError("enumeration reached with a bad config")
 
-        monkeypatch.setattr(cli.enumeration, "enumerate_walk", refuse)
+        monkeypatch.setattr(enumeration, "enumerate_walk", refuse)
         assert main(["smoothed", "--instance", str(id4), *option]) == 1
 
     @pytest.mark.parametrize("text", [

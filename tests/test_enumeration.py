@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gswalk import enumeration
+from gswalk import enumeration, walk
 from gswalk.enumeration import (brute_force_min_discrepancy,
                                 conditional_increment_check, enumerate_walk,
                                 exact_expectation, verify_martingale,
                                 verify_subgaussian)
 from gswalk.exceptions import DimensionError, DomainOverflowError
-from gswalk.instances import generate_instance
+from gswalk.instances import Instance, generate_instance
 from gswalk.ortho import decompose, variance_proxy
+from gswalk.smoothed import base_law
+from gswalk.walk import WalkState, expand_node
 from conftest import make_columns
 
 SHARING_CASES = [("random_unit_sphere", 3, 7, 4), ("sign_columns", 3, 8, 2),
@@ -19,6 +23,71 @@ SHARING_CASES = [("random_unit_sphere", 3, 7, 4), ("sign_columns", 3, 8, 2),
 
 def freeze_sequence(lf):
     return tuple((rec.pivot, tuple(rec.frozen)) for rec in lf.trace.steps)
+
+
+FAMILIES = ("plain", "rank_deficient", "duplicate_columns", "mixed_scale", "d1")
+
+
+def family_instance(family: str, seed: int) -> Instance:
+    """A small instance of one degenerate family, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 8))
+    d = 1 if family == "d1" else int(rng.integers(2, 5))
+    if family == "rank_deficient":
+        m = rng.standard_normal((d, d - 1)) @ rng.standard_normal((d - 1, n))
+    elif family == "duplicate_columns":
+        # equal and opposite columns freeze together
+        base = rng.standard_normal((d, max(1, n // 2)))
+        m = base[:, rng.integers(0, base.shape[1], n)] * rng.choice([-1.0, 1.0], n)
+    else:
+        m = rng.standard_normal((d, n))
+    m = m / np.linalg.norm(m, axis=0)
+    if family == "mixed_scale":
+        m = m * 10.0 ** rng.uniform(-12, 0, n)
+    return Instance(m)
+
+
+def uncached_enumeration(inst):
+    """Reference descent: every node solves its own direction.  Returns the
+    leaves as (probability, signs, steps), the pruned mass and the active
+    set of every expanded internal node."""
+    leaves, actives, pruned = [], [], [0.0]
+
+    def descend(node, steps, prob):
+        if node.u is None:
+            leaves.append((prob, node.state.x, steps))
+            return
+        actives.append(node.state.active.tobytes())
+        for take_plus in (True, False):
+            p_branch = prob * (node.p_plus if take_plus else 1.0 - node.p_plus)
+            if p_branch < enumeration.PRUNE_TOL:
+                pruned[0] += p_branch
+                continue
+            state, rec = node.step(take_plus)
+            descend(expand_node(inst, state), steps + [rec], p_branch)
+
+    descend(expand_node(inst, WalkState.initial(inst.n)), [], 1.0)
+    return leaves, pruned[0], actives
+
+
+def per_leaf_expectation(dist, f):
+    """Reference: p(leaf) * f(leaf) over the leaf views, summed left to right
+    in decreasing-probability order."""
+    ordered = sorted(dist.leaves, key=lambda lf: -lf.probability)
+    return float(sum(lf.probability * f(lf) for lf in ordered))
+
+
+def per_leaf_base_law(dist):
+    """Reference: leaf masses summed per sign vector in leaf order."""
+    law: dict[bytes, list] = {}
+    for lf in dist.leaves:
+        key = lf.signs.tobytes()
+        if key in law:
+            law[key][1] += lf.probability
+        else:
+            law[key] = [lf.signs, lf.probability]
+    return (np.array([x for x, _ in law.values()]),
+            np.array([p for _, p in law.values()]))
 
 
 class TestEnumerateWalk:
@@ -251,7 +320,8 @@ class TestConditionalIncrements:
 
     @staticmethod
     def regrouped(dist):
-        """Reference: regroup the leaves by prefix, one member list per node."""
+        """Reference: regroup the leaves by prefix, one member list per node,
+        replaying each node's coloring from its records."""
         groups: dict[tuple[bool, ...], list] = {}
         for lf in dist.leaves:
             for depth in range(len(lf.choices)):
@@ -278,22 +348,19 @@ class TestConditionalIncrements:
         ("random_unit_sphere", 2, 8, 5), ("identity", 3, 3, 0)],
         ids=lambda c: f"{c[0]}-{c[1]}x{c[2]}-{c[3]}")
     @pytest.mark.parametrize("law", ["exact", "perturbed", "pruned"])
-    def test_node_runs_bitwise_equal_regrouping(self, case, law):
+    def test_node_runs_bitwise_equal_regrouping(self, case, law, monkeypatch):
+        if law == "pruned":
+            # prune real branches, so that some nodes keep one child, some
+            # one leaf and, on most cases, some none
+            monkeypatch.setattr(enumeration, "PRUNE_TOL", 0.01)
         dist = enumerate_walk(generate_instance(*case))
+        if law == "pruned":
+            assert dist.pruned_mass > 0 or case[0] == "identity"
         if law != "exact":
             # a law that breaks the two-point form by O(0.1), so the worst
             # node and its sums decide the result, not roundoff alone
             factors = np.random.default_rng(5).uniform(0.8, 1.2, len(dist.leaves))
-            for lf, f in zip(dist.leaves, factors):
-                lf.probability *= float(f)
-        if law == "pruned":
-            # drop a - subtree and a + subtree, as pruning does, so that
-            # some nodes keep only one child, and all but one leaf below
-            # the node (False, True)
-            lone = [lf for lf in dist.leaves if lf.choices[:2] == (False, True)][:1]
-            dist.leaves = [lf for lf in dist.leaves if lf in lone or (
-                lf.choices[:2] not in ((True, False), (False, True))
-                and lf.choices[:3] != (False, False, True))]
+            dist.probabilities = dist.probabilities * factors
         got = conditional_increment_check(dist)
         assert got.hex() == self.regrouped(dist).hex()
 
@@ -334,3 +401,92 @@ class TestBruteForce:
         inst = generate_instance("duplicated_column", 2, 21, 0)
         with pytest.raises(DimensionError):
             brute_force_min_discrepancy(inst)
+
+
+class TestColumnarLaw:
+    """The direction table and the column readers against per-leaf references."""
+
+    @given(st.sampled_from(FAMILIES), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_table_equals_uncached_descent(self, family, seed):
+        inst = family_instance(family, seed)
+        dist = enumerate_walk(inst)
+        leaves, pruned, _ = uncached_enumeration(inst)
+        assert len(dist.leaves) == len(leaves)
+        assert dist.pruned_mass == pruned
+        assert abs(sum(dist.probabilities.tolist()) + dist.pruned_mass - 1.0) <= 1e-12
+        for lf, (prob, signs, steps) in zip(dist.leaves, leaves):
+            assert lf.probability == prob
+            assert lf.signs.tobytes() == signs.tobytes()
+            assert len(lf.trace.steps) == len(steps)
+            for got, want in zip(lf.trace.steps, steps):
+                assert got.u.tobytes() == want.u.tobytes()
+                assert (got.t, got.pivot, got.frozen) == (want.t, want.pivot, want.frozen)
+                assert got.chosen_delta == want.chosen_delta
+                assert (got.delta_minus, got.delta_plus, got.choice_probability) == (
+                    want.delta_minus, want.delta_plus, want.choice_probability)
+            assert lf.choices == tuple(rec.chosen_delta > 0 for rec in steps)
+
+    @given(st.sampled_from(FAMILIES), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.3, 1.0, 2.5]))
+    @settings(max_examples=80, deadline=None)
+    def test_column_readers_equal_per_leaf(self, family, seed, lam):
+        inst = family_instance(family, seed)
+        dist = enumerate_walk(inst)
+        v = np.random.default_rng(seed).standard_normal(inst.d)
+        m = inst.matrix
+        margin = per_leaf_expectation(dist, lambda lf: float(m @ lf.signs @ v))
+        assert verify_martingale(dist, inst, v) == abs(margin)
+        moment = per_leaf_expectation(dist, lambda lf: math.exp(
+            lam * float(m @ lf.signs @ v)
+            - 0.5 * lam * lam * variance_proxy(inst, decompose(inst, lf.trace), v)))
+        assert verify_subgaussian(dist, inst, v, lam) == moment
+        got = conditional_increment_check(dist)
+        assert got.hex() == TestConditionalIncrements.regrouped(dist).hex()
+        signs, probs = base_law(dist)
+        want_signs, want_probs = per_leaf_base_law(dist)
+        assert signs.tobytes() == want_signs.tobytes()
+        assert probs.tobytes() == want_probs.tobytes()
+
+    def test_freeze_ids_number_sequences_in_first_leaf_order(self):
+        dist = enumerate_walk(generate_instance("duplicated_column", 3, 7, 1))
+        seen: dict[tuple, int] = {}
+        for lf in dist.leaves:
+            seen.setdefault(freeze_sequence(lf), len(seen))
+        assert dist.freeze_ids.tolist() == [seen[freeze_sequence(lf)]
+                                            for lf in dist.leaves]
+        assert dist.first_leaf == [dist.freeze_ids.tolist().index(k)
+                                   for k in range(len(seen))]
+
+    @pytest.mark.parametrize("case", [("random_unit_sphere", 4, 10, 1),
+                                      ("sign_columns", 3, 8, 2),
+                                      ("duplicated_column", 3, 7, 1)],
+                             ids=lambda c: f"{c[0]}-{c[2]}")
+    def test_one_solve_per_active_set(self, case, monkeypatch):
+        inst = generate_instance(*case)
+        _, _, actives = uncached_enumeration(inst)
+        calls = []
+        solve = walk.min_norm_direction
+
+        def counting(inst, active, pivot):
+            calls.append(np.asarray(active).tobytes())
+            return solve(inst, active, pivot)
+
+        monkeypatch.setattr(walk, "min_norm_direction", counting)
+        enumerate_walk(inst)
+        assert len(calls) == len(set(calls)) == len(set(actives)) < len(actives)
+
+    def test_walks_keep_no_table(self, monkeypatch):
+        # sampled walks solve every step afresh: one solve per step taken
+        inst = generate_instance("random_unit_sphere", 3, 6, 2)
+        calls = []
+        solve = walk.min_norm_direction
+
+        def counting(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(walk, "min_norm_direction", counting)
+        steps = sum(walk.run_walk(inst, np.random.default_rng(seed)).total_steps
+                    for seed in range(3))
+        assert len(calls) == steps

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 
@@ -92,7 +93,8 @@ class TestRunExperiment:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        # run_experiment imports the pool class when it starts a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
         inst = generate_instance("random_unit_sphere", 3, 5, 2)
         capped = stats_to_csv(run_experiment(inst, 2000, 3, workers=500))

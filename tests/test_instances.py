@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gswalk.exceptions import (DimensionError, InstanceFormatError,
-                               NormViolationError, ReportFormatError)
+from gswalk.exceptions import (ContractViolationError, DimensionError,
+                               InstanceFormatError, NormViolationError,
+                               ReportFormatError)
 from gswalk.instances import (Instance, generate_instance, json_text, load_instance,
                               read_text, save_instance, stream_rng, write_text)
 
@@ -172,6 +173,11 @@ class TestSharedRules:
         p.write_bytes(b"ok\n\x80\n")
         with pytest.raises(ReportFormatError, match="not UTF-8"):
             read_text(p, ReportFormatError)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_json_text_refuses_non_finite(self, value):
+        with pytest.raises(ContractViolationError, match="strict JSON"):
+            json_text({"rhs": value})
 
     def test_json_text_layout(self):
         assert json_text({"b": [1, 2.5], "a": None}) == (

@@ -1,6 +1,8 @@
 import ast
 import re
+import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -59,3 +61,40 @@ def test_seeded_streams_come_from_stream_rng():
 
 def test_files_go_through_the_text_helpers():
     assert calls_outside({"open"}, {"read_text", "write_text"}) == []
+
+
+def modules_after(code: str) -> set[str]:
+    """Modules a fresh interpreter has loaded once ``code`` has run."""
+    script = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); {code}; "
+              "print(); print(' '.join(sorted(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, check=True)
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def test_package_import_loads_no_submodule():
+    loaded = modules_after("import gswalk")
+    assert "gswalk" in loaded
+    assert not {"gswalk.harness", "concurrent.futures"} & loaded
+
+
+def test_harness_imports_the_pool_only_to_start_one():
+    assert "concurrent.futures" not in modules_after("import gswalk.harness")
+
+
+def test_command_loads_only_what_it_runs():
+    loaded = modules_after(
+        "from gswalk.cli import main; "
+        "main(['check-ineq', '--which', 'hoeffding', '--grid-step', '0.1'])")
+    assert "gswalk.inequalities" in loaded
+    assert not {"gswalk.enumeration", "gswalk.harness", "gswalk.smoothed"} & loaded
+
+
+def test_every_public_name_resolves():
+    import gswalk
+    assert len(set(gswalk.__all__)) == len(gswalk.__all__)
+    for name in gswalk.__all__:
+        module = import_module(f"gswalk.{gswalk._MODULE_OF[name]}")
+        assert getattr(gswalk, name) is getattr(module, name)
+    with pytest.raises(AttributeError):
+        gswalk.no_such_name

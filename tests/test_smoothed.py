@@ -247,6 +247,22 @@ class TestInnerOuter:
         lo, hi = wilson_interval(50, 50)
         assert hi == pytest.approx(1.0, abs=1e-12) and lo > 0.9
 
+    @pytest.mark.parametrize("trials", [1, 3, 50, 300, 10_000])
+    def test_wilson_low_end_exact_without_successes(self, trials):
+        lo, hi = wilson_interval(0, trials)
+        assert lo == 0.0 and 0.0 < hi < 1.0
+
+    @pytest.mark.parametrize("trials", [1, 3, 50, 300, 10_000])
+    def test_wilson_high_end_exact_without_failures(self, trials):
+        lo, hi = wilson_interval(trials, trials)
+        assert hi == 1.0 and 0.0 < lo < 1.0
+
+    def test_wilson_interval_inside_unit_range(self):
+        for trials in (1, 2, 7, 300):
+            for hits in range(trials + 1):
+                lo, hi = wilson_interval(hits, trials)
+                assert 0.0 <= lo <= hits / trials <= hi <= 1.0
+
 
 class TestEpsilonOf:
     def test_reference_value(self):
@@ -447,7 +463,10 @@ class TestAdmissibility:
                          "epsilon_upper_scale", "epsilon_lower"]
         for c in report["conditions"]:
             assert set(c) == {"name", "lhs", "rhs", "sense", "holds", "margin"}
-            assert math.isfinite(c["margin"]) or c["rhs"] == math.inf
+            # an infinite bound (no variance) is written as None, margin too
+            assert (c["rhs"] is None) == (c["margin"] is None)
+            assert c["margin"] is None or math.isfinite(c["margin"])
+        assert any(c["rhs"] is None for c in report["conditions"])
 
     def test_zero_radius_has_no_cube_mass(self):
         inst = generate_instance("random_unit_sphere", 2, 4, 1)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from gswalk.exceptions import ContractViolationError
 from gswalk.instances import Instance, generate_instance
-from gswalk.walk import (RANK_RCOND, WalkState, apply_step, feasible_interval,
-                         min_norm_direction, resolve_step, run_walk, walk_step)
+from gswalk.walk import (RANK_RCOND, WalkState, apply_step, expand_node,
+                         feasible_interval, min_norm_direction, run_walk, walk_step)
 from conftest import make_columns
 
 EPS = np.finfo(float).eps
@@ -242,7 +242,8 @@ class TestWalkStep:
 
     def test_mean_zero_identity(self):
         inst = generate_instance("random_unit_sphere", 3, 5, 2)
-        u, dm, dp = resolve_step(inst, np.zeros(5), np.arange(5), 4)
+        node = expand_node(inst, WalkState.initial(5))
+        dm, dp = node.delta_minus, node.delta_plus
         assert dp * dm / (dm + dp) - dm * dp / (dm + dp) == 0.0
 
     def test_freezes_at_least_one(self, rng):
@@ -261,7 +262,8 @@ class TestApplyStep:
         for seed in range(10):
             inst = generate_instance("sign_columns", d, n, seed)
             for state in walk_states(inst, seed):
-                u, dm, dp = resolve_step(inst, state.x, state.active, state.pivot)
+                node = expand_node(inst, state)
+                u, dm, dp = node.u, node.delta_minus, node.delta_plus
                 for chosen in (dp, -dm):
                     nxt, rec = apply_step(state, u, chosen, dm, dp, 0.5)
                     hit = [int(i) for i in state.active if abs(nxt.x[i]) == 1.0]
