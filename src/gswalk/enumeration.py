@@ -1,12 +1,15 @@
 """Exact small-instance oracle.
 
 Expands the full decision tree of the walk, one branch per endpoint choice,
-multiplying branch probabilities.  The leaf law is held as columns: the exact
-probability and sign outcome of each leaf and the id of its freeze sequence.
-A decomposition depends only on the freeze sequence, so one is built per id,
-on first read.  Per-leaf views with the trace of each path are built on first
-read of ``leaves``, so expectations of any path functional can be computed
-without sampling.
+multiplying branch probabilities.  The tree is built one depth at a time:
+the nodes of a depth that share an active set share the pivot and the
+direction, so each such group takes its step in one numpy pass.  The leaf
+law is held as columns: the exact probability and sign outcome of each leaf
+and the id of its freeze sequence.  A decomposition depends only on the
+freeze sequence, so one is built per id, on first read.  The steps are held
+as columns per depth, and the step records of a path are built on first read
+of its trace, so expectations of any path functional can be computed without
+sampling.
 """
 from __future__ import annotations
 
@@ -14,17 +17,35 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
+from . import walk
 from .exceptions import DimensionError, DomainOverflowError
 from .instances import Instance
 from .ortho import OrthoDecomposition, decompose, variance_proxy
-from .walk import Node, StepRecord, WalkState, WalkTrace, expand_node
+from .walk import StepRecord, WalkTrace
 
 PRUNE_TOL = 1e-15                   # branches below this mass are dropped
 DEPTH_CAP = 16                      # largest n enumerated (up to 2^n leaves)
 MGF_EXP_LIMIT = 600.0
+
+
+class StepColumns(NamedTuple):
+    """The steps into the nodes of one depth, one entry per node: the row of
+    its parent in the depth above, whether the + endpoint was taken, the
+    parent's endpoint magnitudes, + probability, pivot and direction (an index
+    into ``LeafDistribution.directions``), and the bitmask of the coordinates
+    the step froze."""
+    parent: np.ndarray
+    plus: np.ndarray
+    delta_minus: np.ndarray
+    delta_plus: np.ndarray
+    p_plus: np.ndarray
+    pivot: np.ndarray
+    direction: np.ndarray
+    frozen: np.ndarray
 
 
 @dataclass(eq=False)
@@ -38,15 +59,20 @@ class LeafDistribution:
     set) per step in order of first appearance.  ``nodes`` lists the internal
     nodes in preorder as (lo, hi, pivot, z): leaves lo..hi-1 lie below the
     node (none when every branch below was pruned), and z is the pivot's
-    coordinate in the coloring the node's prefix reaches.
+    coordinate in the coloring the node's prefix reaches.  ``steps[t - 1]``
+    holds the steps into the nodes of depth t; leaf i is node
+    ``leaf_row[i]`` of depth ``leaf_depth[i]``.
     """
     inst: Instance = field(repr=False)
     probabilities: np.ndarray       # (m,)
     signs: np.ndarray               # (m, n)
     freeze_ids: np.ndarray          # (m,)
     nodes: list[tuple[int, int, int, float]] = field(repr=False)
-    paths: list[list[StepRecord]] = field(repr=False)   # each leaf's steps
     first_leaf: list[int] = field(repr=False)           # per freeze id
+    steps: list[StepColumns] = field(repr=False)
+    directions: list[np.ndarray] = field(repr=False)
+    leaf_depth: np.ndarray = field(repr=False)          # (m,)
+    leaf_row: np.ndarray = field(repr=False)            # (m,)
     pruned_mass: float = 0.0
 
     def __post_init__(self):
@@ -71,12 +97,33 @@ class LeafDistribution:
                 self.inst, self.trace(self.first_leaf[freeze_id]))
         return dec
 
+    @cached_property
+    def _step_rows(self) -> list[list[tuple]]:
+        """Per depth, the step columns as one tuple per node."""
+        return [list(zip(*(col.tolist() for col in cols))) for cols in self.steps]
+
     def trace(self, i: int) -> WalkTrace:
-        return WalkTrace(steps=self.paths[i], final_x=self.signs[i])
+        """Leaf i's path, its step records built from the columns."""
+        rows = self._step_rows
+        row = int(self.leaf_row[i])
+        steps = []
+        for t in range(int(self.leaf_depth[i]), 0, -1):
+            parent, plus, dm, dp, p_plus, pivot, k, bits = rows[t - 1][row]
+            frozen = []                 # decreasing index order
+            while bits:
+                j = bits.bit_length() - 1
+                frozen.append(j)
+                bits ^= 1 << j
+            # the sampled walk's record keeps dp/(dm+dp) on the - branch
+            steps.append(StepRecord(t, pivot, self.directions[k], dp, dm,
+                                    dp if plus else -dm,
+                                    p_plus if plus else dp / (dm + dp), frozen))
+            row = parent
+        return WalkTrace(steps=steps[::-1], final_x=self.signs[i])
 
     @cached_property
     def leaves(self) -> list[Leaf]:
-        return [Leaf(self, i) for i in range(len(self.paths))]
+        return [Leaf(self, i) for i in range(len(self.probabilities))]
 
 
 @dataclass(eq=False)
@@ -96,7 +143,7 @@ class Leaf:
     @property
     def choices(self) -> tuple[bool, ...]:
         """True where the + endpoint was taken."""
-        return tuple(rec.chosen_delta > 0 for rec in self.law.paths[self.index])
+        return tuple(rec.chosen_delta > 0 for rec in self.trace.steps)
 
     @cached_property
     def trace(self) -> WalkTrace:
@@ -108,59 +155,118 @@ class Leaf:
 
 
 def enumerate_walk(inst: Instance) -> LeafDistribution:
-    """All walk outcomes with exact probabilities; + branch expanded first.
+    """All walk outcomes with exact probabilities, leaves in depth-first
+    order with the + branch first.
 
-    Each active set's direction is solved once per call; ``DEPTH_CAP`` bounds
-    the table to 2^n directions.
+    The tree grows one depth at a time.  A node is a row: its coloring, its
+    active set as a bitmask, its mass, its path code and its freeze-sequence
+    chain.  Path codes are left-aligned, the step into depth t in bit n - t
+    and the + branch 0, so depth-first order is code order with each node
+    before its + child.  The chain interns (parent chain, active set); as the
+    pivot is the largest active index and a step freezes what leaves the
+    active set, equal chains are equal freeze sequences.  Each active set's
+    direction is solved once per call; ``DEPTH_CAP`` bounds the table to 2^n
+    directions and keeps bitmasks, codes and chain keys within int64.
     """
-    if inst.n > DEPTH_CAP:
+    n = inst.n
+    if n > DEPTH_CAP:
         raise DimensionError(
-            f"enumeration refused: n={inst.n} exceeds depth cap {DEPTH_CAP} "
+            f"enumeration refused: n={n} exceeds depth cap {DEPTH_CAP} "
             f"(up to 2^n leaves)")
-    probabilities: list[float] = []
-    signs: list[np.ndarray] = []
-    freeze_ids: list[int] = []
-    paths: list[list[StepRecord]] = []
-    first_leaf: list[int] = []
-    sequences: dict[tuple, int] = {}    # freeze sequence -> id
-    nodes: list = []
-    directions: dict = {}
-    pruned = 0.0
+    prune_tol = PRUNE_TOL
+    weights = 1 << np.arange(n)
+    table: dict[int, int] = {}          # active bitmask -> direction index
+    directions: list[np.ndarray] = []
+    steps: list[StepColumns] = []
+    empty = np.zeros(0, dtype=np.int64)
+    # per group: code, mass, coloring, chain, depth and row of each leaf
+    leaf_cols = [(empty, np.zeros(0), np.zeros((0, n)), empty, empty, empty)]
+    node_cols = [(empty, empty, empty, np.zeros(0))]    # code, depth, pivot, z
+    cut_cols = [(empty, np.zeros(0))]                   # code, mass of pruned branches
 
-    def descend(node: Node, steps: list[StepRecord], prob: float, key: tuple):
-        nonlocal pruned
-        if node.u is None:
-            fid = sequences.setdefault(key, len(sequences))
-            if fid == len(first_leaf):
-                first_leaf.append(len(paths))
-            probabilities.append(prob)
-            signs.append(node.state.x)
-            freeze_ids.append(fid)
-            paths.append(steps)
-            return
-        row = len(nodes)
-        nodes.append(None)
-        lo = len(paths)
-        for take_plus in (True, False):
-            # The - branch multiplies 1 - p_plus, not the record's dp/(dm+dp):
-            # they can differ in the last bit, and leaf masses feed the
-            # byte-stable smoothed report.
-            p_branch = prob * (node.p_plus if take_plus else 1.0 - node.p_plus)
-            if p_branch < PRUNE_TOL:
-                pruned += p_branch
+    x = np.zeros((1, n))
+    bits = np.array([(1 << n) - 1], dtype=np.int64)
+    prob = np.ones(1)
+    code = np.zeros(1, dtype=np.int64)
+    chain = np.zeros(1, dtype=np.int64)
+    chains = 1
+    depth = 0
+    while bits.size:
+        order = np.argsort(bits, kind="stable")
+        children = []
+        for rows in np.split(order, np.flatnonzero(np.diff(bits[order])) + 1):
+            size = rows.size
+            active_bits = int(bits[rows[0]])
+            if not active_bits:
+                leaf_cols.append((code[rows], prob[rows], x[rows], chain[rows],
+                                  np.full(size, depth), rows))
                 continue
-            state, rec = node.step(take_plus)
-            descend(expand_node(inst, state, directions=directions), steps + [rec],
-                    p_branch, key + ((rec.pivot, *rec.frozen),))
-        pivot = node.state.pivot
-        nodes[row] = (lo, len(paths), pivot, float(node.state.x[pivot]))
+            active = np.flatnonzero(active_bits >> np.arange(n) & 1)
+            pivot = int(active[-1])
+            k = table.get(active_bits)
+            if k is None:
+                k = table[active_bits] = len(directions)
+                directions.append(walk.min_norm_direction(inst, active, pivot))
+            u = directions[k]
+            xg, cg = x[rows], code[rows]
+            node_cols.append((cg, np.full(size, depth), np.full(size, pivot), xg[:, pivot]))
+            dm, dp = walk.feasible_interval(xg, u)
+            p_plus = dm / (dm + dp)
+            # The candidate children: the + branch of every row, then the -
+            # branch.  The - branch multiplies 1 - p_plus, not the record's
+            # dp/(dm+dp): they can differ in the last bit, and leaf masses
+            # feed the byte-stable smoothed report.
+            mass = np.concatenate([prob[rows] * p_plus, prob[rows] * (1.0 - p_plus)])
+            child_code = np.concatenate([cg, cg | 1 << (n - 1 - depth)])
+            cut = mass < prune_tol
+            if cut.any():
+                cut_cols.append((child_code[cut], mass[cut]))
+            take = np.flatnonzero(~cut)
+            src, plus = take % size, take < size
+            xc, froze = walk.move(xg[src], u, np.where(plus, dp[src], -dm[src])[:, None],
+                                  active)
+            frozen = froze @ weights[active]
+            child_bits = active_bits - frozen
+            children.append((xc, child_bits, mass[take], child_code[take],
+                             chain[rows[src]] << n | child_bits,
+                             StepColumns(rows[src], plus, dm[src], dp[src], p_plus[src],
+                                         np.full(take.size, pivot), np.full(take.size, k),
+                                         frozen)))
+        if not children:
+            break
+        x, bits, prob, code, keys, cols = zip(*children)
+        x, bits, prob, code, keys = map(np.concatenate, (x, bits, prob, code, keys))
+        steps.append(StepColumns(*map(np.concatenate, zip(*cols))))
+        distinct, chain = np.unique(keys, return_inverse=True)
+        chain += chains                 # chains of different depths stay apart
+        chains += distinct.size
+        depth += 1
 
-    descend(expand_node(inst, WalkState.initial(inst.n), directions=directions),
-            [], 1.0, ())
-    return LeafDistribution(inst=inst, probabilities=np.array(probabilities),
-                            signs=np.array(signs), freeze_ids=np.array(freeze_ids),
-                            nodes=nodes, paths=paths, first_leaf=first_leaf,
-                            pruned_mass=pruned)
+    leaf_code, probabilities, signs, leaf_chain, leaf_depth, leaf_row = (
+        np.concatenate(c) for c in zip(*leaf_cols))
+    order = np.argsort(leaf_code, kind="stable")
+    leaf_code = leaf_code[order]
+    # freeze ids number the chains in order of their first leaf
+    _, first, inverse = np.unique(leaf_chain[order], return_index=True,
+                                  return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    node_code, node_depth, node_pivot, node_z = (np.concatenate(c) for c in zip(*node_cols))
+    # nodes were collected depth by depth, so a node stays before its + child
+    pre = np.argsort(node_code, kind="stable")
+    lo = np.searchsorted(leaf_code, node_code[pre])
+    hi = np.searchsorted(leaf_code, node_code[pre] + (1 << (n - node_depth[pre])))
+    cut_code, cut_mass = (np.concatenate(c) for c in zip(*cut_cols))
+    pruned = 0.0
+    for p in cut_mass[np.argsort(cut_code, kind="stable")].tolist():
+        pruned += p                     # in depth-first order, as the leaves
+    return LeafDistribution(
+        inst=inst, probabilities=probabilities[order], signs=signs[order],
+        freeze_ids=rank[inverse], first_leaf=np.sort(first).tolist(),
+        nodes=list(zip(lo.tolist(), hi.tolist(), node_pivot[pre].tolist(),
+                       node_z[pre].tolist())),
+        steps=steps, directions=directions, leaf_depth=leaf_depth[order],
+        leaf_row=leaf_row[order], pruned_mass=pruned)
 
 
 def _expectation(dist: LeafDistribution, values) -> float:

@@ -127,6 +127,8 @@ def run_experiment(inst: Instance, runs: int, master_seed: int,
     """Independent seeded walk runs, sorted by index, on <= os.cpu_count() processes."""
     if runs < 1:
         raise ParameterError(f"runs must be >= 1, got {runs}")
+    if workers < 1:
+        raise ParameterError(f"worker count must be >= 1, got {workers}")
     workers = min(workers, os.cpu_count() or 1)
     if workers <= 1 or runs < 4 * workers:
         return _run_range((inst, master_seed, 0, runs))

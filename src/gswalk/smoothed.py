@@ -11,12 +11,14 @@ quadrature oracle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .exceptions import ContractViolationError, DegeneratePairError, ParameterError
+from .exceptions import (ContractViolationError, DegeneratePairError,
+                         DomainOverflowError, ParameterError)
 from .instances import Instance, stream_rng
 from .enumeration import LeafDistribution
 
@@ -25,6 +27,7 @@ DEFAULT_DELTA = 0.1
 LOWER_C = 0.5                       # constant c of the epsilon lower bound
 RATIO_L = 10.0                      # lower bound on the aspect ratio n/d
 QUAD_POINTS = 64                    # Gauss-Legendre nodes per axis and panel
+EXP_LIMIT = math.log(sys.float_info.max)    # largest x with a finite math.exp(x)
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,12 @@ def tilt_distribution(leaves: LeafDistribution, inst: Instance, sigma: float,
     two_v = float(sum(probs * sq_norms))
     keep = sq_norms <= cutoff_c * two_v * (1.0 + 1e-12) + 1e-300
     base_p = probs[keep]
-    mass = base_p * [math.exp(d * s / (2.0 * sigma * sigma * n)) for s in sq_norms[keep]]
+    exponents = [d * s / (2.0 * sigma * sigma * n) for s in sq_norms[keep]]
+    top = max(exponents, default=0.0)
+    if top > EXP_LIMIT:
+        raise DomainOverflowError(f"tilt weight exp({top:.6g}) overflows double precision "
+                                  f"(d={d}, n={n}, sigma={sigma:g})")
+    mass = base_p * [math.exp(e) for e in exponents]
     normalizer = float(sum(mass))
     if normalizer <= 0.0:
         raise ContractViolationError("cutoff set carries no probability mass")

@@ -7,8 +7,10 @@ interval with the mean-zero choice of probabilities.  Coordinates reaching
 +-1 are snapped exactly and frozen.
 
 The walk is a binary decision tree whose nodes are choice prefixes.
-``expand_node`` resolves one node; sampling (``walk_step``), exact
-enumeration and the Monte Carlo prefix cache all step through it.
+``expand_node`` resolves one node; sampling (``walk_step``) and the Monte
+Carlo prefix cache step through it.  ``feasible_interval`` and ``move`` also
+take rows of colorings that share a direction, so exact enumeration steps
+every node of one active set at once with the same arithmetic.
 """
 from __future__ import annotations
 
@@ -102,45 +104,58 @@ def _gram_solve(a: np.ndarray, target: np.ndarray) -> np.ndarray | None:
     return a.T @ (vecs @ ((vecs.T @ target) / lam))
 
 
-def feasible_interval(x: np.ndarray, u: np.ndarray) -> tuple[float, float]:
+def feasible_interval(x: np.ndarray, u: np.ndarray) -> tuple:
     """Largest move sizes along -u and +u keeping x + delta*u inside [-1,1]^n.
 
-    Returns ``(delta_minus, delta_plus)``, both strictly positive.
+    Returns ``(delta_minus, delta_plus)``, both strictly positive: two floats
+    for a coloring x (n,), two (g,) arrays for rows x (g, n) sharing u.
     """
-    support = np.nonzero(u)[0]
-    xs = x[support]
-    if np.any(np.abs(xs) >= 1.0):
+    support = u.nonzero()[0]
+    xs = x.T[support].T                 # the last axis, of a vector or of rows
+    if (np.abs(xs) >= 1.0).any():
         raise ContractViolationError("direction touches a frozen coordinate")
     us = u[support]
     lo_ends = (-1.0 - xs) / us
     hi_ends = (1.0 - xs) / us
     lows = np.minimum(lo_ends, hi_ends)
     highs = np.maximum(lo_ends, hi_ends)
-    lo = float(lows.max())
-    hi = float(highs.min())
+    lo, hi = lows.max(), highs.min()    # over every row
     if not (lo < 0.0 < hi):
         raise ContractViolationError(f"feasible interval [{lo}, {hi}] does not contain 0")
-    return -lo, hi
+    if x.ndim == 1:
+        return -float(lo), float(hi)
+    return -lows.max(axis=-1), highs.min(axis=-1)
+
+
+def move(x: np.ndarray, u: np.ndarray, chosen_delta,
+         active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x + chosen_delta*u with the coordinates within ``FREEZE_TOL`` of +-1
+    snapped onto the boundary, and the mask of the ``active`` coordinates
+    that froze.  Rows x (g, n) sharing u and ``active`` move by a column
+    chosen_delta (g, 1).  Every step must freeze a coordinate.
+    """
+    moved = chosen_delta * u
+    moved += x
+    hit = np.abs(moved) >= 1.0 - FREEZE_TOL
+    np.sign(moved, out=moved, where=hit)
+    froze = hit.T[active].T
+    # one count for a vector; rows need one test each
+    if not (np.count_nonzero(froze) if froze.ndim == 1 else froze.any(axis=1).all()):
+        raise ContractViolationError("step froze no coordinate")
+    return moved, froze
 
 
 def apply_step(state: WalkState, u: np.ndarray, chosen_delta: float,
                delta_minus: float, delta_plus: float,
                choice_probability: float) -> tuple[WalkState, StepRecord]:
     """Move the state along u, snap and freeze boundary coordinates."""
-    x = state.x + chosen_delta * u
-    hit = np.abs(x) >= 1.0 - FREEZE_TOL
-    x[hit] = np.sign(x[hit])
-    froze = hit[state.active]
-    frozen = state.active[froze][::-1].tolist()     # active is sorted
-    if not frozen:
-        raise ContractViolationError("step froze no coordinate")
+    x, froze = move(state.x, u, chosen_delta, state.active)
+    frozen = state.active[froze].tolist()[::-1]     # active is sorted
     active = state.active[~froze]
     pivot = int(active[-1]) if active.size else None
-    rec = StepRecord(t=state.t, pivot=state.pivot, u=u,
-                     delta_plus=delta_plus, delta_minus=delta_minus,
-                     chosen_delta=chosen_delta,
-                     choice_probability=choice_probability, frozen=frozen)
-    new_state = WalkState(t=state.t + 1, x=x, active=active, pivot=pivot)
+    rec = StepRecord(state.t, state.pivot, u, delta_plus, delta_minus, chosen_delta,
+                     choice_probability, frozen)
+    new_state = WalkState(state.t + 1, x, active, pivot)
     return new_state, rec
 
 
@@ -182,24 +197,12 @@ class Node:
         return node
 
 
-def expand_node(inst: Instance, state: WalkState, record: StepRecord | None = None,
-                directions: dict | None = None) -> Node:
-    """The node at ``state``, with its step resolved while coordinates remain.
-
-    The pivot is the largest active index, so the active set alone fixes the
-    direction.  ``directions``, when given, maps ``active.tobytes()`` to the
-    direction already solved for that set; a miss is solved and stored.  The
-    directions are shared, never written, by the nodes and records using them.
-    """
+def expand_node(inst: Instance, state: WalkState,
+                record: StepRecord | None = None) -> Node:
+    """The node at ``state``, with its step resolved while coordinates remain."""
     node = Node(state, record)
     if state.active.size:
-        if directions is None:
-            u = min_norm_direction(inst, state.active, state.pivot)
-        else:
-            key = state.active.tobytes()
-            u = directions.get(key)
-            if u is None:
-                u = directions[key] = min_norm_direction(inst, state.active, state.pivot)
+        u = min_norm_direction(inst, state.active, state.pivot)
         dm, dp = feasible_interval(state.x, u)
         node.u, node.delta_minus, node.delta_plus = u, dm, dp
         node.p_plus = dm / (dm + dp)

@@ -8,7 +8,7 @@ import pytest
 
 from gswalk import cli, enumeration
 from gswalk.cli import main
-from gswalk.instances import load_instance
+from gswalk.instances import generate_instance, load_instance, save_instance
 
 
 @pytest.fixture
@@ -216,10 +216,19 @@ class TestDomainErrors:
         ["smoothed", "--instance", "{id4}", "--sigma", "1e200", "--out", "{tmp}/s.json"],
         ["oracle", "--instance", "{id4}", "--check", "subgaussian", "--lambda", "nan"],
         ["oracle", "--instance", "{id4}", "--check", "all", "--lambda", "nan"],
+        ["mc", "--instance", "{id4}", "--runs", "10", "--threads", "0",
+         "--out", "{tmp}/r.json"],
+        ["mc", "--instance", "{id4}", "--runs", "10", "--threads", "-2",
+         "--out", "{tmp}/r.json"],
+        # d/(sigma^2 n) so large that a tilt weight exp(d s/(2 sigma^2 n)) overflows
+        ["smoothed", "--instance", "{tmp}/big.txt", "--r-trials", "3",
+         "--out", "{tmp}/s.json"],
     ])
     def test_message_not_traceback(self, id4, tmp_path, capsys, argv):
         (tmp_path / "latin1.txt").write_bytes(b"2 2\n1 0\n0 1\n# caf\xe9\n")
         (tmp_path / "latin1.json").write_bytes(b'{"runs": 1, "caf\xe9": 2}\n')
+        save_instance(generate_instance("random_unit_sphere", 2000, 4, 1),
+                      tmp_path / "big.txt")
         argv = [a.format(id4=id4, tmp=tmp_path) for a in argv]
         assert main(argv) == 1
         captured = capsys.readouterr()

@@ -13,7 +13,7 @@ from gswalk.enumeration import (brute_force_min_discrepancy,
 from gswalk.exceptions import DimensionError, DomainOverflowError
 from gswalk.instances import Instance, generate_instance
 from gswalk.ortho import decompose, variance_proxy
-from gswalk.smoothed import base_law
+from gswalk.smoothed import base_law, build_augmented, tilt_distribution
 from gswalk.walk import WalkState, expand_node
 from conftest import make_columns
 
@@ -406,14 +406,18 @@ class TestBruteForce:
 class TestColumnarLaw:
     """The direction table and the column readers against per-leaf references."""
 
-    @given(st.sampled_from(FAMILIES), st.integers(0, 2**32 - 1))
+    @given(st.sampled_from(FAMILIES), st.integers(0, 2**32 - 1),
+           st.sampled_from([enumeration.PRUNE_TOL, 0.01]))
     @settings(max_examples=80, deadline=None)
-    def test_table_equals_uncached_descent(self, family, seed):
+    def test_table_equals_uncached_descent(self, family, seed, prune_tol):
         inst = family_instance(family, seed)
-        dist = enumerate_walk(inst)
-        leaves, pruned, _ = uncached_enumeration(inst)
+        with pytest.MonkeyPatch.context() as patch:
+            # 0.01 prunes real branches, whose masses are summed in tree order
+            patch.setattr(enumeration, "PRUNE_TOL", prune_tol)
+            dist = enumerate_walk(inst)
+            leaves, pruned, _ = uncached_enumeration(inst)
         assert len(dist.leaves) == len(leaves)
-        assert dist.pruned_mass == pruned
+        assert dist.pruned_mass.hex() == pruned.hex()
         assert abs(sum(dist.probabilities.tolist()) + dist.pruned_mass - 1.0) <= 1e-12
         for lf, (prob, signs, steps) in zip(dist.leaves, leaves):
             assert lf.probability == prob
@@ -475,6 +479,53 @@ class TestColumnarLaw:
         monkeypatch.setattr(walk, "min_norm_direction", counting)
         enumerate_walk(inst)
         assert len(calls) == len(set(calls)) == len(set(actives)) < len(actives)
+
+    def test_records_built_on_read(self, monkeypatch):
+        # the law holds its steps as columns; a record exists once its path is read
+        inst = generate_instance("random_unit_sphere", 3, 8, 2)
+        built = []
+        record = walk.StepRecord
+
+        def counting(*args, **kwargs):
+            built.append(args or kwargs)
+            return record(*args, **kwargs)
+
+        monkeypatch.setattr(walk, "StepRecord", counting)
+        monkeypatch.setattr(enumeration, "StepRecord", counting)
+        dist = enumerate_walk(inst)
+        law = enumerate_walk(build_augmented(inst))
+        base_law(law)
+        tilt_distribution(law, inst, 1.0, 2.0)
+        v = np.array([0.6, -0.8, 0.0])
+        verify_martingale(dist, inst, v)
+        conditional_increment_check(dist)
+        assert built == []
+        verify_subgaussian(dist, inst, v, 0.7)
+        read = len(built)
+        assert read == sum(len(dist.trace(i).steps) for i in dist.first_leaf) > 0
+        assert len(dist.first_leaf) < len(dist.probabilities)
+
+    def test_depth_cap_instance(self):
+        # n = DEPTH_CAP, the widest tree enumerated: 2^16 leaves
+        inst = generate_instance("random_unit_sphere", 2, enumeration.DEPTH_CAP, 0)
+        dist = enumerate_walk(inst)
+        m = len(dist.probabilities)
+        assert m == 2 ** inst.n and dist.pruned_mass == 0.0
+        assert abs(sum(dist.probabilities.tolist()) + dist.pruned_mass - 1.0) <= 1e-12
+        # preorder runs of leaves: the root's run is all of them, and a run
+        # is nested in every open run it starts in, never straddling one
+        assert len(dist.nodes) == m - 1 and dist.nodes[0][:2] == (0, m)
+        open_runs, start = [(0, m)], 0
+        for lo, hi, pivot, z in dist.nodes[1:]:
+            assert start <= lo < hi <= m and 0 <= pivot < inst.n and abs(z) < 1.0
+            start = lo
+            while hi > open_runs[-1][1]:
+                assert open_runs.pop()[1] <= lo
+            open_runs.append((lo, hi))
+        for v in (np.array([1.0, 0.0]), np.array([0.6, -0.8])):
+            assert verify_martingale(dist, inst, v) <= 1e-10
+            assert verify_subgaussian(dist, inst, v, 1.0) <= 1.0 + 1e-10
+        assert conditional_increment_check(dist) <= 1e-10
 
     def test_walks_keep_no_table(self, monkeypatch):
         # sampled walks solve every step afresh: one solve per step taken

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from gswalk.exceptions import ContractViolationError
 from gswalk.instances import Instance, generate_instance
 from gswalk.walk import (RANK_RCOND, WalkState, apply_step, expand_node,
-                         feasible_interval, min_norm_direction, run_walk, walk_step)
+                         feasible_interval, min_norm_direction, move, run_walk,
+                         walk_step)
 from conftest import make_columns
 
 EPS = np.finfo(float).eps
@@ -217,6 +218,44 @@ class TestFeasibleInterval:
         assert np.all(np.abs(x - dm * u) <= 1 + 1e-12)
         assert (np.abs(x + (dp * 1.01) * u).max() > 1
                 and np.abs(x - (dm * 1.01) * u).max() > 1)
+
+
+class TestRows:
+    """Rows sharing a direction step with the bits of one call per row."""
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=50, deadline=None)
+    def test_rows_equal_vectors(self, seed):
+        rng = np.random.default_rng(seed)
+        n, g = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        active = np.flatnonzero(rng.random(n) < 0.8)
+        if not active.size:
+            active = np.array([n - 1])
+        x = rng.choice([-1.0, 1.0], (g, n))
+        x[:, active] = rng.uniform(-0.99, 0.99, (g, active.size))
+        u = np.zeros(n)
+        u[active] = rng.standard_normal(active.size)
+        u[active[-1]] = 1.0
+        dm, dp = feasible_interval(x, u)
+        chosen = np.where(rng.random(g) < 0.5, dp, -dm)
+        moved, froze = move(x, u, chosen[:, None], active)
+        for i in range(g):
+            assert (dm[i], dp[i]) == feasible_interval(x[i], u)
+            want_x, want_froze = move(x[i], u, chosen[i], active)
+            assert moved[i].tobytes() == want_x.tobytes()
+            assert froze[i].tolist() == want_froze.tolist()
+            assert want_froze.any()
+
+    def test_row_checks(self):
+        x = np.array([[0.5, 0.0], [0.0, -0.25]])
+        u = np.array([1.0, 1.0])
+        dm, dp = feasible_interval(x, u)
+        assert dm.tolist() == [1.0, 0.75] and dp.tolist() == [0.5, 1.0]
+        with pytest.raises(ContractViolationError, match="frozen coordinate"):
+            feasible_interval(np.array([[0.5, 0.0], [1.0, 0.0]]), u)
+        # the second row moves to the middle of its interval and freezes nothing
+        with pytest.raises(ContractViolationError, match="froze no coordinate"):
+            move(x, u, np.array([[dp[0]], [0.5 * dp[1]]]), np.arange(2))
 
 
 class TestWalkStep:
