@@ -201,7 +201,8 @@ def enumerate_walk(inst: Instance) -> LeafDistribution:
                 leaf_cols.append((code[rows], prob[rows], x[rows], chain[rows],
                                   np.full(size, depth), rows))
                 continue
-            active = np.flatnonzero(active_bits >> np.arange(n) & 1)
+            mask = (active_bits >> np.arange(n) & 1).astype(bool)
+            active = np.flatnonzero(mask)
             pivot = int(active[-1])
             k = table.get(active_bits)
             if k is None:
@@ -224,8 +225,8 @@ def enumerate_walk(inst: Instance) -> LeafDistribution:
             take = np.flatnonzero(~cut)
             src, plus = take % size, take < size
             xc, froze = walk.move(xg[src], u, np.where(plus, dp[src], -dm[src])[:, None],
-                                  active)
-            frozen = froze @ weights[active]
+                                  mask)
+            frozen = froze @ weights
             child_bits = active_bits - frozen
             children.append((xc, child_bits, mass[take], child_code[take],
                              chain[rows[src]] << n | child_bits,

@@ -4,34 +4,35 @@ Each run draws its generator from (master_seed, run_index), so results are
 identical regardless of execution order or worker count.  The per-run CSV is
 the canonical record; the JSON report aggregates it.
 
-Runs of one call share a prefix tree of the walk: a run re-enters the nodes
-and leaf statistics that earlier runs with the same choice prefix built,
-drawing the same random numbers as a plain ``run_walk``, so every value is
-unchanged.
+Runs advance together as rows, a chunk at a time, with the arithmetic of a
+plain ``run_walk``, so every value is unchanged.  At each depth the rows are
+grouped by active set and each distinct set's direction is solved once.  A
+run keeps only the step at which each coordinate froze; runs with one freeze
+sequence share a decomposition and its proxies, and runs with one outcome
+share a discrepancy.
 """
 from __future__ import annotations
 
 import io
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import walk
 from .enumeration import brute_force_min_discrepancy
-from .exceptions import ParameterError, ReportFormatError
-from .inequalities import BoundInputs, theorem1_bound
+from .exceptions import ContractViolationError, ParameterError, ReportFormatError
+from .inequalities import PROXY_SLACK, BoundInputs, theorem1_bound
 from .instances import Instance, json_text, stream_rng, write_text
-from .ortho import basis_variance_proxies, decompose
-from .walk import Node, WalkState, WalkTrace, expand_node
+from .ortho import basis_variance_proxies, decompose_steps
 
 # The report's empirical tail: coordinate and thresholds c.
 TAIL_COORD = 0
 TAIL_GRID = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
-# Floats (and indices) the prefix tree of one run_experiment call may keep
-# per process; runs past it expand nodes without keeping them.  Without a
-# cap the tree grows by ~3n floats per step at large n.
-CACHE_BUDGET_FLOATS = 1 << 17
+# A chunk holds max(1, CHUNK_FLOATS // (n d)) runs, so that its gather of
+# other active columns, (rows, k - 1, d) floats, stays under 1 MiB.
+CHUNK_FLOATS = 1 << 17
 CSV_HEADER = "run_index,discrepancy,hatT,maxZ,final_X"
 
 
@@ -63,63 +64,82 @@ class ExperimentReport:
     tail: list[dict]
 
 
-def _trace_stats(inst: Instance, run_index: int, trace: WalkTrace) -> RunStats:
-    ortho = decompose(inst, trace)
-    proxies = basis_variance_proxies(inst, ortho)
-    disc = float(np.abs(inst.matrix @ trace.final_x).max())
-    return RunStats(run_index=run_index, discrepancy=disc,
-                    block_count=ortho.total_nontrivial,
-                    max_proxy=float(proxies.max()), proxies=proxies,
-                    signs=trace.final_x.copy())
+def _walk_rows(inst: Instance, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walk each row to completion, step t of row i taking ``draws[i, t - 1]``.
 
-
-class _PrefixTree:
-    """Walk nodes and leaf statistics of one call, keyed by choice prefix.
-
-    Stops growing once ``CACHE_BUDGET_FLOATS`` is spent; a run that needs a
-    node past that point goes on over nodes the tree does not keep.
+    Returns the final colorings (g, n) and, per coordinate, the step that
+    froze it (g, n).  At each depth the rows still walking are grouped by
+    active set; the distinct sets of one size solve their directions as one
+    stack, and every row then steps in one pass along its set's direction.
     """
+    g, n = draws.shape
+    x = np.zeros((g, n))
+    active = np.ones((g, n), dtype=bool)
+    when = np.zeros((g, n), dtype=np.int32)
+    live = np.arange(g)
+    t = 0
+    while live.size:
+        act = active[live]
+        packed = np.packbits(act, axis=1)
+        width = packed.shape[1]
+        raw = packed.tobytes()
+        keys = [raw[i:i + width] for i in range(0, len(raw), width)]
+        number: dict[bytes, int] = {}
+        group = np.array([number.setdefault(key, len(number)) for key in keys])
+        sets = act[np.unique(group, return_index=True)[1]]      # in id order
+        sizes = sets.sum(axis=1)
+        u = np.empty((len(sets), n))
+        for k in set(sizes.tolist()):
+            same = np.flatnonzero(sizes == k)
+            # sorted indices, so each set's pivot, its largest index, is last
+            u[same] = walk.min_norm_directions(inst, sets[same].nonzero()[1].reshape(-1, k))
+        moved, froze, *_ = walk.step_rows(x[live], u[group], draws[live, t], act)
+        t += 1
+        x[live] = moved
+        active[live] = act ^ froze      # froze lies within act
+        when[live] += t * froze
+        live = live[active[live].any(axis=1)]
+    return x, when
 
-    def __init__(self, inst: Instance):
-        self.inst = inst
-        self.root = expand_node(inst, WalkState.initial(inst.n))
-        self.leaf_stats: dict[Node, RunStats] = {}
-        self.spent = _floats(self.root)
 
-    def run(self, master_seed: int, run_index: int) -> RunStats:
-        rng = stream_rng(master_seed, run_index)
-        node, steps = self.root, []
-        while node.u is not None:
-            take_plus = rng.random() < node.p_plus
-            nxt = node.children[take_plus]
-            if nxt is None:
-                if self.spent < CACHE_BUDGET_FLOATS:
-                    nxt = node.child(self.inst, take_plus)
-                    self.spent += _floats(nxt)
-                else:
-                    nxt = expand_node(self.inst, *node.step(take_plus))
-            node = nxt
-            steps.append(node.record)
-        stats = self.leaf_stats.get(node)
-        if stats is None:
-            stats = _trace_stats(self.inst, run_index, WalkTrace(steps, node.state.x))
-            if self.spent < CACHE_BUDGET_FLOATS:
-                self.leaf_stats[node] = stats
-                self.spent += stats.proxies.size + stats.signs.size
-        return replace(stats, run_index=run_index, proxies=stats.proxies.copy(),
-                       signs=stats.signs.copy())
-
-
-def _floats(node: Node) -> int:
-    """Array entries a cached node holds; its record shares the parent's u."""
-    state = node.state
-    return state.x.size + state.active.size + (0 if node.u is None else node.u.size)
+def _freeze_steps(when: np.ndarray) -> list[tuple[int, int, list[int]]]:
+    """The (step, pivot, frozen coordinates in decreasing order) of a walk
+    whose coordinate i froze at step ``when[i]``; the pivot of step t is the
+    largest coordinate still active, the largest one frozen at t or later."""
+    order = np.lexsort((-np.arange(when.size), when)).tolist()
+    ends = np.cumsum(np.bincount(when)[1:]).tolist()
+    steps = []
+    pivot = -1
+    for t in range(len(ends), 0, -1):
+        frozen = order[ends[t - 2] if t > 1 else 0:ends[t - 1]]
+        pivot = max(pivot, frozen[0])
+        steps.append((t, pivot, frozen))
+    return steps[::-1]
 
 
 def _run_range(args):
     inst, master_seed, start, stop = args
-    tree = _PrefixTree(inst)
-    return [tree.run(master_seed, r) for r in range(start, stop)]
+    chunk = max(1, CHUNK_FLOATS // (inst.n * inst.d))
+    sequences: dict[bytes, tuple[int, np.ndarray]] = {}     # per freeze sequence
+    discrepancies: dict[bytes, float] = {}                  # per sign vector
+    out = []
+    for lo in range(start, stop, chunk):
+        runs = range(lo, min(lo + chunk, stop))
+        signs, when = _walk_rows(inst, np.array([stream_rng(master_seed, r).random(inst.n)
+                                                for r in runs]))
+        for r, x, w in zip(runs, signs, when):
+            key = w.tobytes()
+            if key not in sequences:
+                dec = decompose_steps(inst, _freeze_steps(w))
+                sequences[key] = dec.total_nontrivial, basis_variance_proxies(inst, dec)
+            blocks, proxies = sequences[key]
+            key = x.tobytes()
+            if key not in discrepancies:
+                discrepancies[key] = float(np.abs(inst.matrix @ x).max())
+            out.append(RunStats(run_index=r, discrepancy=discrepancies[key],
+                                block_count=blocks, max_proxy=float(proxies.max()),
+                                proxies=proxies.copy(), signs=x.copy()))
+    return out
 
 
 def run_experiment(inst: Instance, runs: int, master_seed: int,
@@ -145,10 +165,21 @@ def run_experiment(inst: Instance, runs: int, master_seed: int,
 
 def estimate_bound(stats: list[RunStats]) -> tuple[float, bool]:
     """Plug sample means into the existence bound; existence holds when the
-    minimum observed discrepancy does not exceed it."""
+    minimum observed discrepancy does not exceed it.
+
+    Each run's proxies satisfy Z_{e_i} <= ||e_i||^2 = 1, so a mean max proxy
+    above 1 is roundoff while within ``PROXY_SLACK`` and is taken as 1;
+    beyond the slack the runs violate the bound and a
+    ``ContractViolationError`` is raised.  A mean block count below 1 is
+    taken as 1, which is exact: with ln E T <= 0 the max(1, .) in the bound
+    is 1 either way.
+    """
     if not stats:
         raise ValueError("no run statistics")
     mean_max = float(np.mean([s.max_proxy for s in stats]))
+    if mean_max > 1.0 + PROXY_SLACK:
+        raise ContractViolationError(
+            f"mean max variance proxy {mean_max!r} exceeds ||e_i||^2 = 1")
     mean_blocks = float(np.mean([s.block_count for s in stats]))
     bound = theorem1_bound(BoundInputs(mean_max_proxy=min(mean_max, 1.0),
                                        mean_block_count=max(mean_blocks, 1.0)))

@@ -16,6 +16,7 @@ from .exceptions import DomainOverflowError, ParameterError
 EXP_GUARD = 50.0
 MIN_AXIS_POINTS = 5             # a coarser grid axis certifies nothing
 MAX_GRID_CELLS = 1 << 23        # largest array a grid may allocate (64 MiB of floats)
+PROXY_SLACK = 1e-9              # roundoff allowed on a proxy estimate in [0, 1]
 # Domains of the grid certifications.
 X_LIM, AB_LIM = 0.99, 3.0       # lemma 1: |x| <= X_LIM, |a|, |b| <= AB_LIM
 Z_LIM, B_LIM = 1.0, 3.0         # Hoeffding step: |z| <= Z_LIM, |b| <= B_LIM
@@ -103,7 +104,7 @@ class BoundInputs:
     mean_block_count: float     # estimate of the expected nontrivial step count
 
     def __post_init__(self):
-        if not -1e-9 <= self.mean_max_proxy <= 1.0 + 1e-9:
+        if not -PROXY_SLACK <= self.mean_max_proxy <= 1.0 + PROXY_SLACK:
             raise ValueError(f"mean_max_proxy out of [0,1]: {self.mean_max_proxy}")
         if self.mean_block_count < 1.0:
             raise ValueError(f"mean_block_count must be >= 1: {self.mean_block_count}")

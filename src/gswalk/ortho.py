@@ -67,7 +67,14 @@ def _nonzero_rows(directions: np.ndarray) -> list[bool]:
 
 
 def decompose(inst: Instance, trace: WalkTrace) -> OrthoDecomposition:
-    """Full decomposition of a trace, from one pass over its steps.
+    """Full decomposition of a trace: ``decompose_steps`` of its steps."""
+    return decompose_steps(inst, ((rec.t, rec.pivot, rec.frozen) for rec in trace.steps))
+
+
+def decompose_steps(inst: Instance, steps) -> OrthoDecomposition:
+    """Full decomposition from one pass over the steps of a walk, given as
+    (step number, pivot, frozen coordinates in decreasing order); nothing
+    else of a trace enters it.
 
     Positions are handed out from the top down.  Each pivot takes the next
     free position when its phase starts, keyed as its own singleton block
@@ -78,19 +85,19 @@ def decompose(inst: Instance, trace: WalkTrace) -> OrthoDecomposition:
     all carry a zero residual direction add no orthogonal vector and are not
     counted as nontrivial.
     """
-    n = len(trace.final_x)
+    n = inst.n
     placed: list[int] = []          # columns in decreasing position order
     blocks: dict[tuple[int, int], tuple[int, ...]] = {}
     phases: list[tuple[int, int]] = []
-    for rec in trace.steps:
-        if not phases or phases[-1][0] != rec.pivot:
-            phases.append((rec.pivot, rec.t))
-            blocks[(rec.pivot, rec.t - 1)] = (n - 1 - len(placed),)
-            placed.append(rec.pivot)
-        others = [j for j in rec.frozen if j != rec.pivot]   # already decreasing
+    for t, pivot, frozen in steps:
+        if not phases or phases[-1][0] != pivot:
+            phases.append((pivot, t))
+            blocks[(pivot, t - 1)] = (n - 1 - len(placed),)
+            placed.append(pivot)
+        others = [j for j in frozen if j != pivot]   # already decreasing
         if others:
             top = n - 1 - len(placed)
-            blocks[(rec.pivot, rec.t)] = tuple(range(top, top - len(others), -1))
+            blocks[(pivot, t)] = tuple(range(top, top - len(others), -1))
             placed += others
     if sorted(placed) != list(range(n)):
         raise ContractViolationError("frozen sets of the trace do not partition [n]")

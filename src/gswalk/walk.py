@@ -6,11 +6,12 @@ direction of minimum residual norm, and steps to one endpoint of the feasible
 interval with the mean-zero choice of probabilities.  Coordinates reaching
 +-1 are snapped exactly and frozen.
 
-The walk is a binary decision tree whose nodes are choice prefixes.
-``expand_node`` resolves one node; sampling (``walk_step``) and the Monte
-Carlo prefix cache step through it.  ``feasible_interval`` and ``move`` also
-take rows of colorings that share a direction, so exact enumeration steps
-every node of one active set at once with the same arithmetic.
+The step works on rows of colorings.  ``min_norm_directions`` solves the
+directions of several active sets of one size at once; ``feasible_interval``,
+``move`` and ``step_rows`` take rows with one direction each or one shared
+by all, with the bits of one call per row.  Monte Carlo sampling advances its
+runs as rows, exact enumeration the nodes of one depth, and ``run_walk`` is
+the one-row case.
 """
 from __future__ import annotations
 
@@ -67,56 +68,87 @@ class WalkTrace:
 
 
 def min_norm_direction(inst: Instance, active, pivot: int) -> np.ndarray:
-    """Direction with u[pivot] = 1 and support in ``active`` minimizing ||M u||_2.
-
-    Coefficients on the non-pivot active columns solve a least-squares problem;
-    under rank deficiency the minimum-norm solution is taken (SVD cutoff
-    ``RANK_RCOND`` relative to the top singular value), which makes the result
-    a pure function of the inputs.  When there are more other active columns
-    than rows and they are well conditioned (``_gram_solve``), the same
-    minimum-norm solution comes from the d x d Gram matrix instead of an SVD.
-    """
+    """Direction with u[pivot] = 1 and support in ``active`` minimizing ||M u||_2:
+    the one-set case of ``min_norm_directions``."""
     active = np.asarray(active)
-    u = np.zeros(inst.n)
-    u[pivot] = 1.0
-    others = active[active != pivot]
-    if others.size:
-        a = inst.matrix[:, others]
-        target = -inst.matrix[:, pivot]
-        coef = _gram_solve(a, target) if others.size > inst.d else None
-        if coef is None:
-            coef, *_ = np.linalg.lstsq(a, target, rcond=RANK_RCOND)
-        u[others] = coef
+    return min_norm_directions(inst, np.concatenate((active[active != pivot], [pivot]))[None])[0]
+
+
+def min_norm_directions(inst: Instance, sets: np.ndarray) -> np.ndarray:
+    """Directions (g, n) of g active sets of one size, given as rows (g, k) of
+    indices with the pivot last.
+
+    Row i has u[pivot] = 1, support in ``sets[i]`` and minimizes ||M u||_2.
+    The coefficients on the other columns solve a least-squares problem;
+    under rank deficiency the minimum-norm solution is taken (SVD cutoff
+    ``RANK_RCOND`` relative to the top singular value), which makes each row
+    a pure function of its set.  When there are more other columns than rows
+    and they are well conditioned (``_gram_solve``), the same minimum-norm
+    solution comes from the d x d Gram matrix instead of an SVD; the sets of
+    one call share those products and eigendecompositions as stacks.
+    """
+    g, k = sets.shape
+    coef = np.empty((g, k))
+    coef[:, -1] = 1.0                   # the pivot's coefficient
+    if k > 1:
+        # cols[i] is M[:, sets[i]].T; the view at[i].T of its other columns
+        # has the layout of the gather M[:, others], so every product below
+        # makes the calls, and gets the bits, of a solve for one set
+        cols = inst.matrix.T[sets]
+        at, target = cols[:, :-1], -cols[:, -1]
+        left = _gram_solve(at, target, coef[:, :-1]) if k - 1 > inst.d else range(g)
+        for i in left:
+            coef[i, :-1] = np.linalg.lstsq(at[i].T, target[i], rcond=RANK_RCOND)[0]
+    u = np.zeros((g, inst.n))
+    # one index array into the flat rows is the cheapest scatter
+    u.reshape(-1)[sets + np.arange(0, u.size, inst.n)[:, None]] = coef
     return u
 
 
-def _gram_solve(a: np.ndarray, target: np.ndarray) -> np.ndarray | None:
-    """Minimum-norm solution a^T G^-1 target of a c = target, G = a a^T.
+def _gram_solve(at: np.ndarray, target: np.ndarray, out: np.ndarray) -> list[int]:
+    """Minimum-norm solutions a^T G^-1 target of a c = target, G = a a^T, for
+    the stack a = at[i].T, written into ``out``; returns the sets left to
+    ``lstsq``, whose rows of ``out`` are to be overwritten.
 
-    Returns None, leaving the solve to ``lstsq``, unless the eigenvalues of G
-    satisfy lambda_min > GRAM_GUARD lambda_max.  The singular values of ``a``
+    A set is left to ``lstsq`` unless the eigenvalues of its G satisfy
+    lambda_min > GRAM_GUARD lambda_max.  The singular values of its ``a``
     then lie within a factor 1e-3 of the largest, far above ``RANK_RCOND``,
     so ``lstsq`` would truncate nothing and the two agree to roundoff.
     """
-    lam, vecs = np.linalg.eigh(a @ a.T)
-    if not lam[0] > GRAM_GUARD * lam[-1]:
-        return None
-    return a.T @ (vecs @ ((vecs.T @ target) / lam))
+    lam, vecs = np.linalg.eigh(at.transpose(0, 2, 1) @ at)
+    ok = lam[:, 0] > GRAM_GUARD * lam[:, -1]
+    left = [i for i, good in enumerate(ok.tolist()) if not good]
+    if left:
+        # each set's products are its own, so a left set's eigenvalues, taken
+        # as 1 to keep its discarded row finite, change no other row
+        lam = np.where(ok[:, None], lam, 1.0)
+    out[...] = (at @ (vecs @ ((vecs.transpose(0, 2, 1) @ target[:, :, None])
+                              / lam[:, :, None])))[:, :, 0]
+    return left
 
 
 def feasible_interval(x: np.ndarray, u: np.ndarray) -> tuple:
     """Largest move sizes along -u and +u keeping x + delta*u inside [-1,1]^n.
 
     Returns ``(delta_minus, delta_plus)``, both strictly positive: two floats
-    for a coloring x (n,), two (g,) arrays for rows x (g, n) sharing u.
+    for a coloring x (n,), two (g,) arrays for rows x (g, n).  Rows move along
+    one direction u (n,) or one row of u (g, n) each.  Only the coordinates
+    where u is nonzero bound the move; each end is an exact min or max over
+    them, so every row gets the bits of a call of its own.
     """
-    support = u.nonzero()[0]
-    xs = x.T[support].T                 # the last axis, of a vector or of rows
-    if (np.abs(xs) >= 1.0).any():
+    if u.ndim == 1:
+        support = u.nonzero()[0]
+        xs, us = x.T[support].T, u[support]    # the last axis, of a vector or of rows
+        touched = np.abs(xs) >= 1.0
+        lo_ends, hi_ends = (-1.0 - xs) / us, (1.0 - xs) / us
+    else:
+        # off a row's support the ends are -inf and +inf: they bound nothing
+        on = u != 0.0
+        touched = (np.abs(x) >= 1.0) & on
+        lo_ends = np.divide(-1.0 - x, u, out=np.full(u.shape, -np.inf), where=on)
+        hi_ends = np.divide(1.0 - x, u, out=np.full(u.shape, np.inf), where=on)
+    if touched.any():
         raise ContractViolationError("direction touches a frozen coordinate")
-    us = u[support]
-    lo_ends = (-1.0 - xs) / us
-    hi_ends = (1.0 - xs) / us
     lows = np.minimum(lo_ends, hi_ends)
     highs = np.maximum(lo_ends, hi_ends)
     lo, hi = lows.max(), highs.min()    # over every row
@@ -131,97 +163,68 @@ def move(x: np.ndarray, u: np.ndarray, chosen_delta,
          active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x + chosen_delta*u with the coordinates within ``FREEZE_TOL`` of +-1
     snapped onto the boundary, and the mask of the ``active`` coordinates
-    that froze.  Rows x (g, n) sharing u and ``active`` move by a column
-    chosen_delta (g, 1).  Every step must freeze a coordinate.
+    that froze.  ``active`` is a boolean mask of x's shape, or of one row
+    shared by all.  Rows x (g, n) move by a column chosen_delta (g, 1) along
+    one u (n,) or one row of u (g, n) each.  Every row must freeze a
+    coordinate.
     """
     moved = chosen_delta * u
     moved += x
     hit = np.abs(moved) >= 1.0 - FREEZE_TOL
     np.sign(moved, out=moved, where=hit)
-    froze = hit.T[active].T
+    froze = hit & active
     # one count for a vector; rows need one test each
     if not (np.count_nonzero(froze) if froze.ndim == 1 else froze.any(axis=1).all()):
         raise ContractViolationError("step froze no coordinate")
     return moved, froze
 
 
+def step_rows(x: np.ndarray, u: np.ndarray, draws, active: np.ndarray) -> tuple:
+    """One randomized step of each row x (g, n) along u (n,) or (g, n), or
+    of one coloring x (n,) with one draw.
+
+    A row moves to +delta_plus when its draw is below p_plus = dm/(dm+dp),
+    else to -delta_minus, so the move has mean zero.  Returns the moved rows,
+    the mask of the ``active`` coordinates that froze, dm, dp, p_plus and
+    whether each row took the + endpoint.
+    """
+    dm, dp = feasible_interval(x, u)
+    p_plus = dm / (dm + dp)
+    plus = draws < p_plus
+    moved, froze = move(x, u, np.where(plus, dp, -dm)[..., None], active)
+    return moved, froze, dm, dp, p_plus, plus
+
+
 def apply_step(state: WalkState, u: np.ndarray, chosen_delta: float,
                delta_minus: float, delta_plus: float,
                choice_probability: float) -> tuple[WalkState, StepRecord]:
-    """Move the state along u, snap and freeze boundary coordinates."""
-    x, froze = move(state.x, u, chosen_delta, state.active)
-    frozen = state.active[froze].tolist()[::-1]     # active is sorted
-    active = state.active[~froze]
+    """Move the state along u by a given delta, snap and freeze boundary coordinates."""
+    mask = np.zeros(state.x.size, dtype=bool)
+    mask[state.active] = True
+    x, froze = move(state.x, u, chosen_delta, mask)
+    frozen = np.flatnonzero(froze)[::-1].tolist()
+    active = state.active[~froze[state.active]]
     pivot = int(active[-1]) if active.size else None
     rec = StepRecord(state.t, state.pivot, u, delta_plus, delta_minus, chosen_delta,
                      choice_probability, frozen)
-    new_state = WalkState(state.t + 1, x, active, pivot)
-    return new_state, rec
-
-
-@dataclass(eq=False)
-class Node:
-    """One choice prefix of the walk's decision tree.
-
-    ``state`` is the state the prefix reaches and ``record`` the step that
-    led there (None at the root).  While coordinates remain active the node
-    also holds its resolved step: direction ``u``, endpoint magnitudes and
-    ``p_plus``, the probability of the + endpoint.  ``children[True]`` and
-    ``children[False]`` are the + and - successors, built on first request
-    by ``child``.  Nodes compare by identity.
-    """
-    state: WalkState
-    record: StepRecord | None = None
-    u: np.ndarray | None = field(default=None, repr=False)
-    delta_minus: float = 0.0
-    delta_plus: float = 0.0
-    p_plus: float = 0.0
-    children: list = field(default_factory=lambda: [None, None], repr=False)
-
-    def step(self, take_plus: bool) -> tuple[WalkState, StepRecord]:
-        """Move to the chosen endpoint; the successor state and its record."""
-        dm, dp = self.delta_minus, self.delta_plus
-        if take_plus:
-            chosen, prob = dp, self.p_plus
-        else:
-            # The record keeps dp/(dm+dp), which ``run --dump-trace`` prints;
-            # it can differ from 1 - p_plus in the last bit.
-            chosen, prob = -dm, dp / (dm + dp)
-        return apply_step(self.state, self.u, chosen, dm, dp, prob)
-
-    def child(self, inst: Instance, take_plus: bool) -> "Node":
-        """The successor node, expanded on first request and kept."""
-        node = self.children[take_plus]
-        if node is None:
-            node = self.children[take_plus] = expand_node(inst, *self.step(take_plus))
-        return node
-
-
-def expand_node(inst: Instance, state: WalkState,
-                record: StepRecord | None = None) -> Node:
-    """The node at ``state``, with its step resolved while coordinates remain."""
-    node = Node(state, record)
-    if state.active.size:
-        u = min_norm_direction(inst, state.active, state.pivot)
-        dm, dp = feasible_interval(state.x, u)
-        node.u, node.delta_minus, node.delta_plus = u, dm, dp
-        node.p_plus = dm / (dm + dp)
-    return node
-
-
-def walk_step(inst: Instance, state: WalkState, rng: np.random.Generator):
-    """One randomized step: move to delta_plus with prob dm/(dm+dp), else -delta_minus."""
-    if state.active.size == 0:
-        raise ContractViolationError("walk_step called with empty active set")
-    node = expand_node(inst, state)
-    return node.step(rng.random() < node.p_plus)
+    return WalkState(state.t + 1, x, active, pivot), rec
 
 
 def run_walk(inst: Instance, rng: np.random.Generator) -> WalkTrace:
-    """Run the walk to completion; terminates in at most n steps."""
-    state = WalkState.initial(inst.n)
+    """Run the walk to completion, drawing one ``rng.random()`` per step;
+    terminates in at most n steps."""
+    x = np.zeros(inst.n)
+    active = np.ones(inst.n, dtype=bool)
+    live = np.arange(inst.n)
     steps: list[StepRecord] = []
-    while state.active.size:
-        state, rec = walk_step(inst, state, rng)
-        steps.append(rec)
-    return WalkTrace(steps=steps, final_x=state.x)
+    while live.size:
+        u = min_norm_directions(inst, live[None])[0]
+        x, froze, dm, dp, p_plus, plus = step_rows(x, u, rng.random(), active)
+        active ^= froze                 # froze lies within active
+        # The - branch records dp/(dm+dp), which ``run --dump-trace`` prints;
+        # it can differ from 1 - p_plus in the last bit.
+        chosen, prob = (dp, p_plus) if plus else (-dm, dp / (dm + dp))
+        steps.append(StepRecord(len(steps) + 1, int(live[-1]), u, dp, dm, chosen, prob,
+                                froze.nonzero()[0][::-1].tolist()))
+        live = active.nonzero()[0]
+    return WalkTrace(steps=steps, final_x=x)

@@ -281,11 +281,15 @@ def test_criterion_9_oracle_equivalence():
         key = lf.signs.astype(np.int8).tobytes()
         exact[key] = exact.get(key, 0.0) + lf.probability
     runs = 100_000
-    counts: dict[bytes, int] = {}
-    for r in range(runs):
+    # the production sampler draws run r from the stream run_walk gets below
+    stats = run_experiment(inst, runs, 99)
+    for s in stats[:2000]:
         gen = np.random.default_rng(np.random.SeedSequence(entropy=99,
-                                                           spawn_key=(r,)))
-        key = run_walk(inst, gen).final_x.astype(np.int8).tobytes()
+                                                           spawn_key=(s.run_index,)))
+        assert s.signs.tobytes() == run_walk(inst, gen).final_x.tobytes()
+    counts: dict[bytes, int] = {}
+    for s in stats:
+        key = s.signs.astype(np.int8).tobytes()
         counts[key] = counts.get(key, 0) + 1
     assert set(counts) <= set(exact)
     for key, p in exact.items():

@@ -14,7 +14,7 @@ from gswalk.exceptions import DimensionError, DomainOverflowError
 from gswalk.instances import Instance, generate_instance
 from gswalk.ortho import decompose, variance_proxy
 from gswalk.smoothed import base_law, build_augmented, tilt_distribution
-from gswalk.walk import WalkState, expand_node
+from gswalk.walk import WalkState
 from conftest import make_columns
 
 SHARING_CASES = [("random_unit_sphere", 3, 7, 4), ("sign_columns", 3, 8, 2),
@@ -48,25 +48,30 @@ def family_instance(family: str, seed: int) -> Instance:
 
 
 def uncached_enumeration(inst):
-    """Reference descent: every node solves its own direction.  Returns the
-    leaves as (probability, signs, steps), the pruned mass and the active
-    set of every expanded internal node."""
+    """Reference descent: every node solves its own direction and steps by
+    ``walk.apply_step``.  Returns the leaves as (probability, signs, steps),
+    the pruned mass and the active set of every expanded internal node."""
     leaves, actives, pruned = [], [], [0.0]
 
-    def descend(node, steps, prob):
-        if node.u is None:
-            leaves.append((prob, node.state.x, steps))
+    def descend(state, steps, prob):
+        if not state.active.size:
+            leaves.append((prob, state.x, steps))
             return
-        actives.append(node.state.active.tobytes())
+        actives.append(state.active.tobytes())
+        u = walk.min_norm_direction(inst, state.active, state.pivot)
+        dm, dp = walk.feasible_interval(state.x, u)
+        p_plus = dm / (dm + dp)
         for take_plus in (True, False):
-            p_branch = prob * (node.p_plus if take_plus else 1.0 - node.p_plus)
+            p_branch = prob * (p_plus if take_plus else 1.0 - p_plus)
             if p_branch < enumeration.PRUNE_TOL:
                 pruned[0] += p_branch
                 continue
-            state, rec = node.step(take_plus)
-            descend(expand_node(inst, state), steps + [rec], p_branch)
+            # the - branch records dp/(dm+dp), as the sampled walk does
+            chosen, p = (dp, p_plus) if take_plus else (-dm, dp / (dm + dp))
+            nxt, rec = walk.apply_step(state, u, chosen, dm, dp, p)
+            descend(nxt, steps + [rec], p_branch)
 
-    descend(expand_node(inst, WalkState.initial(inst.n)), [], 1.0)
+    descend(WalkState.initial(inst.n), [], 1.0)
     return leaves, pruned[0], actives
 
 
@@ -531,13 +536,13 @@ class TestColumnarLaw:
         # sampled walks solve every step afresh: one solve per step taken
         inst = generate_instance("random_unit_sphere", 3, 6, 2)
         calls = []
-        solve = walk.min_norm_direction
+        solve = walk.min_norm_directions
 
-        def counting(*args):
-            calls.append(args)
-            return solve(*args)
+        def counting(inst, sets):
+            calls.append(len(sets))
+            return solve(inst, sets)
 
-        monkeypatch.setattr(walk, "min_norm_direction", counting)
+        monkeypatch.setattr(walk, "min_norm_directions", counting)
         steps = sum(walk.run_walk(inst, np.random.default_rng(seed)).total_steps
                     for seed in range(3))
-        assert len(calls) == steps
+        assert calls == [1] * steps

@@ -1,26 +1,29 @@
 import concurrent.futures
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gswalk import harness
-from gswalk.exceptions import ParameterError
+from gswalk.exceptions import ContractViolationError, ParameterError
 from gswalk.harness import (RunStats, build_report, empirical_tail,
                             estimate_bound, parse_csv, report_to_json,
                             run_experiment, stats_to_csv, write_report)
-from gswalk.instances import generate_instance
+from gswalk.instances import Instance, generate_instance
 from gswalk.ortho import basis_variance_proxies, decompose
 from gswalk.walk import run_walk
 from conftest import make_columns
 
 # the instances run_experiment meets in the acceptance suite, plus the
 # degenerate kinds
-PREFIX_CACHE_CASES = [("identity", 4, 4, 0), ("random_unit_sphere", 8, 8, 4000),
-                      ("random_unit_sphere", 8, 8, 77), ("random_unit_sphere", 3, 5, 33),
-                      ("random_unit_sphere", 2, 4, 17), ("duplicated_column", 3, 6, 0),
-                      ("sign_columns", 4, 8, 1)]
+LOCKSTEP_CASES = [("identity", 4, 4, 0), ("random_unit_sphere", 8, 8, 4000),
+                  ("random_unit_sphere", 8, 8, 77), ("random_unit_sphere", 3, 5, 33),
+                  ("random_unit_sphere", 2, 4, 17), ("duplicated_column", 3, 6, 0),
+                  ("sign_columns", 4, 8, 1)]
 
 
 def reference_csv(inst, runs: int, master_seed: int) -> str:
@@ -37,6 +40,49 @@ def reference_csv(inst, runs: int, master_seed: int) -> str:
             block_count=dec.total_nontrivial, max_proxy=float(proxies.max()),
             proxies=proxies, signs=trace.final_x))
     return stats_to_csv(stats)
+
+
+FAMILIES = ("rank_deficient", "duplicate_opposite", "mixed_scale", "d1",
+            "sign_columns", "wide")
+
+
+def family_instance(family: str, seed: int) -> Instance:
+    """An instance of one degenerate family, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 12))
+    d = 1 if family == "d1" else int(rng.integers(2, 5))
+    if family == "sign_columns":        # several coordinates freeze in one step
+        return generate_instance("sign_columns", d, n, seed)
+    if family == "wide":                # the direction comes from the Gram matrix
+        m = rng.standard_normal((8, 40))
+    elif family == "rank_deficient":
+        m = rng.standard_normal((d, d - 1)) @ rng.standard_normal((d - 1, n))
+    elif family == "duplicate_opposite":
+        base = rng.standard_normal((d, max(1, n // 2)))
+        m = base[:, rng.integers(0, base.shape[1], n)] * rng.choice([-1.0, 1.0], n)
+    else:
+        m = rng.standard_normal((d, n))
+    m = m / np.linalg.norm(m, axis=0)
+    if family == "mixed_scale":
+        m = m * 10.0 ** rng.uniform(-12, 0, m.shape[1])
+    return Instance(m)
+
+
+class InProcessPool:
+    """Stand-in process pool that records its size and maps in this process."""
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
 
 
 class TestRunExperiment:
@@ -77,28 +123,13 @@ class TestRunExperiment:
         assert serial == parallel
 
     def test_pool_capped_at_cpu_count(self, monkeypatch):
-        # a fake pool records its size and maps in this process
-        sizes = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
         # run_experiment imports the pool class when it starts a pool
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(InProcessPool, "sizes", [])
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
         inst = generate_instance("random_unit_sphere", 3, 5, 2)
         capped = stats_to_csv(run_experiment(inst, 2000, 3, workers=500))
-        assert sizes == [3]
+        assert InProcessPool.sizes == [3]
         assert capped == stats_to_csv(run_experiment(inst, 2000, 3, workers=1))
 
     def test_invariants_per_run(self):
@@ -128,22 +159,16 @@ class TestRunExperiment:
 
 
 class TestPrefixCache:
+    """Runs that share a choice prefix share its directions, and runs that
+    share a freeze sequence its statistics; every value must equal the
+    per-run ``run_walk`` reference."""
+
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("kind,d,n,seed", PREFIX_CACHE_CASES)
+    @pytest.mark.parametrize("kind,d,n,seed", LOCKSTEP_CASES)
     def test_matches_uncached_walk(self, kind, d, n, seed, workers):
         inst = generate_instance(kind, d, n, seed)
         cached = stats_to_csv(run_experiment(inst, 300, 5 + seed, workers=workers))
         assert cached == reference_csv(inst, 300, 5 + seed)
-
-    @pytest.mark.parametrize("budget", [0, 40])
-    def test_budget_fallback_matches(self, monkeypatch, budget):
-        # budget 0 walks every run past the root plainly; 40 floats stop the
-        # tree a few nodes deep, so runs leave it at different depths
-        monkeypatch.setattr(harness, "CACHE_BUDGET_FLOATS", budget)
-        for kind, d, n, seed in PREFIX_CACHE_CASES[1:4]:
-            inst = generate_instance(kind, d, n, seed)
-            assert (stats_to_csv(run_experiment(inst, 200, 3))
-                    == reference_csv(inst, 200, 3))
 
     def test_runs_do_not_share_arrays(self):
         inst = generate_instance("identity", 3, 3, 0)
@@ -156,6 +181,39 @@ class TestPrefixCache:
         assert np.array_equal(first.proxies, want_proxies)
         again = run_experiment(inst, 200, 2)
         assert stats_to_csv(again[1:]) == stats_to_csv(stats[1:])
+
+
+class TestLockstep:
+    """Runs advanced as rows in chunks against the per-run ``run_walk`` reference."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("rows", [1, 2, None], ids=["rows1", "rows2", "default"])
+    @given(family=st.sampled_from(FAMILIES), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=12, deadline=None)
+    def test_differential_families(self, rows, workers, family, seed):
+        # chunks of 1 and 2 rows split the runs of each worker's range; the
+        # pool maps in this process so that it sees the patched chunk size
+        inst = family_instance(family, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            if rows is not None:
+                patch.setattr(harness, "CHUNK_FLOATS", rows * inst.n * inst.d)
+            patch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+            patch.setattr(InProcessPool, "sizes", [])
+            patch.setattr(harness.os, "cpu_count", lambda: 2)
+            got = stats_to_csv(run_experiment(inst, 13, seed % 1000, workers=workers))
+        assert got == reference_csv(inst, 13, seed % 1000)
+
+    def test_memory_keeps_no_step_directions(self):
+        # one u row per step would be 8 runs x 300 steps x 300 floats = 5.8 MB
+        inst = generate_instance("random_unit_sphere", 4, 300, 1)
+        run_experiment(inst, 1, 0)
+        tracemalloc.start()
+        try:
+            run_experiment(inst, 8, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestEstimateBound:
@@ -176,6 +234,23 @@ class TestEstimateBound:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             estimate_bound([])
+
+    @staticmethod
+    def stats(max_proxy: float, block_count: int = 4) -> list[RunStats]:
+        return [RunStats(run_index=0, discrepancy=1.0, block_count=block_count,
+                         max_proxy=max_proxy, proxies=np.array([max_proxy]),
+                         signs=np.ones(2))]
+
+    def test_proxy_above_one_fails_closed(self):
+        with pytest.raises(ContractViolationError, match="exceeds"):
+            estimate_bound(self.stats(1.5))
+
+    def test_proxy_roundoff_is_taken_as_one(self):
+        assert estimate_bound(self.stats(1.0 + 5e-10)) == estimate_bound(self.stats(1.0))
+
+    def test_block_count_floor_is_exact(self):
+        # below one block ln E T < 0, and the bound's max(1, .) is 1
+        assert estimate_bound(self.stats(1.0, block_count=0)) == (2.0, True)
 
 
 class TestEmpiricalTail:

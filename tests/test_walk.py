@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from gswalk.exceptions import ContractViolationError
 from gswalk.instances import Instance, generate_instance
-from gswalk.walk import (RANK_RCOND, WalkState, apply_step, expand_node,
-                         feasible_interval, min_norm_direction, move, run_walk,
-                         walk_step)
+from gswalk.walk import (RANK_RCOND, WalkState, apply_step, feasible_interval,
+                         min_norm_direction, min_norm_directions, move, run_walk,
+                         step_rows)
 from conftest import make_columns
 
 EPS = np.finfo(float).eps
@@ -29,6 +29,18 @@ def lstsq_direction(inst, active, pivot):
     return u
 
 
+def gram_direction(inst, active, pivot):
+    """Reference Gram-path direction of one set, solved with 2-D arrays."""
+    active = np.asarray(active)
+    u = np.zeros(inst.n)
+    u[pivot] = 1.0
+    others = active[active != pivot]
+    a = inst.matrix[:, others]
+    lam, vecs = np.linalg.eigh(a @ a.T)
+    u[others] = a.T @ (vecs @ ((vecs.T @ -inst.matrix[:, pivot]) / lam))
+    return u
+
+
 def gram_eigenvalues(inst, state):
     """Eigenvalues of the other active columns' Gram matrix, or None when the
     step is not wide (no more other active columns than rows)."""
@@ -37,11 +49,13 @@ def gram_eigenvalues(inst, state):
 
 
 def walk_states(inst, seed):
-    """Every state a walk of ``inst`` steps from, in order."""
-    state, rng = WalkState.initial(inst.n), np.random.default_rng(seed)
-    while state.active.size:
+    """Every state a walk of ``inst`` steps from, in order, replayed from its
+    trace by ``apply_step``."""
+    state = WalkState.initial(inst.n)
+    for rec in run_walk(inst, np.random.default_rng(seed)).steps:
         yield state
-        state, _ = walk_step(inst, state, rng)
+        state, _ = apply_step(state, rec.u, rec.chosen_delta, rec.delta_minus,
+                              rec.delta_plus, rec.choice_probability)
 
 
 def unit_columns(m):
@@ -186,6 +200,50 @@ class TestGramDirection:
         assert wide >= 40 and narrow > 0
 
 
+class TestStackedSolve:
+    """A stack of active sets gets the bits of one ``min_norm_direction`` per set."""
+
+    def test_stack_mixing_gram_and_lstsq_sets(self):
+        # columns 0..11 span 2 of the 4 dimensions, so a set drawn from them
+        # alone has a singular Gram matrix and is refused by the guard
+        gen = np.random.default_rng(3)
+        low = np.linalg.qr(gen.standard_normal((4, 2)))[0] @ gen.standard_normal((2, 12))
+        inst = Instance(unit_columns(np.hstack([low, gen.standard_normal((4, 18))])))
+        sets = np.array([np.sort(gen.choice(pool, 9, replace=False))
+                         for pool in [np.arange(12)] * 3 + [np.arange(30)] * 5])
+        sets = sets[gen.permutation(len(sets))]
+        u = min_norm_directions(inst, sets)
+        refused = 0
+        for row, active in zip(u, sets):
+            state = WalkState(1, np.zeros(inst.n), active, int(active[-1]))
+            lam = gram_eigenvalues(inst, state)
+            accepted = lam[0] > GUARD * lam[-1]
+            refused += not accepted
+            want = (gram_direction if accepted else lstsq_direction)(inst, active, active[-1])
+            assert row.tobytes() == want.tobytes()
+            assert row.tobytes() == min_norm_direction(inst, active, active[-1]).tobytes()
+        assert 0 < refused < len(sets)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_bench_shaped_stacks_equal_2d_solves(self, seed):
+        # the active sets of several walks at one depth, as lockstep sampling stacks them
+        inst = bench_shaped(8, 532, seed)
+        walks = [list(walk_states(inst, seed + r)) for r in range(4)]
+        for t in (1, 50, 300, 500):
+            states = [w[t - 1] for w in walks]
+            sets = np.array([s.active for s in states if s.active.size == states[0].active.size])
+            for row, active in zip(min_norm_directions(inst, sets), sets):
+                assert row.tobytes() == gram_direction(inst, active, active[-1]).tobytes()
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_narrow_sets_solve_by_lstsq(self, k):
+        inst = generate_instance("random_unit_sphere", 4, 12, 5)
+        gen = np.random.default_rng(k)
+        sets = np.sort([gen.choice(12, k, replace=False) for _ in range(6)], axis=1)
+        for row, active in zip(min_norm_directions(inst, sets), sets):
+            assert row.tobytes() == lstsq_direction(inst, active, active[-1]).tobytes()
+
+
 class TestFeasibleInterval:
     def test_symmetric_cube(self):
         dm, dp = feasible_interval(np.zeros(2), np.array([-1.0, 1.0]))
@@ -238,13 +296,35 @@ class TestRows:
         u[active[-1]] = 1.0
         dm, dp = feasible_interval(x, u)
         chosen = np.where(rng.random(g) < 0.5, dp, -dm)
-        moved, froze = move(x, u, chosen[:, None], active)
+        mask = np.isin(np.arange(n), active)
+        moved, froze = move(x, u, chosen[:, None], mask)
         for i in range(g):
             assert (dm[i], dp[i]) == feasible_interval(x[i], u)
-            want_x, want_froze = move(x[i], u, chosen[i], active)
+            want_x, want_froze = move(x[i], u, chosen[i], mask)
             assert moved[i].tobytes() == want_x.tobytes()
             assert froze[i].tolist() == want_froze.tolist()
             assert want_froze.any()
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=50, deadline=None)
+    def test_row_directions_equal_vectors(self, seed):
+        # one direction per row, each with its own active set
+        rng = np.random.default_rng(seed)
+        n, g = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        active = rng.random((g, n)) < 0.8
+        active[:, -1] = True
+        x = np.where(active, rng.uniform(-0.99, 0.99, (g, n)), rng.choice([-1.0, 1.0], (g, n)))
+        u = np.where(active, rng.standard_normal((g, n)), 0.0)
+        u[rng.random((g, n)) < 0.2] = 0.0
+        u[:, -1] = 1.0
+        draws = rng.random(g)
+        moved, froze, dm, dp, p_plus, plus = step_rows(x, u, draws, active)
+        for i in range(g):
+            assert (dm[i], dp[i]) == feasible_interval(x[i], u[i])
+            assert p_plus[i] == dm[i] / (dm[i] + dp[i]) and plus[i] == (draws[i] < p_plus[i])
+            want_x, want_froze = move(x[i], u[i], dp[i] if plus[i] else -dm[i], active[i])
+            assert moved[i].tobytes() == want_x.tobytes()
+            assert froze[i].tolist() == want_froze.tolist()
 
     def test_row_checks(self):
         x = np.array([[0.5, 0.0], [0.0, -0.25]])
@@ -255,42 +335,42 @@ class TestRows:
             feasible_interval(np.array([[0.5, 0.0], [1.0, 0.0]]), u)
         # the second row moves to the middle of its interval and freezes nothing
         with pytest.raises(ContractViolationError, match="froze no coordinate"):
-            move(x, u, np.array([[dp[0]], [0.5 * dp[1]]]), np.arange(2))
+            move(x, u, np.array([[dp[0]], [0.5 * dp[1]]]), np.ones(2, dtype=bool))
 
 
 class TestWalkStep:
     def test_choice_probability(self):
         # delta+ = 0.5, delta- = 1.5 -> + endpoint with probability 0.75
-        inst = make_columns([0.5, 0.0])
-        state = WalkState(t=1, x=np.array([0.5]), active=np.array([0]), pivot=0)
-        nxt, rec = walk_step(inst, state, FixedDraw(0.74))
-        assert rec.chosen_delta == rec.delta_plus == 0.5
-        assert rec.delta_minus == 1.5
-        assert rec.choice_probability == 0.75
-        nxt, rec = walk_step(inst, state, FixedDraw(0.76))
-        assert rec.chosen_delta == -1.5
-        assert rec.choice_probability == 0.25
+        x, u, active = np.array([[0.5]]), np.array([1.0]), np.array([True])
+        for draw, plus, moved in ((0.74, True, 1.0), (0.76, False, -1.0)):
+            got, froze, dm, dp, p_plus, took = step_rows(x, u, np.array([draw]), active)
+            assert (dm[0], dp[0], p_plus[0]) == (1.5, 0.5, 0.75)
+            assert took[0] == plus and got[0, 0] == moved and froze[0, 0]
+        # the second step of a walk of columns 1 and 0.5 starts at x_0 = -0.5
+        inst = make_columns([1.0], [0.5])
+        rec = run_walk(inst, FixedDraw(0.4, 0.24)).steps[1]
+        assert (rec.delta_minus, rec.delta_plus) == (0.5, 1.5)
+        assert rec.chosen_delta == 1.5 and rec.choice_probability == 0.25
+        rec = run_walk(inst, FixedDraw(0.4, 0.26)).steps[1]
+        assert rec.chosen_delta == -0.5 and rec.choice_probability == 0.75
 
     def test_single_column_symmetric(self):
         inst = make_columns([0.5, 0.0])
-        state = WalkState.initial(1)
         for draw, sign in ((0.4, 1.0), (0.6, -1.0)):
-            nxt, rec = walk_step(inst, state, FixedDraw(draw))
-            assert nxt.x[0] == sign
+            trace = run_walk(inst, FixedDraw(draw))
+            (rec,) = trace.steps
+            assert trace.final_x[0] == sign
             assert rec.choice_probability == 0.5
 
     def test_mean_zero_identity(self):
         inst = generate_instance("random_unit_sphere", 3, 5, 2)
-        node = expand_node(inst, WalkState.initial(5))
-        dm, dp = node.delta_minus, node.delta_plus
+        dm, dp = feasible_interval(np.zeros(5), min_norm_direction(inst, np.arange(5), 4))
         assert dp * dm / (dm + dp) - dm * dp / (dm + dp) == 0.0
 
     def test_freezes_at_least_one(self, rng):
         inst = generate_instance("random_unit_sphere", 3, 5, 4)
-        state = WalkState.initial(5)
-        nxt, rec = walk_step(inst, state, rng)
-        assert rec.frozen and rec.frozen == sorted(rec.frozen, reverse=True)
-        assert nxt.active.size < state.active.size
+        for rec in run_walk(inst, rng).steps:
+            assert rec.frozen and rec.frozen == sorted(rec.frozen, reverse=True)
 
 
 class TestApplyStep:
@@ -301,8 +381,8 @@ class TestApplyStep:
         for seed in range(10):
             inst = generate_instance("sign_columns", d, n, seed)
             for state in walk_states(inst, seed):
-                node = expand_node(inst, state)
-                u, dm, dp = node.u, node.delta_minus, node.delta_plus
+                u = min_norm_direction(inst, state.active, state.pivot)
+                dm, dp = feasible_interval(state.x, u)
                 for chosen in (dp, -dm):
                     nxt, rec = apply_step(state, u, chosen, dm, dp, 0.5)
                     hit = [int(i) for i in state.active if abs(nxt.x[i]) == 1.0]
