@@ -8,8 +8,7 @@ Runs advance together as rows, a chunk at a time, with the arithmetic of a
 plain ``run_walk``, so every value is unchanged.  At each depth the rows are
 grouped by active set and each distinct set's direction is solved once.  A
 run keeps only the step at which each coordinate froze; runs with one freeze
-sequence share a decomposition and its proxies, and runs with one outcome
-share a discrepancy.
+sequence within a chunk share a decomposition and its proxies.
 """
 from __future__ import annotations
 
@@ -120,23 +119,23 @@ def _freeze_steps(when: np.ndarray) -> list[tuple[int, int, list[int]]]:
 def _run_range(args):
     inst, master_seed, start, stop = args
     chunk = max(1, CHUNK_FLOATS // (inst.n * inst.d))
-    sequences: dict[bytes, tuple[int, np.ndarray]] = {}     # per freeze sequence
-    discrepancies: dict[bytes, float] = {}                  # per sign vector
     out = []
     for lo in range(start, stop, chunk):
         runs = range(lo, min(lo + chunk, stop))
         signs, when = _walk_rows(inst, np.array([stream_rng(master_seed, r).random(inst.n)
                                                 for r in runs]))
-        for r, x, w in zip(runs, signs, when):
+        # the stacked product makes each run's own matrix-vector call (as in
+        # ``enumeration.leaf_margins``), so every discrepancy keeps its bits
+        discrepancies = np.abs(np.matmul(inst.matrix, signs[:, :, None])).max(axis=(1, 2))
+        # one chunk's freeze sequences, so the table is bounded as the chunk is
+        sequences: dict[bytes, tuple[int, np.ndarray]] = {}
+        for r, x, w, disc in zip(runs, signs, when, discrepancies.tolist()):
             key = w.tobytes()
             if key not in sequences:
                 dec = decompose_steps(inst, _freeze_steps(w))
                 sequences[key] = dec.total_nontrivial, basis_variance_proxies(inst, dec)
             blocks, proxies = sequences[key]
-            key = x.tobytes()
-            if key not in discrepancies:
-                discrepancies[key] = float(np.abs(inst.matrix @ x).max())
-            out.append(RunStats(run_index=r, discrepancy=discrepancies[key],
+            out.append(RunStats(run_index=r, discrepancy=disc,
                                 block_count=blocks, max_proxy=float(proxies.max()),
                                 proxies=proxies.copy(), signs=x.copy()))
     return out

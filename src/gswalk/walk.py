@@ -117,8 +117,9 @@ def _gram_solve(at: np.ndarray, target: np.ndarray, out: np.ndarray) -> list[int
     """
     lam, vecs = np.linalg.eigh(at.transpose(0, 2, 1) @ at)
     ok = lam[:, 0] > GRAM_GUARD * lam[:, -1]
-    left = [i for i, good in enumerate(ok.tolist()) if not good]
-    if left:
+    left = []
+    if np.count_nonzero(ok) < len(ok):
+        left = np.flatnonzero(~ok).tolist()
         # each set's products are its own, so a left set's eigenvalues, taken
         # as 1 to keep its discarded row finite, change no other row
         lam = np.where(ok[:, None], lam, 1.0)
@@ -132,27 +133,22 @@ def feasible_interval(x: np.ndarray, u: np.ndarray) -> tuple:
 
     Returns ``(delta_minus, delta_plus)``, both strictly positive: two floats
     for a coloring x (n,), two (g,) arrays for rows x (g, n).  Rows move along
-    one direction u (n,) or one row of u (g, n) each.  Only the coordinates
-    where u is nonzero bound the move; each end is an exact min or max over
-    them, so every row gets the bits of a call of its own.
+    one direction u (n,) or one row of u (g, n) each.  Off the support of u
+    the ends are -inf and +inf and bound nothing; each end is an exact min or
+    max, so every row gets the bits of a call of its own.
     """
-    if u.ndim == 1:
-        support = u.nonzero()[0]
-        xs, us = x.T[support].T, u[support]    # the last axis, of a vector or of rows
-        touched = np.abs(xs) >= 1.0
-        lo_ends, hi_ends = (-1.0 - xs) / us, (1.0 - xs) / us
-    else:
-        # off a row's support the ends are -inf and +inf: they bound nothing
-        on = u != 0.0
-        touched = (np.abs(x) >= 1.0) & on
-        lo_ends = np.divide(-1.0 - x, u, out=np.full(u.shape, -np.inf), where=on)
-        hi_ends = np.divide(1.0 - x, u, out=np.full(u.shape, np.inf), where=on)
-    if touched.any():
-        raise ContractViolationError("direction touches a frozen coordinate")
+    on = u != 0.0
+    ends = np.empty((2,) + x.shape)
+    ends[0], ends[1] = -np.inf, np.inf
+    lo_ends = np.divide(-1.0 - x, u, out=ends[0], where=on)
+    hi_ends = np.divide(1.0 - x, u, out=ends[1], where=on)
     lows = np.minimum(lo_ends, hi_ends)
     highs = np.maximum(lo_ends, hi_ends)
     lo, hi = lows.max(), highs.min()    # over every row
     if not (lo < 0.0 < hi):
+        # a coordinate of the support on the boundary puts an end at 0 or past it
+        if np.count_nonzero((np.abs(x) >= 1.0) & on):
+            raise ContractViolationError("direction touches a frozen coordinate")
         raise ContractViolationError(f"feasible interval [{lo}, {hi}] does not contain 0")
     if x.ndim == 1:
         return -float(lo), float(hi)

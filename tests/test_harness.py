@@ -158,10 +158,9 @@ class TestRunExperiment:
             run_experiment(inst, -3, 0)
 
 
-class TestPrefixCache:
-    """Runs that share a choice prefix share its directions, and runs that
-    share a freeze sequence its statistics; every value must equal the
-    per-run ``run_walk`` reference."""
+class TestLockstep:
+    """Runs advanced as rows in chunks, sharing directions by active set and
+    statistics by freeze sequence, against the per-run ``run_walk`` reference."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kind,d,n,seed", LOCKSTEP_CASES)
@@ -181,10 +180,6 @@ class TestPrefixCache:
         assert np.array_equal(first.proxies, want_proxies)
         again = run_experiment(inst, 200, 2)
         assert stats_to_csv(again[1:]) == stats_to_csv(stats[1:])
-
-
-class TestLockstep:
-    """Runs advanced as rows in chunks against the per-run ``run_walk`` reference."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("rows", [1, 2, None], ids=["rows1", "rows2", "default"])
@@ -214,6 +209,26 @@ class TestLockstep:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    def test_memory_bounded_in_runs(self):
+        # what a chunk keeps is freed with it: beyond the returned statistics,
+        # 22 runs in chunks of 2 need no more memory than 6 runs do, where a
+        # table kept for the whole range would grow with every run
+        inst = generate_instance("random_unit_sphere", 4, 100, 1)
+        run_experiment(inst, 1, 0)
+        extra = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "CHUNK_FLOATS", 2 * inst.n * inst.d)
+            for runs in (6, 22):
+                tracemalloc.start()
+                try:
+                    stats = run_experiment(inst, runs, 2)
+                    current, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert len(stats) == runs
+                extra.append(peak - current)
+        assert extra[1] - extra[0] < 8 * 2**10
 
 
 class TestEstimateBound:

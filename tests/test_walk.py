@@ -244,6 +244,14 @@ class TestStackedSolve:
             assert row.tobytes() == lstsq_direction(inst, active, active[-1]).tobytes()
 
 
+def interval_reference(x, u):
+    """(delta_minus, delta_plus) of one coloring, over the support of u gathered."""
+    support = np.flatnonzero(u)
+    xs, us = x[support], u[support]
+    ends = np.stack([(-1.0 - xs) / us, (1.0 - xs) / us])
+    return -float(ends.min(axis=0).max()), float(ends.max(axis=0).min())
+
+
 class TestFeasibleInterval:
     def test_symmetric_cube(self):
         dm, dp = feasible_interval(np.zeros(2), np.array([-1.0, 1.0]))
@@ -258,8 +266,11 @@ class TestFeasibleInterval:
         assert np.allclose([dm, dp], [0.2, 1.8])
 
     def test_frozen_support_rejected(self):
-        with pytest.raises(ContractViolationError):
-            feasible_interval(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
+        # at either end of the cube, moving in either direction along it
+        for end in (1.0, -1.0):
+            for slope in (1.0, -1.0):
+                with pytest.raises(ContractViolationError, match="touches a frozen"):
+                    feasible_interval(np.array([end, 0.0]), np.array([slope, 1.0]))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -276,6 +287,20 @@ class TestFeasibleInterval:
         assert np.all(np.abs(x - dm * u) <= 1 + 1e-12)
         assert (np.abs(x + (dp * 1.01) * u).max() > 1
                 and np.abs(x - (dm * 1.01) * u).max() > 1)
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=50, deadline=None)
+    def test_equals_support_gather(self, seed):
+        # frozen coordinates and zeros of either sign off the support bound nothing
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 8))
+        on = rng.random(n) < 0.6
+        on[rng.integers(n)] = True
+        x = np.where(on, rng.uniform(-0.99, 0.99, n), rng.choice([-1.0, 1.0, 0.5], n))
+        u = np.where(on, rng.standard_normal(n) * 10.0 ** rng.uniform(-12, 0, n),
+                     rng.choice([0.0, -0.0], n))
+        dm, dp = feasible_interval(x, u)
+        assert (dm.hex(), dp.hex()) == tuple(v.hex() for v in interval_reference(x, u))
 
 
 class TestRows:
@@ -320,7 +345,8 @@ class TestRows:
         draws = rng.random(g)
         moved, froze, dm, dp, p_plus, plus = step_rows(x, u, draws, active)
         for i in range(g):
-            assert (dm[i], dp[i]) == feasible_interval(x[i], u[i])
+            want = interval_reference(x[i], u[i])
+            assert (dm[i], dp[i]) == feasible_interval(x[i], u[i]) == want
             assert p_plus[i] == dm[i] / (dm[i] + dp[i]) and plus[i] == (draws[i] < p_plus[i])
             want_x, want_froze = move(x[i], u[i], dp[i] if plus[i] else -dm[i], active[i])
             assert moved[i].tobytes() == want_x.tobytes()
