@@ -2,8 +2,9 @@
 
 Expands the full decision tree of the walk, one branch per endpoint choice,
 multiplying branch probabilities.  The tree is built one depth at a time:
-the nodes of a depth that share an active set share the pivot and the
-direction, so each such group takes its step in one numpy pass.  The leaf
+a node's active set fixes its pivot and direction, so the sets of a depth
+not solved before go through one ``walk.stacked_directions`` call, and
+every node of the depth then takes its step in one numpy pass.  The leaf
 law is held as columns: the exact probability and sign outcome of each leaf
 and the id of its freeze sequence.  A decomposition depends only on the
 freeze sequence, so one is built per id, on first read.  The steps are held
@@ -35,14 +36,13 @@ MGF_EXP_LIMIT = 600.0
 class StepColumns(NamedTuple):
     """The steps into the nodes of one depth, one entry per node: the row of
     its parent in the depth above, whether the + endpoint was taken, the
-    parent's endpoint magnitudes, + probability, pivot and direction (an index
-    into ``LeafDistribution.directions``), and the bitmask of the coordinates
-    the step froze."""
+    parent's endpoint magnitudes, pivot and direction (a row of
+    ``LeafDistribution.directions``), and the bitmask of the coordinates the
+    step froze."""
     parent: np.ndarray
     plus: np.ndarray
     delta_minus: np.ndarray
     delta_plus: np.ndarray
-    p_plus: np.ndarray
     pivot: np.ndarray
     direction: np.ndarray
     frozen: np.ndarray
@@ -70,7 +70,7 @@ class LeafDistribution:
     nodes: list[tuple[int, int, int, float]] = field(repr=False)
     first_leaf: list[int] = field(repr=False)           # per freeze id
     steps: list[StepColumns] = field(repr=False)
-    directions: list[np.ndarray] = field(repr=False)
+    directions: np.ndarray = field(repr=False)          # (solved sets, n)
     leaf_depth: np.ndarray = field(repr=False)          # (m,)
     leaf_row: np.ndarray = field(repr=False)            # (m,)
     pruned_mass: float = 0.0
@@ -108,7 +108,7 @@ class LeafDistribution:
         row = int(self.leaf_row[i])
         steps = []
         for t in range(int(self.leaf_depth[i]), 0, -1):
-            parent, plus, dm, dp, p_plus, pivot, k, bits = rows[t - 1][row]
+            parent, plus, dm, dp, pivot, k, bits = rows[t - 1][row]
             frozen = []                 # decreasing index order
             while bits:
                 j = bits.bit_length() - 1
@@ -117,7 +117,7 @@ class LeafDistribution:
             # the sampled walk's record keeps dp/(dm+dp) on the - branch
             steps.append(StepRecord(t, pivot, self.directions[k], dp, dm,
                                     dp if plus else -dm,
-                                    p_plus if plus else dp / (dm + dp), frozen))
+                                    (dm if plus else dp) / (dm + dp), frozen))
             row = parent
         return WalkTrace(steps=steps[::-1], final_x=self.signs[i])
 
@@ -164,25 +164,24 @@ def enumerate_walk(inst: Instance) -> LeafDistribution:
     and the + branch 0, so depth-first order is code order with each node
     before its + child.  The chain interns (parent chain, active set); as the
     pivot is the largest active index and a step freezes what leaves the
-    active set, equal chains are equal freeze sequences.  Each active set's
-    direction is solved once per call; ``DEPTH_CAP`` bounds the table to 2^n
-    directions and keeps bitmasks, codes and chain keys within int64.
+    active set, equal chains are equal freeze sequences.  The sets of a
+    depth that no earlier depth has seen solve their directions in one
+    ``walk.stacked_directions`` call, and all nodes of the depth step in one
+    pass.  ``DEPTH_CAP`` bounds the direction table, indexed by bitmask, to
+    2^n rows and keeps bitmasks, codes and chain keys within int64.
     """
     n = inst.n
     if n > DEPTH_CAP:
         raise DimensionError(
             f"enumeration refused: n={n} exceeds depth cap {DEPTH_CAP} "
             f"(up to 2^n leaves)")
-    prune_tol = PRUNE_TOL
     weights = 1 << np.arange(n)
-    table: dict[int, int] = {}          # active bitmask -> direction index
-    directions: list[np.ndarray] = []
+    index = np.full(1 << n, -1)         # active bitmask -> row of ``directions``
+    directions = np.zeros((0, n))
     steps: list[StepColumns] = []
-    empty = np.zeros(0, dtype=np.int64)
-    # per group: code, mass, coloring, chain, depth and row of each leaf
-    leaf_cols = [(empty, np.zeros(0), np.zeros((0, n)), empty, empty, empty)]
-    node_cols = [(empty, empty, empty, np.zeros(0))]    # code, depth, pivot, z
-    cut_cols = [(empty, np.zeros(0))]                   # code, mass of pruned branches
+    leaf_cols = []                      # per depth: code, mass, coloring, chain, depth, row
+    node_cols = []                      # per depth: code, depth, pivot, z
+    cut_cols = []                       # per depth: code, mass of pruned branches
 
     x = np.zeros((1, n))
     bits = np.array([(1 << n) - 1], dtype=np.int64)
@@ -192,55 +191,45 @@ def enumerate_walk(inst: Instance) -> LeafDistribution:
     chains = 1
     depth = 0
     while bits.size:
-        order = np.argsort(bits, kind="stable")
-        children = []
-        for rows in np.split(order, np.flatnonzero(np.diff(bits[order])) + 1):
-            size = rows.size
-            active_bits = int(bits[rows[0]])
-            if not active_bits:
-                leaf_cols.append((code[rows], prob[rows], x[rows], chain[rows],
-                                  np.full(size, depth), rows))
-                continue
-            mask = (active_bits >> np.arange(n) & 1).astype(bool)
-            active = np.flatnonzero(mask)
-            pivot = int(active[-1])
-            k = table.get(active_bits)
-            if k is None:
-                k = table[active_bits] = len(directions)
-                directions.append(walk.min_norm_direction(inst, active, pivot))
-            u = directions[k]
-            xg, cg = x[rows], code[rows]
-            node_cols.append((cg, np.full(size, depth), np.full(size, pivot), xg[:, pivot]))
-            dm, dp = walk.feasible_interval(xg, u)
-            p_plus = dm / (dm + dp)
-            # The candidate children: the + branch of every row, then the -
-            # branch.  The - branch multiplies 1 - p_plus, not the record's
-            # dp/(dm+dp): they can differ in the last bit, and leaf masses
-            # feed the byte-stable smoothed report.
-            mass = np.concatenate([prob[rows] * p_plus, prob[rows] * (1.0 - p_plus)])
-            child_code = np.concatenate([cg, cg | 1 << (n - 1 - depth)])
-            cut = mass < prune_tol
-            if cut.any():
-                cut_cols.append((child_code[cut], mass[cut]))
-            take = np.flatnonzero(~cut)
-            src, plus = take % size, take < size
-            xc, froze = walk.move(xg[src], u, np.where(plus, dp[src], -dm[src])[:, None],
-                                  mask)
-            frozen = froze @ weights
-            child_bits = active_bits - frozen
-            children.append((xc, child_bits, mass[take], child_code[take],
-                             chain[rows[src]] << n | child_bits,
-                             StepColumns(rows[src], plus, dm[src], dp[src], p_plus[src],
-                                         np.full(take.size, pivot), np.full(take.size, k),
-                                         frozen)))
-        if not children:
+        done = bits == 0
+        leaves = np.flatnonzero(done)
+        leaf_cols.append((code[leaves], prob[leaves], x[leaves], chain[leaves],
+                          np.full(leaves.size, depth), leaves))
+        rows = np.flatnonzero(~done)
+        if not rows.size:
             break
-        x, bits, prob, code, keys, cols = zip(*children)
-        x, bits, prob, code, keys = map(np.concatenate, (x, bits, prob, code, keys))
-        steps.append(StepColumns(*map(np.concatenate, zip(*cols))))
-        distinct, chain = np.unique(keys, return_inverse=True)
+        x, bits, prob, code, chain = x[rows], bits[rows], prob[rows], code[rows], chain[rows]
+        distinct, group = np.unique(bits, return_inverse=True)
+        masks = (distinct[:, None] & weights) > 0
+        new = index[distinct] < 0       # sets no earlier depth has solved
+        index[distinct[new]] = np.arange(np.count_nonzero(new)) + len(directions)
+        directions = np.concatenate((directions, walk.stacked_directions(inst, masks[new])))
+        k = index[bits]
+        pivot = (n - 1 - masks[:, ::-1].argmax(axis=1))[group]
+        node_cols.append((code, np.full(rows.size, depth), pivot, x[np.arange(rows.size), pivot]))
+        u = directions[k]
+        dm, dp = walk.feasible_interval(x, u)
+        p_plus = dm / (dm + dp)
+        # The candidate children: the + branch of every row, then the -
+        # branch.  The - branch multiplies 1 - p_plus, not the record's
+        # dp/(dm+dp): they can differ in the last bit, and leaf masses
+        # feed the byte-stable smoothed report.
+        mass = np.concatenate([prob * p_plus, prob * (1.0 - p_plus)])
+        child_code = np.concatenate([code, code | 1 << (n - 1 - depth)])
+        cut = mass < PRUNE_TOL
+        cut_cols.append((child_code[cut], mass[cut]))
+        take = np.flatnonzero(~cut)
+        src, plus = take % rows.size, take < rows.size
+        x, froze = walk.move(x[src], u[src], np.where(plus, dp[src], -dm[src])[:, None],
+                             masks[group[src]])
+        frozen = froze @ weights
+        bits = bits[src] - frozen
+        steps.append(StepColumns(rows[src], plus, dm[src], dp[src], pivot[src], k[src],
+                                 frozen))
+        distinct, chain = np.unique(chain[src] << n | bits, return_inverse=True)
         chain += chains                 # chains of different depths stay apart
         chains += distinct.size
+        prob, code = mass[take], child_code[take]
         depth += 1
 
     leaf_code, probabilities, signs, leaf_chain, leaf_depth, leaf_row = (
@@ -276,11 +265,6 @@ def _expectation(dist: LeafDistribution, values) -> float:
     order = np.argsort(-dist.probabilities, kind="stable")
     terms = dist.probabilities[order] * np.asarray(values, float)[order]
     return float(sum(terms.tolist()))
-
-
-def exact_expectation(dist: LeafDistribution, f) -> float:
-    """Sum of p(leaf) * f(leaf), accumulated in decreasing-probability order."""
-    return _expectation(dist, [f(lf) for lf in dist.leaves])
 
 
 def leaf_margins(dist: LeafDistribution, inst: Instance, v) -> np.ndarray:

@@ -6,9 +6,10 @@ the canonical record; the JSON report aggregates it.
 
 Runs advance together as rows, a chunk at a time, with the arithmetic of a
 plain ``run_walk``, so every value is unchanged.  At each depth the rows are
-grouped by active set and each distinct set's direction is solved once.  A
-run keeps only the step at which each coordinate froze; runs with one freeze
-sequence within a chunk share a decomposition and its proxies.
+grouped by active set and the distinct sets' directions are solved once, in
+one ``walk.stacked_directions`` call.  A run keeps only the step at which
+each coordinate froze; runs with one freeze sequence within a chunk share a
+decomposition and its proxies.
 """
 from __future__ import annotations
 
@@ -68,8 +69,9 @@ def _walk_rows(inst: Instance, draws: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
     Returns the final colorings (g, n) and, per coordinate, the step that
     froze it (g, n).  At each depth the rows still walking are grouped by
-    active set; the distinct sets of one size solve their directions as one
-    stack, and every row then steps in one pass along its set's direction.
+    active set; the distinct sets solve their directions in one
+    ``walk.stacked_directions`` call (one stack per size), and every row
+    then steps in one pass along its set's direction.
     """
     g, n = draws.shape
     x = np.zeros((g, n))
@@ -85,13 +87,7 @@ def _walk_rows(inst: Instance, draws: np.ndarray) -> tuple[np.ndarray, np.ndarra
         keys = [raw[i:i + width] for i in range(0, len(raw), width)]
         number: dict[bytes, int] = {}
         group = np.array([number.setdefault(key, len(number)) for key in keys])
-        sets = act[np.unique(group, return_index=True)[1]]      # in id order
-        sizes = sets.sum(axis=1)
-        u = np.empty((len(sets), n))
-        for k in set(sizes.tolist()):
-            same = np.flatnonzero(sizes == k)
-            # sorted indices, so each set's pivot, its largest index, is last
-            u[same] = walk.min_norm_directions(inst, sets[same].nonzero()[1].reshape(-1, k))
+        u = walk.stacked_directions(inst, act[np.unique(group, return_index=True)[1]])
         moved, froze, *_ = walk.step_rows(x[live], u[group], draws[live, t], act)
         t += 1
         x[live] = moved

@@ -7,11 +7,13 @@ interval with the mean-zero choice of probabilities.  Coordinates reaching
 +-1 are snapped exactly and frozen.
 
 The step works on rows of colorings.  ``min_norm_directions`` solves the
-directions of several active sets of one size at once; ``feasible_interval``,
-``move`` and ``step_rows`` take rows with one direction each or one shared
-by all, with the bits of one call per row.  Monte Carlo sampling advances its
-runs as rows, exact enumeration the nodes of one depth, and ``run_walk`` is
-the one-row case.
+directions of several active sets of one size at once, and
+``stacked_directions`` those of sets of any sizes, one stack per size;
+``feasible_interval``, ``move`` and ``step_rows`` take rows with one
+direction each or one shared by all, with the bits of one call per row.
+Monte Carlo sampling advances its runs as rows and exact enumeration the
+nodes of one depth, both solving through ``stacked_directions``;
+``run_walk`` is the one-row case.
 """
 from __future__ import annotations
 
@@ -102,6 +104,19 @@ def min_norm_directions(inst: Instance, sets: np.ndarray) -> np.ndarray:
     u = np.zeros((g, inst.n))
     # one index array into the flat rows is the cheapest scatter
     u.reshape(-1)[sets + np.arange(0, u.size, inst.n)[:, None]] = coef
+    return u
+
+
+def stacked_directions(inst: Instance, active: np.ndarray) -> np.ndarray:
+    """Directions (g, n) of g nonempty active sets of any sizes, given as
+    boolean rows (g, n); the sets of one size solve as one stack through
+    ``min_norm_directions``, so every row gets the bits of its own solve."""
+    sizes = np.count_nonzero(active, axis=1)
+    u = np.empty(active.shape)
+    for k in set(sizes.tolist()):
+        same = np.flatnonzero(sizes == k)
+        # sorted indices, so each set's pivot, its largest index, is last
+        u[same] = min_norm_directions(inst, active[same].nonzero()[1].reshape(-1, k))
     return u
 
 

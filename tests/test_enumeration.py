@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from gswalk import enumeration, walk
 from gswalk.enumeration import (brute_force_min_discrepancy,
                                 conditional_increment_check, enumerate_walk,
-                                exact_expectation, verify_martingale,
-                                verify_subgaussian)
+                                verify_martingale, verify_subgaussian)
 from gswalk.exceptions import DimensionError, DomainOverflowError
 from gswalk.instances import Instance, generate_instance
 from gswalk.ortho import decompose, variance_proxy
@@ -225,18 +224,18 @@ class TestEnumerateWalk:
 class TestExactExpectation:
     def test_constant(self):
         dist = enumerate_walk(generate_instance("identity", 2, 2, 0))
-        assert exact_expectation(dist, lambda lf: 1.0) == pytest.approx(1.0,
-                                                                        abs=1e-15)
+        assert per_leaf_expectation(dist, lambda lf: 1.0) == pytest.approx(1.0,
+                                                                           abs=1e-15)
 
     def test_block_count_identity(self):
         dist = enumerate_walk(generate_instance("identity", 2, 2, 0))
-        val = exact_expectation(dist, lambda lf: lf.ortho.total_nontrivial)
+        val = per_leaf_expectation(dist, lambda lf: lf.ortho.total_nontrivial)
         assert val == pytest.approx(2.0, abs=1e-12)
 
     def test_duplicated_columns_cancel(self):
         inst = make_columns([1, 0], [1, 0])
         dist = enumerate_walk(inst)
-        val = exact_expectation(
+        val = per_leaf_expectation(
             dist, lambda lf: float(np.abs(inst.matrix @ lf.signs).max()))
         assert val == 0.0
 
@@ -285,7 +284,7 @@ class TestSubgaussian:
         v = np.linspace(1.0, -0.5, inst.d)
         dist = enumerate_walk(inst)
         # reference: each leaf decomposed and its proxy computed on its own
-        want = exact_expectation(dist, lambda lf: math.exp(
+        want = per_leaf_expectation(dist, lambda lf: math.exp(
             0.7 * float(inst.matrix @ lf.signs @ v)
             - 0.5 * 0.7 * 0.7 * variance_proxy(inst, decompose(inst, lf.trace), v)))
         calls = []
@@ -469,19 +468,22 @@ class TestColumnarLaw:
 
     @pytest.mark.parametrize("case", [("random_unit_sphere", 4, 10, 1),
                                       ("sign_columns", 3, 8, 2),
-                                      ("duplicated_column", 3, 7, 1)],
+                                      ("duplicated_column", 3, 7, 1),
+                                      # two active sets recur at a later depth
+                                      ("sign_columns", 3, 7, 1)],
                              ids=lambda c: f"{c[0]}-{c[2]}")
     def test_one_solve_per_active_set(self, case, monkeypatch):
         inst = generate_instance(*case)
         _, _, actives = uncached_enumeration(inst)
         calls = []
-        solve = walk.min_norm_direction
+        solve = walk.stacked_directions
 
-        def counting(inst, active, pivot):
-            calls.append(np.asarray(active).tobytes())
-            return solve(inst, active, pivot)
+        def counting(inst, active):
+            # each row is one set, as the index array the reference descent keeps
+            calls.extend(np.flatnonzero(row).tobytes() for row in active)
+            return solve(inst, active)
 
-        monkeypatch.setattr(walk, "min_norm_direction", counting)
+        monkeypatch.setattr(walk, "stacked_directions", counting)
         enumerate_walk(inst)
         assert len(calls) == len(set(calls)) == len(set(actives)) < len(actives)
 

@@ -63,6 +63,10 @@ def test_files_go_through_the_text_helpers():
     assert calls_outside({"open"}, {"read_text", "write_text"}) == []
 
 
+def test_directions_have_one_solve_path():
+    assert calls_outside({"lstsq", "eigh"}, {"min_norm_directions", "_gram_solve"}) == []
+
+
 def modules_after(code: str) -> set[str]:
     """Modules a fresh interpreter has loaded once ``code`` has run."""
     script = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); {code}; "

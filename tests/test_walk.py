@@ -9,7 +9,7 @@ from gswalk.exceptions import ContractViolationError
 from gswalk.instances import Instance, generate_instance
 from gswalk.walk import (RANK_RCOND, WalkState, apply_step, feasible_interval,
                          min_norm_direction, min_norm_directions, move, run_walk,
-                         step_rows)
+                         stacked_directions, step_rows)
 from conftest import make_columns
 
 EPS = np.finfo(float).eps
@@ -234,6 +234,35 @@ class TestStackedSolve:
             sets = np.array([s.active for s in states if s.active.size == states[0].active.size])
             for row, active in zip(min_norm_directions(inst, sets), sets):
                 assert row.tobytes() == gram_direction(inst, active, active[-1]).tobytes()
+
+    @pytest.mark.parametrize("family", ["sign_columns", "duplicated_column",
+                                        "mixed_scale", "d1"])
+    def test_mixed_sizes_in_one_call(self, family):
+        # one call with sets of several sizes, in shuffled order, as one
+        # depth of an enumeration or of lockstep sampling brings them
+        if family == "sign_columns":
+            inst = generate_instance("sign_columns", 2, 16, 4)
+        else:
+            inst = degenerate(family, 4)
+        gen = np.random.default_rng(5)
+        sizes = [1, 2, inst.d, inst.d + 2, 9, inst.n] * 3
+        active = np.zeros((len(sizes) + 1, inst.n), dtype=bool)
+        for row, k in zip(active, gen.permutation(sizes)):
+            row[gen.choice(inst.n, k, replace=False)] = True
+        # the columns parallel to column 0: unless d = 1, a set the guard
+        # refuses once it has more other columns than rows
+        unit = inst.matrix / np.linalg.norm(inst.matrix, axis=0)
+        active[-1] = np.abs(unit.T @ unit[:, 0]) > 1.0 - 1e-9
+        active = active[gen.permutation(len(active))]
+        u = stacked_directions(inst, active)
+        assert u.shape == active.shape
+        refused = 0
+        for row, mask in zip(u, active):
+            sel = np.flatnonzero(mask)
+            assert row.tobytes() == min_norm_direction(inst, sel, sel[-1]).tobytes()
+            lam = gram_eigenvalues(inst, WalkState(1, np.zeros(inst.n), sel, int(sel[-1])))
+            refused += lam is not None and not lam[0] > GUARD * lam[-1]
+        assert (refused > 0) == (family != "d1")
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_narrow_sets_solve_by_lstsq(self, k):
