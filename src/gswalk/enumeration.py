@@ -7,10 +7,10 @@ not solved before go through one ``walk.stacked_directions`` call, and
 every node of the depth then takes its step in one numpy pass.  The leaf
 law is held as columns: the exact probability and sign outcome of each leaf
 and the id of its freeze sequence.  A decomposition depends only on the
-freeze sequence, so one is built per id, on first read.  The steps are held
-as columns per depth, and the step records of a path are built on first read
-of its trace, so expectations of any path functional can be computed without
-sampling.
+freeze sequence, so one is built per id, on first read, from the step at
+which each coordinate froze.  The steps are held as columns per depth, and
+the step records of a path are built on first read of its trace, so
+expectations of any path functional can be computed without sampling.
 """
 from __future__ import annotations
 
@@ -25,8 +25,8 @@ import numpy as np
 from . import walk
 from .exceptions import DimensionError, DomainOverflowError
 from .instances import Instance
-from .ortho import OrthoDecomposition, decompose, variance_proxy
-from .walk import StepRecord, WalkTrace
+from .ortho import OrthoDecomposition, decompose_freezes, variance_proxy
+from .walk import WalkTrace
 
 PRUNE_TOL = 1e-15                   # branches below this mass are dropped
 DEPTH_CAP = 16                      # largest n enumerated (up to 2^n leaves)
@@ -37,15 +37,14 @@ class StepColumns(NamedTuple):
     """The steps into the nodes of one depth, one entry per node: the row of
     its parent in the depth above, whether the + endpoint was taken, the
     parent's endpoint magnitudes, pivot and direction (a row of
-    ``LeafDistribution.directions``), and the bitmask of the coordinates the
-    step froze."""
+    ``LeafDistribution.directions``).  What a step froze is in the leaf's
+    row of ``LeafDistribution.when``."""
     parent: np.ndarray
     plus: np.ndarray
     delta_minus: np.ndarray
     delta_plus: np.ndarray
     pivot: np.ndarray
     direction: np.ndarray
-    frozen: np.ndarray
 
 
 @dataclass(eq=False)
@@ -55,8 +54,9 @@ class LeafDistribution:
     Leaves are in depth-first order with the + branch first, so the leaves
     below any node form a contiguous run.  Leaf i has mass
     ``probabilities[i]``, outcome ``signs[i]`` and freeze sequence
-    ``freeze_ids[i]``: ids number the distinct sequences of (pivot, frozen
-    set) per step in order of first appearance.  ``nodes`` lists the internal
+    ``freeze_ids[i]``: ids number the distinct freeze sequences in order of
+    first appearance, and ``when[k]`` holds, for sequence k, the step at
+    which each coordinate froze.  ``nodes`` lists the internal
     nodes in preorder as (lo, hi, pivot, z): leaves lo..hi-1 lie below the
     node (none when every branch below was pruned), and z is the pivot's
     coordinate in the coloring the node's prefix reaches.  ``steps[t - 1]``
@@ -69,6 +69,7 @@ class LeafDistribution:
     freeze_ids: np.ndarray          # (m,)
     nodes: list[tuple[int, int, int, float]] = field(repr=False)
     first_leaf: list[int] = field(repr=False)           # per freeze id
+    when: np.ndarray = field(repr=False)                # (freeze ids, n)
     steps: list[StepColumns] = field(repr=False)
     directions: np.ndarray = field(repr=False)          # (solved sets, n)
     leaf_depth: np.ndarray = field(repr=False)          # (m,)
@@ -88,13 +89,11 @@ class LeafDistribution:
 
     def decomposition(self, freeze_id: int) -> OrthoDecomposition:
         """The decomposition shared by every leaf with this freeze sequence,
-        built on first request from the first such leaf's trace.  Its steps
-        have the same pivots and frozen sets, all that ``decompose`` reads
-        besides n and the step numbers."""
+        built on first request from its freeze steps."""
         dec = self._decompositions[freeze_id]
         if dec is None:
-            dec = self._decompositions[freeze_id] = decompose(
-                self.inst, self.trace(self.first_leaf[freeze_id]))
+            dec = self._decompositions[freeze_id] = decompose_freezes(
+                self.inst, self.when[freeze_id])
         return dec
 
     @cached_property
@@ -103,21 +102,17 @@ class LeafDistribution:
         return [list(zip(*(col.tolist() for col in cols))) for cols in self.steps]
 
     def trace(self, i: int) -> WalkTrace:
-        """Leaf i's path, its step records built from the columns."""
+        """Leaf i's path, its step records built from the columns and its
+        freeze steps."""
         rows = self._step_rows
         row = int(self.leaf_row[i])
+        when = self.when[self.freeze_ids[i]].tolist()
         steps = []
         for t in range(int(self.leaf_depth[i]), 0, -1):
-            parent, plus, dm, dp, pivot, k, bits = rows[t - 1][row]
-            frozen = []                 # decreasing index order
-            while bits:
-                j = bits.bit_length() - 1
-                frozen.append(j)
-                bits ^= 1 << j
-            # the sampled walk's record keeps dp/(dm+dp) on the - branch
-            steps.append(StepRecord(t, pivot, self.directions[k], dp, dm,
-                                    dp if plus else -dm,
-                                    (dm if plus else dp) / (dm + dp), frozen))
+            parent, plus, dm, dp, pivot, k = rows[t - 1][row]
+            frozen = [j for j in range(self.n - 1, -1, -1) if when[j] == t]
+            steps.append(walk.step_record(t, pivot, self.directions[k], dm, dp, plus,
+                                          frozen))
             row = parent
         return WalkTrace(steps=steps[::-1], final_x=self.signs[i])
 
@@ -159,16 +154,14 @@ def enumerate_walk(inst: Instance) -> LeafDistribution:
     order with the + branch first.
 
     The tree grows one depth at a time.  A node is a row: its coloring, its
-    active set as a bitmask, its mass, its path code and its freeze-sequence
-    chain.  Path codes are left-aligned, the step into depth t in bit n - t
-    and the + branch 0, so depth-first order is code order with each node
-    before its + child.  The chain interns (parent chain, active set); as the
-    pivot is the largest active index and a step freezes what leaves the
-    active set, equal chains are equal freeze sequences.  The sets of a
+    active set as a bitmask, its mass, its path code and, per coordinate,
+    the step that froze it (0 while active).  Path codes are left-aligned,
+    the step into depth t in bit n - t and the + branch 0, so depth-first
+    order is code order with each node before its + child.  The sets of a
     depth that no earlier depth has seen solve their directions in one
     ``walk.stacked_directions`` call, and all nodes of the depth step in one
     pass.  ``DEPTH_CAP`` bounds the direction table, indexed by bitmask, to
-    2^n rows and keeps bitmasks, codes and chain keys within int64.
+    2^n rows, keeps bitmasks and codes within int64 and steps within int8.
     """
     n = inst.n
     if n > DEPTH_CAP:
@@ -179,7 +172,7 @@ def enumerate_walk(inst: Instance) -> LeafDistribution:
     index = np.full(1 << n, -1)         # active bitmask -> row of ``directions``
     directions = np.zeros((0, n))
     steps: list[StepColumns] = []
-    leaf_cols = []                      # per depth: code, mass, coloring, chain, depth, row
+    leaf_cols = []                      # per depth: code, mass, coloring, when, depth, row
     node_cols = []                      # per depth: code, depth, pivot, z
     cut_cols = []                       # per depth: code, mass of pruned branches
 
@@ -187,18 +180,17 @@ def enumerate_walk(inst: Instance) -> LeafDistribution:
     bits = np.array([(1 << n) - 1], dtype=np.int64)
     prob = np.ones(1)
     code = np.zeros(1, dtype=np.int64)
-    chain = np.zeros(1, dtype=np.int64)
-    chains = 1
+    when = np.zeros((1, n), dtype=np.int8)
     depth = 0
     while bits.size:
         done = bits == 0
         leaves = np.flatnonzero(done)
-        leaf_cols.append((code[leaves], prob[leaves], x[leaves], chain[leaves],
+        leaf_cols.append((code[leaves], prob[leaves], x[leaves], when[leaves],
                           np.full(leaves.size, depth), leaves))
         rows = np.flatnonzero(~done)
         if not rows.size:
             break
-        x, bits, prob, code, chain = x[rows], bits[rows], prob[rows], code[rows], chain[rows]
+        x, bits, prob, code, when = x[rows], bits[rows], prob[rows], code[rows], when[rows]
         distinct, group = np.unique(bits, return_inverse=True)
         masks = (distinct[:, None] & weights) > 0
         new = index[distinct] < 0       # sets no earlier depth has solved
@@ -222,25 +214,22 @@ def enumerate_walk(inst: Instance) -> LeafDistribution:
         src, plus = take % rows.size, take < rows.size
         x, froze = walk.move(x[src], u[src], np.where(plus, dp[src], -dm[src])[:, None],
                              masks[group[src]])
-        frozen = froze @ weights
-        bits = bits[src] - frozen
-        steps.append(StepColumns(rows[src], plus, dm[src], dp[src], pivot[src], k[src],
-                                 frozen))
-        distinct, chain = np.unique(chain[src] << n | bits, return_inverse=True)
-        chain += chains                 # chains of different depths stay apart
-        chains += distinct.size
+        bits = bits[src] - froze @ weights
+        steps.append(StepColumns(rows[src], plus, dm[src], dp[src], pivot[src], k[src]))
+        when = when[src]
+        when[froze] = depth + 1
         prob, code = mass[take], child_code[take]
         depth += 1
 
-    leaf_code, probabilities, signs, leaf_chain, leaf_depth, leaf_row = (
+    leaf_code, probabilities, signs, leaf_when, leaf_depth, leaf_row = (
         np.concatenate(c) for c in zip(*leaf_cols))
     order = np.argsort(leaf_code, kind="stable")
-    leaf_code = leaf_code[order]
-    # freeze ids number the chains in order of their first leaf
-    _, first, inverse = np.unique(leaf_chain[order], return_index=True,
-                                  return_inverse=True)
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(first.size)
+    leaf_code, leaf_when = leaf_code[order], leaf_when[order]
+    # freeze ids number the distinct rows of ``when``, as bytes, by first leaf
+    _, first, inverse = np.unique(leaf_when.view(np.dtype((np.void, n)))[:, 0],
+                                  return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))
+    first = np.sort(first)
     node_code, node_depth, node_pivot, node_z = (np.concatenate(c) for c in zip(*node_cols))
     # nodes were collected depth by depth, so a node stays before its + child
     pre = np.argsort(node_code, kind="stable")
@@ -252,7 +241,7 @@ def enumerate_walk(inst: Instance) -> LeafDistribution:
         pruned += p                     # in depth-first order, as the leaves
     return LeafDistribution(
         inst=inst, probabilities=probabilities[order], signs=signs[order],
-        freeze_ids=rank[inverse], first_leaf=np.sort(first).tolist(),
+        freeze_ids=rank[inverse], first_leaf=first.tolist(), when=leaf_when[first],
         nodes=list(zip(lo.tolist(), hi.tolist(), node_pivot[pre].tolist(),
                        node_z[pre].tolist())),
         steps=steps, directions=directions, leaf_depth=leaf_depth[order],

@@ -25,7 +25,7 @@ from .enumeration import brute_force_min_discrepancy
 from .exceptions import ContractViolationError, ParameterError, ReportFormatError
 from .inequalities import PROXY_SLACK, BoundInputs, theorem1_bound
 from .instances import Instance, json_text, stream_rng, write_text
-from .ortho import basis_variance_proxies, decompose_steps
+from .ortho import basis_variance_proxies, decompose_freezes
 
 # The report's empirical tail: coordinate and thresholds c.
 TAIL_COORD = 0
@@ -97,21 +97,6 @@ def _walk_rows(inst: Instance, draws: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return x, when
 
 
-def _freeze_steps(when: np.ndarray) -> list[tuple[int, int, list[int]]]:
-    """The (step, pivot, frozen coordinates in decreasing order) of a walk
-    whose coordinate i froze at step ``when[i]``; the pivot of step t is the
-    largest coordinate still active, the largest one frozen at t or later."""
-    order = np.lexsort((-np.arange(when.size), when)).tolist()
-    ends = np.cumsum(np.bincount(when)[1:]).tolist()
-    steps = []
-    pivot = -1
-    for t in range(len(ends), 0, -1):
-        frozen = order[ends[t - 2] if t > 1 else 0:ends[t - 1]]
-        pivot = max(pivot, frozen[0])
-        steps.append((t, pivot, frozen))
-    return steps[::-1]
-
-
 def _run_range(args):
     inst, master_seed, start, stop = args
     chunk = max(1, CHUNK_FLOATS // (inst.n * inst.d))
@@ -128,7 +113,7 @@ def _run_range(args):
         for r, x, w, disc in zip(runs, signs, when, discrepancies.tolist()):
             key = w.tobytes()
             if key not in sequences:
-                dec = decompose_steps(inst, _freeze_steps(w))
+                dec = decompose_freezes(inst, w)
                 sequences[key] = dec.total_nontrivial, basis_variance_proxies(inst, dec)
             blocks, proxies = sequences[key]
             out.append(RunStats(run_index=r, discrepancy=disc,

@@ -1,9 +1,10 @@
-"""Post-hoc orthogonal decomposition of a walk trace.
+"""Post-hoc orthogonal decomposition of a walk.
 
-From a finished trace we rebuild the freeze ordering of the coordinates, the
-Gram-Schmidt directions of the columns taken in that order, the per-pivot
-partition of positions into freeze blocks, the count of nontrivial blocks,
-and the per-direction variance proxy that drives the concentration bound.
+From the step at which each coordinate froze we rebuild the freeze ordering
+of the coordinates, the Gram-Schmidt directions of the columns taken in that
+order, the per-pivot partition of positions into freeze blocks, the count of
+nontrivial blocks, and the per-direction variance proxy that drives the
+concentration bound.
 
 Positions and column indices are 0-based throughout; step numbers are 1-based
 as recorded in the trace.
@@ -67,14 +68,28 @@ def _nonzero_rows(directions: np.ndarray) -> list[bool]:
 
 
 def decompose(inst: Instance, trace: WalkTrace) -> OrthoDecomposition:
-    """Full decomposition of a trace: ``decompose_steps`` of its steps."""
-    return decompose_steps(inst, ((rec.t, rec.pivot, rec.frozen) for rec in trace.steps))
+    """Full decomposition of a trace: ``decompose_freezes`` of the step at
+    which each coordinate froze.  Raises ``ContractViolationError`` unless
+    the steps are numbered 1, 2, ..., their frozen sets partition [n] and
+    each step's pivot is the largest coordinate still active."""
+    steps = [rec.t for rec in trace.steps]
+    if steps != list(range(1, len(steps) + 1)):
+        raise ContractViolationError("steps of the trace are not numbered 1, 2, ...")
+    froze = sorted((j, rec.t) for rec in trace.steps for j in rec.frozen)
+    if [j for j, _ in froze] != list(range(inst.n)):
+        raise ContractViolationError("frozen sets of the trace do not partition [n]")
+    dec = decompose_freezes(inst, np.array([t for _, t in froze]))
+    pivots, starts = zip(*dec.pivot_phases)
+    derived = np.array(pivots)[np.searchsorted(starts, steps, side="right") - 1]
+    if derived.tolist() != [rec.pivot for rec in trace.steps]:
+        raise ContractViolationError("a step's pivot is not its largest active coordinate")
+    return dec
 
 
-def decompose_steps(inst: Instance, steps) -> OrthoDecomposition:
-    """Full decomposition from one pass over the steps of a walk, given as
-    (step number, pivot, frozen coordinates in decreasing order); nothing
-    else of a trace enters it.
+def decompose_freezes(inst: Instance, when: np.ndarray) -> OrthoDecomposition:
+    """Full decomposition of a walk from ``when[i]``, the step at which
+    coordinate i froze, and nothing else; the pivot of step t, the largest
+    coordinate still active, is the largest one frozen at t or later.
 
     Positions are handed out from the top down.  Each pivot takes the next
     free position when its phase starts, keyed as its own singleton block
@@ -86,21 +101,24 @@ def decompose_steps(inst: Instance, steps) -> OrthoDecomposition:
     counted as nontrivial.
     """
     n = inst.n
+    w = when.tolist()
     placed: list[int] = []          # columns in decreasing position order
     blocks: dict[tuple[int, int], tuple[int, ...]] = {}
     phases: list[tuple[int, int]] = []
-    for t, pivot, frozen in steps:
+    pivot = n - 1
+    # the coordinates step by step, largest index first
+    for t, frozen in groupby(sorted(range(n), key=lambda i: (w[i], -i)), key=w.__getitem__):
+        while w[pivot] < t:         # down to the largest coordinate still active
+            pivot -= 1
         if not phases or phases[-1][0] != pivot:
             phases.append((pivot, t))
             blocks[(pivot, t - 1)] = (n - 1 - len(placed),)
             placed.append(pivot)
-        others = [j for j in frozen if j != pivot]   # already decreasing
+        others = [j for j in frozen if j != pivot]
         if others:
             top = n - 1 - len(placed)
             blocks[(pivot, t)] = tuple(range(top, top - len(others), -1))
             placed += others
-    if sorted(placed) != list(range(n)):
-        raise ContractViolationError("frozen sets of the trace do not partition [n]")
     order = np.array(placed[::-1], dtype=int)
     position = np.empty(n, dtype=int)
     position[order] = np.arange(n)

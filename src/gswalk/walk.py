@@ -53,6 +53,15 @@ class StepRecord:
     frozen: list[int]           # decreasing index order
 
 
+def step_record(t: int, pivot: int, u: np.ndarray, dm: float, dp: float, plus: bool,
+                frozen: list[int]) -> StepRecord:
+    """The record of step t, which took the + endpoint when ``plus``.  The -
+    branch records dp/(dm+dp), which ``run --dump-trace`` prints; it can
+    differ in the last bit from 1 - p_plus, the mass of the branch."""
+    return StepRecord(t, pivot, u, dp, dm, dp if plus else -dm,
+                      (dm if plus else dp) / (dm + dp), frozen)
+
+
 @dataclass
 class WalkTrace:
     steps: list[StepRecord]
@@ -230,12 +239,9 @@ def run_walk(inst: Instance, rng: np.random.Generator) -> WalkTrace:
     steps: list[StepRecord] = []
     while live.size:
         u = min_norm_directions(inst, live[None])[0]
-        x, froze, dm, dp, p_plus, plus = step_rows(x, u, rng.random(), active)
+        x, froze, dm, dp, _, plus = step_rows(x, u, rng.random(), active)
         active ^= froze                 # froze lies within active
-        # The - branch records dp/(dm+dp), which ``run --dump-trace`` prints;
-        # it can differ from 1 - p_plus in the last bit.
-        chosen, prob = (dp, p_plus) if plus else (-dm, dp / (dm + dp))
-        steps.append(StepRecord(len(steps) + 1, int(live[-1]), u, dp, dm, chosen, prob,
-                                froze.nonzero()[0][::-1].tolist()))
+        steps.append(step_record(len(steps) + 1, int(live[-1]), u, dm, dp, plus,
+                                 froze.nonzero()[0][::-1].tolist()))
         live = active.nonzero()[0]
     return WalkTrace(steps=steps, final_x=x)

@@ -11,7 +11,7 @@ from gswalk.enumeration import (brute_force_min_discrepancy,
                                 verify_martingale, verify_subgaussian)
 from gswalk.exceptions import DimensionError, DomainOverflowError
 from gswalk.instances import Instance, generate_instance
-from gswalk.ortho import decompose, variance_proxy
+from gswalk.ortho import decompose, decompose_freezes, variance_proxy
 from gswalk.smoothed import base_law, build_augmented, tilt_distribution
 from gswalk.walk import WalkState
 from conftest import make_columns
@@ -128,9 +128,9 @@ class TestEnumerateWalk:
 
         def counting(*args):
             calls.append(args)
-            return decompose(*args)
+            return decompose_freezes(*args)
 
-        monkeypatch.setattr(enumeration, "decompose", counting)
+        monkeypatch.setattr(enumeration, "decompose_freezes", counting)
         dist = enumerate_walk(inst)
         assert calls == []
         first = dist.leaves[0]
@@ -488,7 +488,9 @@ class TestColumnarLaw:
         assert len(calls) == len(set(calls)) == len(set(actives)) < len(actives)
 
     def test_records_built_on_read(self, monkeypatch):
-        # the law holds its steps as columns; a record exists once its path is read
+        # the law holds its steps as columns and each freeze sequence as the
+        # step at which each coordinate froze; a record exists once its path
+        # is read, and no check reads a path
         inst = generate_instance("random_unit_sphere", 3, 8, 2)
         built = []
         record = walk.StepRecord
@@ -498,7 +500,6 @@ class TestColumnarLaw:
             return record(*args, **kwargs)
 
         monkeypatch.setattr(walk, "StepRecord", counting)
-        monkeypatch.setattr(enumeration, "StepRecord", counting)
         dist = enumerate_walk(inst)
         law = enumerate_walk(build_augmented(inst))
         base_law(law)
@@ -506,10 +507,9 @@ class TestColumnarLaw:
         v = np.array([0.6, -0.8, 0.0])
         verify_martingale(dist, inst, v)
         conditional_increment_check(dist)
-        assert built == []
         verify_subgaussian(dist, inst, v, 0.7)
-        read = len(built)
-        assert read == sum(len(dist.trace(i).steps) for i in dist.first_leaf) > 0
+        assert built == []
+        assert len(dist.trace(0).steps) == len(built) > 0
         assert len(dist.first_leaf) < len(dist.probabilities)
 
     def test_depth_cap_instance(self):

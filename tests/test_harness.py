@@ -26,8 +26,8 @@ LOCKSTEP_CASES = [("identity", 4, 4, 0), ("random_unit_sphere", 8, 8, 4000),
                   ("sign_columns", 4, 8, 1)]
 
 
-def reference_csv(inst, runs: int, master_seed: int) -> str:
-    """The per-run CSV computed run by run through the uncached run_walk."""
+def reference_stats(inst, runs: int, master_seed: int) -> list[RunStats]:
+    """Per-run statistics computed run by run through the uncached run_walk."""
     stats = []
     for r in range(runs):
         rng = np.random.default_rng(
@@ -39,7 +39,16 @@ def reference_csv(inst, runs: int, master_seed: int) -> str:
             run_index=r, discrepancy=float(np.abs(inst.matrix @ trace.final_x).max()),
             block_count=dec.total_nontrivial, max_proxy=float(proxies.max()),
             proxies=proxies, signs=trace.final_x))
-    return stats_to_csv(stats)
+    return stats
+
+
+def assert_matches_reference(stats, inst, master_seed: int) -> None:
+    """The CSV of ``stats``, which holds T-hat and max Z, and each run's
+    block count and d basis proxies bit for bit equal the reference's."""
+    want = reference_stats(inst, len(stats), master_seed)
+    assert stats_to_csv(stats) == stats_to_csv(want)
+    assert ([(s.block_count, s.proxies.tobytes()) for s in stats]
+            == [(s.block_count, s.proxies.tobytes()) for s in want])
 
 
 FAMILIES = ("rank_deficient", "duplicate_opposite", "mixed_scale", "d1",
@@ -166,8 +175,9 @@ class TestLockstep:
     @pytest.mark.parametrize("kind,d,n,seed", LOCKSTEP_CASES)
     def test_matches_uncached_walk(self, kind, d, n, seed, workers):
         inst = generate_instance(kind, d, n, seed)
-        cached = stats_to_csv(run_experiment(inst, 300, 5 + seed, workers=workers))
-        assert cached == reference_csv(inst, 300, 5 + seed)
+        stats = run_experiment(inst, 300, 5 + seed, workers=workers)
+        assert len(stats) == 300
+        assert_matches_reference(stats, inst, 5 + seed)
 
     def test_runs_do_not_share_arrays(self):
         inst = generate_instance("identity", 3, 3, 0)
@@ -195,8 +205,9 @@ class TestLockstep:
             patch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
             patch.setattr(InProcessPool, "sizes", [])
             patch.setattr(harness.os, "cpu_count", lambda: 2)
-            got = stats_to_csv(run_experiment(inst, 13, seed % 1000, workers=workers))
-        assert got == reference_csv(inst, 13, seed % 1000)
+            got = run_experiment(inst, 13, seed % 1000, workers=workers)
+        assert len(got) == 13
+        assert_matches_reference(got, inst, seed % 1000)
 
     def test_memory_keeps_no_step_directions(self):
         # one u row per step would be 8 runs x 300 steps x 300 floats = 5.8 MB

@@ -103,6 +103,14 @@ class TestMultiFreeze:
         with pytest.raises(ContractViolationError):
             decompose(inst, trace)
 
+    # step 2's pivot is 4, the largest coordinate still active; its number is 2
+    @pytest.mark.parametrize("change", [{"pivot": 3}, {"pivot": 5}, {"t": 3}, {"t": 1}])
+    def test_step_inconsistent_with_freezes(self, change):
+        inst, trace = self.walk()
+        trace.steps[1] = replace(trace.steps[1], **change)
+        with pytest.raises(ContractViolationError):
+            decompose(inst, trace)
+
 
 def full_gram_schmidt(inst, order):
     """Reference: the residual of every position, with no early stop."""

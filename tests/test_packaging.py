@@ -67,6 +67,31 @@ def test_directions_have_one_solve_path():
     assert calls_outside({"lstsq", "eigh"}, {"min_norm_directions", "_gram_solve"}) == []
 
 
+def test_decompositions_have_one_builder():
+    assert calls_outside({"OrthoDecomposition"}, {"decompose_freezes"}) == []
+
+
+def module_attributes(path: Path, package: str) -> set[tuple[str, str]]:
+    """(submodule, name) of each ``<submodule>.<name>`` that a script reads
+    on a submodule it imports with ``from <package> import ...``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == package
+               for alias in node.names}
+    return {(modules[node.value.id], node.attr) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules}
+
+
+def test_bench_reads_only_names_the_package_has():
+    # tier-1 runs no bench code, so a dropped name would break only the bench
+    used = module_attributes(ROOT / "bench" / "workloads.py", "gswalk")
+    assert {("walk", "apply_step"), ("ortho", "decompose")} <= used
+    missing = [f"{module}.{name}" for module, name in sorted(used)
+               if not hasattr(import_module(f"gswalk.{module}"), name)]
+    assert missing == []
+
+
 def modules_after(code: str) -> set[str]:
     """Modules a fresh interpreter has loaded once ``code`` has run."""
     script = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); {code}; "
