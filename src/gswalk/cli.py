@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=instances.usable_cores())
 
     p = sub.add_parser("oracle", help="exact enumeration checks")
     p.add_argument("--instance", required=True)

@@ -135,11 +135,6 @@ class Leaf:
     def signs(self) -> np.ndarray:
         return self.law.signs[self.index]
 
-    @property
-    def choices(self) -> tuple[bool, ...]:
-        """True where the + endpoint was taken."""
-        return tuple(rec.chosen_delta > 0 for rec in self.trace.steps)
-
     @cached_property
     def trace(self) -> WalkTrace:
         return self.law.trace(self.index)

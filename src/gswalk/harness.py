@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import io
 import math
-import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -24,7 +23,7 @@ from . import walk
 from .enumeration import brute_force_min_discrepancy
 from .exceptions import ContractViolationError, ParameterError, ReportFormatError
 from .inequalities import PROXY_SLACK, BoundInputs, theorem1_bound
-from .instances import Instance, json_text, stream_rng, write_text
+from .instances import Instance, json_text, stream_rng, usable_cores, write_text
 from .ortho import basis_variance_proxies, decompose_freezes
 
 # The report's empirical tail: coordinate and thresholds c.
@@ -124,12 +123,12 @@ def _run_range(args):
 
 def run_experiment(inst: Instance, runs: int, master_seed: int,
                    workers: int = 1) -> list[RunStats]:
-    """Independent seeded walk runs, sorted by index, on <= os.cpu_count() processes."""
+    """Independent seeded walk runs, sorted by index, on <= usable_cores() processes."""
     if runs < 1:
         raise ParameterError(f"runs must be >= 1, got {runs}")
     if workers < 1:
         raise ParameterError(f"worker count must be >= 1, got {workers}")
-    workers = min(workers, os.cpu_count() or 1)
+    workers = min(workers, usable_cores())
     if workers <= 1 or runs < 4 * workers:
         return _run_range((inst, master_seed, 0, runs))
     bounds = np.linspace(0, runs, workers + 1).astype(int)

@@ -12,10 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainOverflowError, ParameterError
+from .instances import usable_cores
 
 EXP_GUARD = 50.0
 MIN_AXIS_POINTS = 5             # a coarser grid axis certifies nothing
 MAX_GRID_CELLS = 1 << 23        # largest array a grid may allocate (64 MiB of floats)
+BAND_FLOATS = 1 << 13           # grid points per band of the cosh-chain sweep
 PROXY_SLACK = 1e-9              # roundoff allowed on a proxy estimate in [0, 1]
 # Domains of the grid certifications.
 X_LIM, AB_LIM = 0.99, 3.0       # lemma 1: |x| <= X_LIM, |a|, |b| <= AB_LIM
@@ -85,14 +87,21 @@ def cosh_chain_check(c, lam):
     lam = np.asarray(lam, float)
     if not (np.all(c >= 2) and np.all(lam > 0)):
         raise ValueError(f"need c >= 2 and lam > 0, got c={c}, lam={lam}")
-    cl = c * lam
+    shape = np.broadcast_shapes(c.shape, lam.shape)
+    cl, e1, e2, gap1 = (np.empty(shape) for _ in range(4))
+    np.multiply(c, lam, out=cl)
     if np.max(cl) > 100.0:
         raise DomainOverflowError(f"c*lam = {np.max(cl):.3g} exceeds 100")
-    e1 = np.expm1(cl) - cl
-    e2 = 2.0 * (np.cosh(cl) - 1.0)
-    gap1 = e1 - lam * lam * np.exp(0.5 * cl)
-    # e2 - e1 = expm1(-cl) + cl, which avoids cancellation at large cl
-    gap2 = lam * lam * (np.expm1(-cl) + cl) / (e1 * e2)
+    lam2 = lam * lam
+    np.subtract(np.expm1(cl, out=e1), cl, out=e1)
+    np.multiply(2.0, np.subtract(np.cosh(cl, out=e2), 1.0, out=e2), out=e2)
+    half = np.multiply(0.5, cl, out=gap1)
+    np.subtract(e1, np.multiply(lam2, np.exp(half, out=half), out=half), out=gap1)
+    # e2 - e1 = expm1(-cl) + cl, which avoids cancellation at large cl; the
+    # product e1 e2 and then gap2 are written over e2 and e1
+    prod = np.multiply(e1, e2, out=e2)
+    num = np.add(np.expm1(np.negative(cl, out=e1), out=e1), cl, out=e1)
+    gap2 = np.divide(np.multiply(lam2, num, out=num), prod, out=num)
     return (float(gap1), float(gap2)) if gap1.ndim == 0 else (gap1, gap2)
 
 
@@ -117,23 +126,29 @@ def theorem1_bound(inputs: BoundInputs) -> float:
 
 
 def lemma1_grid_min(step: float = 0.01) -> float:
-    """Minimum lemma gap over the x in [-X_LIM, X_LIM], a,b in [-AB_LIM, AB_LIM] grid."""
+    """Minimum lemma gap over the x in [-X_LIM, X_LIM], a,b in [-AB_LIM, AB_LIM] grid;
+    one band of rows a per usable core is swept on its own thread (numpy's
+    ufuncs release the GIL), and the least band minimum is the exact minimum."""
     _check_grid(step, 2 * X_LIM, 2 * AB_LIM, 2 * AB_LIM)
-    worst = math.inf
-    for gap in lemma1_sweep(_grid(-X_LIM, X_LIM, step), _grid(-AB_LIM, AB_LIM, step)):
-        worst = min(worst, float(gap.min()))
-    return worst
+    xs, ab = _grid(-X_LIM, X_LIM, step), _grid(-AB_LIM, AB_LIM, step)
+
+    def band_min(a):
+        return min(float(gap.min()) for gap in lemma1_sweep(xs, a, ab))
+
+    bands = np.array_split(ab, min(usable_cores(), len(ab)))
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=len(bands)) as pool:
+        return min(pool.map(band_min, bands))
 
 
-def lemma1_sweep(xs: np.ndarray, ab: np.ndarray):
-    """Yield ``lemma1_gap(x, ab[:, None], ab[None, :])`` for each x in ``xs``.
+def lemma1_sweep(xs: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Yield ``lemma1_gap(x, a[:, None], b[None, :])`` for each x in ``xs``.
 
     The x-independent terms are computed once and every gap is evaluated into
-    the same reused buffers, so a sweep allocates no per-x (len(ab), len(ab))
+    the same reused buffers, so a sweep allocates no per-x (len(a), len(b))
     temporaries; each yielded array is overwritten by the next one.
     """
-    a = ab[:, None]
-    b = ab[None, :]
+    a, b = a[:, None], b[None, :]
     _check_exponent(a, b)
     lhs = np.exp(np.abs(a) * np.abs(b) + 0.5 * b * b)
     s = a + b
@@ -154,12 +169,15 @@ def two_point_grid_min(step: float = 0.01) -> float:
 
 
 def cosh_chain_grid_min(step: float = 0.01) -> tuple[float, float]:
-    """Minimum of both chain gaps over c in [2, C_MAX], lam in [step, LAM_MAX]."""
+    """Minimum of both chain gaps over c in [2, C_MAX], lam in [step, LAM_MAX],
+    taken band by band over at most BAND_FLOATS grid points at a time."""
     _check_grid(step, C_MAX - 2.0, LAM_MAX - step)
-    cs = _grid(2.0, C_MAX, step)
-    lams = _grid(step, LAM_MAX, step)
-    g1, g2 = cosh_chain_check(cs[:, None], lams[None, :])
-    return float(g1.min()), float(g2.min())
+    cs = _grid(2.0, C_MAX, step)[:, None]
+    lams = _grid(step, LAM_MAX, step)[None, :]
+    rows = max(1, BAND_FLOATS // lams.size)
+    mins = [[gap.min() for gap in cosh_chain_check(cs[lo:lo + rows], lams)]
+            for lo in range(0, len(cs), rows)]
+    return tuple(float(m) for m in np.min(mins, axis=0))
 
 
 def _check_grid(step: float, *spans: float) -> None:

@@ -2,13 +2,15 @@
 
 Columns must satisfy ||v_i||_2 <= 1 (up to a small load tolerance).  Instances
 are immutable after construction and safe to share between threads.
-Every random stream of the package is ``stream_rng(seed, *key)``; every file
-goes through ``read_text`` / ``write_text`` and every JSON document ``json_text``.
+Every random stream of the package is ``stream_rng(seed, *key)``, every file
+goes through ``read_text`` / ``write_text``, every JSON document ``json_text``
+and every pool or split is sized by ``usable_cores``.
 """
 from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,6 +86,13 @@ def generate_instance(kind: str, d: int, n: int, seed: int) -> Instance:
 def stream_rng(seed: int, *key: int) -> np.random.Generator:
     """The generator of stream ``key`` under ``seed``; () is the root stream."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+def usable_cores() -> int:
+    """CPUs in this process's affinity mask (the host's count without one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def read_text(path, error) -> str:

@@ -189,17 +189,3 @@ def direction_expansion_residual(inst: Instance, trace: WalkTrace,
         remaining -= len(rec.frozen)
     return worst
 
-
-def project_pivot(ortho: OrthoDecomposition, pivot: int, v) -> np.ndarray:
-    """Orthogonal projection of v onto the subspace of the pivot's blocks.
-
-    The pivot's blocks fill the positions from its own down to just above
-    the next pivot's (down to 0 for the last pivot).
-    """
-    pivots = [p for p, _ in ortho.pivot_phases]
-    if pivot not in pivots:
-        raise ContractViolationError(f"index {pivot} never became pivot")
-    i = pivots.index(pivot)
-    lo = ortho.position[pivots[i + 1]] + 1 if i + 1 < len(pivots) else 0
-    w = ortho.directions[lo:ortho.position[pivot] + 1]
-    return (w @ np.asarray(v, float)) @ w

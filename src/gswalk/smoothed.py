@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .exceptions import (ContractViolationError, DegeneratePairError,
                          DomainOverflowError, ParameterError)
@@ -204,7 +204,7 @@ def joint_rect_probability(row: np.ndarray, x: np.ndarray, y: np.ndarray,
     s2 = sigma * math.sqrt((n - k) / d)
     mu = 0.5 * (m1 + m2)
     nu = 0.5 * (m1 - m2)
-    nodes, weights = leggauss(QUAD_POINTS)
+    nodes, weights = _gauss_legendre()
     # Clip each axis to the density's effective support (12 standard
     # deviations) so the fixed node count resolves the peak even when the
     # region is much wider than the density.
@@ -229,6 +229,15 @@ def joint_rect_probability(row: np.ndarray, x: np.ndarray, y: np.ndarray,
         dens_b = np.exp(-0.5 * ((b + nu) / s2) ** 2) / (s2 * math.sqrt(2 * math.pi))
         total += float(np.sum(dens_a * wa * np.sum(dens_b * wb, axis=1)))
     return min(total, 1.0)
+
+
+@cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """The QUAD_POINTS-node Gauss-Legendre rule on [-1, 1]: built once, read-only."""
+    from numpy.polynomial.legendre import leggauss
+    nodes, weights = leggauss(QUAD_POINTS)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def product_rect_probability(row: np.ndarray, x: np.ndarray, y: np.ndarray,

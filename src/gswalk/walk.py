@@ -71,12 +71,6 @@ class WalkTrace:
     def total_steps(self) -> int:
         return len(self.steps)
 
-    def replay(self) -> np.ndarray:
-        x = np.zeros(len(self.final_x))
-        for rec in self.steps:
-            x = x + rec.chosen_delta * rec.u
-        return x
-
 
 def min_norm_direction(inst: Instance, active, pivot: int) -> np.ndarray:
     """Direction with u[pivot] = 1 and support in ``active`` minimizing ||M u||_2:

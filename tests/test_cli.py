@@ -110,6 +110,12 @@ class TestMc:
         assert lines[0] == "run_index,discrepancy,hatT,maxZ,final_X"
         assert len(lines) == 51
 
+    def test_threads_default_is_usable_cores(self, monkeypatch):
+        monkeypatch.setattr(cli.instances, "usable_cores", lambda: 3)
+        args = cli._build_parser().parse_args(["mc", "--instance", "i", "--runs", "1",
+                                               "--out", "o"])
+        assert args.threads == 3
+
     def test_byte_identical_reruns(self, rand24, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
@@ -157,6 +163,13 @@ class TestCheckIneq:
         assert main(["check-ineq", "--which", "comparison", "--trials", "20",
                      "--seed", "5"]) == 0
         assert "relative slack" in capsys.readouterr().out
+
+    def test_comparison_pinned(self, capsys):
+        # every trial reads the one quadrature rule built for the process
+        assert main(["check-ineq", "--which", "comparison", "--trials", "100",
+                     "--seed", "1"]) == 0
+        assert capsys.readouterr().out == (
+            "comparison min relative slack over 100 trials: -3.713e-14\n")
 
 
 class TestSmoothed:

@@ -15,6 +15,7 @@ from gswalk.ortho import decompose, decompose_freezes, variance_proxy
 from gswalk.smoothed import base_law, build_augmented, tilt_distribution
 from gswalk.walk import WalkState
 from conftest import make_columns
+from helpers import choices, replay
 
 SHARING_CASES = [("random_unit_sphere", 3, 7, 4), ("sign_columns", 3, 8, 2),
                  ("duplicated_column", 3, 7, 1), ("random_in_ball", 4, 9, 3)]
@@ -120,7 +121,7 @@ class TestEnumerateWalk:
         inst = generate_instance("random_unit_sphere", 2, 5, 3)
         dist = enumerate_walk(inst)
         for lf in dist.leaves:
-            assert np.max(np.abs(lf.trace.replay() - lf.signs)) <= 1e-9
+            assert np.max(np.abs(replay(lf.trace) - lf.signs)) <= 1e-9
 
     def test_leaf_decomposition_built_on_first_read(self, monkeypatch):
         inst = generate_instance("random_unit_sphere", 3, 6, 2)
@@ -328,8 +329,8 @@ class TestConditionalIncrements:
         replaying each node's coloring from its records."""
         groups: dict[tuple[bool, ...], list] = {}
         for lf in dist.leaves:
-            for depth in range(len(lf.choices)):
-                groups.setdefault(lf.choices[:depth], []).append(lf)
+            for depth in range(len(choices(lf))):
+                groups.setdefault(choices(lf)[:depth], []).append(lf)
         worst = 0.0
         for prefix, members in groups.items():
             depth = len(prefix)
@@ -433,7 +434,7 @@ class TestColumnarLaw:
                 assert got.chosen_delta == want.chosen_delta
                 assert (got.delta_minus, got.delta_plus, got.choice_probability) == (
                     want.delta_minus, want.delta_plus, want.choice_probability)
-            assert lf.choices == tuple(rec.chosen_delta > 0 for rec in steps)
+            assert choices(lf) == tuple(rec.chosen_delta > 0 for rec in steps)
 
     @given(st.sampled_from(FAMILIES), st.integers(0, 2**32 - 1),
            st.sampled_from([0.3, 1.0, 2.5]))

@@ -135,7 +135,7 @@ class TestRunExperiment:
         # run_experiment imports the pool class when it starts a pool
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(InProcessPool, "sizes", [])
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(harness, "usable_cores", lambda: 3)
         inst = generate_instance("random_unit_sphere", 3, 5, 2)
         capped = stats_to_csv(run_experiment(inst, 2000, 3, workers=500))
         assert InProcessPool.sizes == [3]
@@ -204,7 +204,7 @@ class TestLockstep:
                 patch.setattr(harness, "CHUNK_FLOATS", rows * inst.n * inst.d)
             patch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
             patch.setattr(InProcessPool, "sizes", [])
-            patch.setattr(harness.os, "cpu_count", lambda: 2)
+            patch.setattr(harness, "usable_cores", lambda: 2)
             got = run_experiment(inst, 13, seed % 1000, workers=workers)
         assert len(got) == 13
         assert_matches_reference(got, inst, seed % 1000)

@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,22 @@ from gswalk.inequalities import (BoundInputs, _check_grid, cosh_chain_check,
                                  lemma1_grid_min, lemma1_sweep, theorem1_bound,
                                  two_point_grid_min, two_point_mgf_gap,
                                  two_point_moment)
+
+
+class InlinePool:
+    """Stand-in for ThreadPoolExecutor that maps in the calling thread."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
 
 
 class TestLemma1:
@@ -59,7 +77,7 @@ class TestLemma1:
         xs = np.linspace(-0.99, 0.99, 34)
         ab = np.linspace(-3.0, 3.0, 97)
         count = 0
-        for x, gap in zip(xs, lemma1_sweep(xs, ab), strict=True):
+        for x, gap in zip(xs, lemma1_sweep(xs, ab, ab), strict=True):
             want = lemma1_gap(x, ab[:, None], ab[None, :])
             assert gap.shape == want.shape
             assert np.array_equal(gap.view(np.int64), want.view(np.int64))
@@ -71,6 +89,49 @@ class TestLemma1:
         ab = np.linspace(-3.0, 3.0, 121)
         want = min(float(lemma1_gap(x, ab[:, None], ab[None, :]).min()) for x in xs)
         assert lemma1_grid_min(step=0.05) == want
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 8])
+    @pytest.mark.parametrize("step", [0.495, 0.05, 0.02])
+    def test_split_min_is_serial_min(self, monkeypatch, cores, step):
+        xs = inequalities._grid(-inequalities.X_LIM, inequalities.X_LIM, step)
+        ab = inequalities._grid(-inequalities.AB_LIM, inequalities.AB_LIM, step)
+        want = min(float(gap.min()) for gap in lemma1_sweep(xs, ab, ab))
+        bands = []
+
+        def spy(xs, a, b):
+            bands.append(a)
+            return lemma1_sweep(xs, a, b)
+
+        monkeypatch.setattr(inequalities, "usable_cores", lambda: cores)
+        monkeypatch.setattr(inequalities, "lemma1_sweep", spy)
+        assert lemma1_grid_min(step=step) == want
+        # one band of rows per core, at most one per row; together the a-axis
+        assert len(bands) == min(cores, len(ab))
+        bands.sort(key=lambda a: a[0])
+        assert np.concatenate(bands).tobytes() == ab.tobytes()
+
+    def test_split_capped_at_one_row_a_band(self, monkeypatch):
+        # more cores than the 13 rows of step 0.495: no band may be empty
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(inequalities, "usable_cores", lambda: 64)
+        bands = []
+
+        def spy(xs, a, b):
+            bands.append(a)
+            return lemma1_sweep(xs, a, b)
+
+        monkeypatch.setattr(inequalities, "lemma1_sweep", spy)
+        assert lemma1_grid_min(step=0.495) == 0.0
+        assert [len(a) for a in bands] == [1] * 13
+
+    def test_band_gaps_are_rows_of_the_full_sweep(self):
+        xs = np.linspace(-0.99, 0.99, 9)
+        ab = np.linspace(-3.0, 3.0, 121)
+        full = [gap.copy() for gap in lemma1_sweep(xs, ab, ab)]
+        for rows in np.array_split(np.arange(len(ab)), 3):
+            band = lemma1_sweep(xs, ab[rows], ab)
+            for want, gap in zip(full, band, strict=True):
+                assert gap.tobytes() == want[rows].tobytes()
 
 
 class TestTwoPointMoment:
@@ -157,6 +218,32 @@ class TestCoshChain:
         assert g1 > 0.0
         assert g2 >= 0.0
 
+    def test_gaps_match_reference_bits(self):
+        # the chain as one expression per gap, each temporary its own array
+        cs = inequalities._grid(2.0, inequalities.C_MAX, 0.01)[:, None]
+        lams = inequalities._grid(0.01, inequalities.LAM_MAX, 0.01)[None, :]
+        cl = cs * lams
+        e1 = np.expm1(cl) - cl
+        e2 = 2.0 * (np.cosh(cl) - 1.0)
+        want1 = e1 - lams * lams * np.exp(0.5 * cl)
+        want2 = lams * lams * (np.expm1(-cl) + cl) / (e1 * e2)
+        g1, g2 = cosh_chain_check(cs, lams)
+        assert g1.tobytes() == want1.tobytes() and g2.tobytes() == want2.tobytes()
+        assert cosh_chain_grid_min(step=0.01) == (float(want1.min()), float(want2.min()))
+        for i, j in ((0, 0), (400, 123), (800, 499)):
+            assert cosh_chain_check(cs[i, 0], lams[0, j]) == (want1[i, j], want2[i, j])
+
+    def test_grid_memory(self):
+        # all of the 801 x 500 grid's temporaries at once peaked at 19.3e6 bytes
+        cosh_chain_grid_min(step=0.01)
+        tracemalloc.start()
+        try:
+            cosh_chain_grid_min(step=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 19.3e6 / 2
+
     @pytest.mark.parametrize("step", [0.3, 0.07, 0.01])
     def test_grid_axes_hit_domain_ends(self, monkeypatch, step):
         # an arange axis overshot to c = 10.1, lam = 5.1 at step 0.3 and
@@ -169,7 +256,10 @@ class TestCoshChain:
 
         monkeypatch.setattr(inequalities, "cosh_chain_check", spy)
         cosh_chain_grid_min(step=step)
-        (cs, lams), = seen
+        # the c axis arrives in bands of rows, each against the whole lam axis
+        cs = np.concatenate([c for c, _ in seen])
+        lams = seen[0][1]
+        assert all(np.array_equal(lam, lams) for _, lam in seen)
         assert (cs[0], cs[-1]) == (2.0, inequalities.C_MAX)
         assert (lams[0], lams[-1]) == (step, inequalities.LAM_MAX)
         for axis in (cs, lams):

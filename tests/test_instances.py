@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from gswalk.exceptions import (ContractViolationError, DimensionError,
                                InstanceFormatError, NormViolationError,
                                ReportFormatError)
 from gswalk.instances import (Instance, generate_instance, json_text, load_instance,
-                              read_text, save_instance, stream_rng, write_text)
+                              read_text, save_instance, stream_rng, usable_cores,
+                              write_text)
 
 
 class TestInstance:
@@ -182,3 +184,15 @@ class TestSharedRules:
     def test_json_text_layout(self):
         assert json_text({"b": [1, 2.5], "a": None}) == (
             '{\n  "b": [\n    1,\n    2.5\n  ],\n  "a": null\n}\n')
+
+    def test_usable_cores_is_the_affinity_mask(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert usable_cores() == len(os.sched_getaffinity(0))
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
+            assert usable_cores() == 3
+            monkeypatch.delattr(os, "sched_getaffinity")
+        # without an affinity call, the host's count; none known is one core
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert usable_cores() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert usable_cores() == 1

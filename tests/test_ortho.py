@@ -8,9 +8,10 @@ from gswalk.exceptions import ContractViolationError
 from gswalk.instances import Instance, generate_instance
 from gswalk.ortho import (ZERO_RESIDUAL_RTOL, basis_variance_proxies, decompose,
                           direction_expansion_residual, gram_schmidt_sequence,
-                          project_pivot, variance_proxy, variance_proxy_batch)
+                          variance_proxy, variance_proxy_batch)
 from gswalk.walk import run_walk
 from conftest import make_columns
+from helpers import project_pivot
 
 
 def walk_and_decompose(inst, seed=0):

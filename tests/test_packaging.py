@@ -34,17 +34,18 @@ def test_third_party_imports_are_the_declared_dependencies():
     assert third_party == declared == {"numpy"}
 
 
-def calls_outside(names: set[str], allowed: set[str]) -> list[str]:
+def calls_outside(names: set[str], allowed: set[str], reads: bool = False) -> list[str]:
     """``module:line`` of each call to one of ``names`` (as a bare name or an
-    attribute) in ``src/gswalk`` that no function named in ``allowed`` encloses."""
+    attribute) in ``src/gswalk`` that no function named in ``allowed`` encloses;
+    with ``reads``, of each use of one of ``names``, called or not."""
     found = []
 
     def visit(node, path, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if isinstance(node, ast.Call):
-            callee = node.func
-            name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+        used = node if reads else getattr(node, "func", None) if isinstance(node, ast.Call) else None
+        if isinstance(used, (ast.Name, ast.Attribute)):
+            name = used.id if isinstance(used, ast.Name) else used.attr
             if name in names and func not in allowed:
                 found.append(f"{path.name}:{node.lineno}")
         for child in ast.iter_child_nodes(node):
@@ -69,6 +70,15 @@ def test_directions_have_one_solve_path():
 
 def test_decompositions_have_one_builder():
     assert calls_outside({"OrthoDecomposition"}, {"decompose_freezes"}) == []
+
+
+def test_quadrature_rule_has_one_builder():
+    assert calls_outside({"leggauss"}, {"_gauss_legendre"}) == []
+
+
+@pytest.mark.parametrize("name", ["sched_getaffinity", "cpu_count"])
+def test_core_count_has_one_rule(name):
+    assert calls_outside({name}, {"usable_cores"}, reads=True) == []
 
 
 def module_attributes(path: Path, package: str) -> set[tuple[str, str]]:
@@ -109,6 +119,10 @@ def test_package_import_loads_no_submodule():
 
 def test_harness_imports_the_pool_only_to_start_one():
     assert "concurrent.futures" not in modules_after("import gswalk.harness")
+
+
+def test_inequalities_import_the_pool_only_to_start_one():
+    assert "concurrent.futures" not in modules_after("import gswalk.inequalities")
 
 
 def test_command_loads_only_what_it_runs():

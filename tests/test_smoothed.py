@@ -4,7 +4,9 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
+from gswalk import smoothed
 from gswalk.enumeration import enumerate_walk
 from gswalk.exceptions import DegeneratePairError, ParameterError
 from gswalk.instances import Instance, generate_instance
@@ -374,6 +376,16 @@ class TestRectProbabilities:
         row, x, y, sigma, d, n = self.case()
         with pytest.raises(DegeneratePairError):
             joint_rect_probability(row, x, x, sigma, d, n, 0.5)
+
+    def test_quadrature_rule_built_once_read_only(self):
+        rule = smoothed._gauss_legendre()
+        assert smoothed._gauss_legendre() is rule
+        want = leggauss(smoothed.QUAD_POINTS)
+        for got, ref in zip(rule, want, strict=True):
+            assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 0.0
 
     def test_product_zero_epsilon(self):
         row, x, y, sigma, d, n = self.case()

@@ -11,6 +11,7 @@ from gswalk.walk import (RANK_RCOND, WalkState, apply_step, feasible_interval,
                          min_norm_direction, min_norm_directions, move, run_walk,
                          stacked_directions, step_rows)
 from conftest import make_columns
+from helpers import replay
 
 EPS = np.finfo(float).eps
 GUARD = 1e-6        # documented eigenvalue ratio below which lstsq solves
@@ -486,8 +487,8 @@ class TestRunWalk:
             assert np.all(np.abs(trace.final_x) == 1.0)
             frozen = [j for rec in trace.steps for j in rec.frozen]
             assert sorted(frozen) == list(range(inst.n))
-            assert np.array_equal(trace.replay(), trace.final_x) or \
-                np.max(np.abs(trace.replay() - trace.final_x)) <= 1e-9
+            assert np.array_equal(replay(trace), trace.final_x) or \
+                np.max(np.abs(replay(trace) - trace.final_x)) <= 1e-9
             active = set(range(inst.n))
             for rec in trace.steps:
                 assert rec.u[rec.pivot] == 1.0
