@@ -8,9 +8,9 @@ every node of the depth then takes its step in one numpy pass.  The leaf
 law is held as columns: the exact probability and sign outcome of each leaf
 and the id of its freeze sequence.  A decomposition depends only on the
 freeze sequence, so one is built per id, on first read, from the step at
-which each coordinate froze.  The steps are held as columns per depth, and
-the step records of a path are built on first read of its trace, so
-expectations of any path functional can be computed without sampling.
+which each coordinate froze.  A leaf's path is kept as its code, and its
+trace replays the walk along it, so expectations of any path functional
+can be computed without sampling.
 """
 from __future__ import annotations
 
@@ -18,12 +18,11 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
-from typing import NamedTuple
 
 import numpy as np
 
 from . import walk
-from .exceptions import DimensionError, DomainOverflowError
+from .exceptions import ContractViolationError, DimensionError, DomainOverflowError
 from .instances import Instance
 from .ortho import OrthoDecomposition, decompose_freezes, variance_proxy
 from .walk import WalkTrace
@@ -33,47 +32,29 @@ DEPTH_CAP = 16                      # largest n enumerated (up to 2^n leaves)
 MGF_EXP_LIMIT = 600.0
 
 
-class StepColumns(NamedTuple):
-    """The steps into the nodes of one depth, one entry per node: the row of
-    its parent in the depth above, whether the + endpoint was taken, the
-    parent's endpoint magnitudes, pivot and direction (a row of
-    ``LeafDistribution.directions``).  What a step froze is in the leaf's
-    row of ``LeafDistribution.when``."""
-    parent: np.ndarray
-    plus: np.ndarray
-    delta_minus: np.ndarray
-    delta_plus: np.ndarray
-    pivot: np.ndarray
-    direction: np.ndarray
-
-
 @dataclass(eq=False)
 class LeafDistribution:
     """The exact leaf law of one enumeration of ``inst``, held as columns.
 
     Leaves are in depth-first order with the + branch first, so the leaves
     below any node form a contiguous run.  Leaf i has mass
-    ``probabilities[i]``, outcome ``signs[i]`` and freeze sequence
+    ``probabilities[i]``, outcome ``signs[i]``, path code ``codes[i]``, whose
+    bit n - t is 1 where step t took the - endpoint, and freeze sequence
     ``freeze_ids[i]``: ids number the distinct freeze sequences in order of
     first appearance, and ``when[k]`` holds, for sequence k, the step at
     which each coordinate froze.  ``nodes`` lists the internal
     nodes in preorder as (lo, hi, pivot, z): leaves lo..hi-1 lie below the
     node (none when every branch below was pruned), and z is the pivot's
-    coordinate in the coloring the node's prefix reaches.  ``steps[t - 1]``
-    holds the steps into the nodes of depth t; leaf i is node
-    ``leaf_row[i]`` of depth ``leaf_depth[i]``.
+    coordinate in the coloring the node's prefix reaches.
     """
     inst: Instance = field(repr=False)
     probabilities: np.ndarray       # (m,)
     signs: np.ndarray               # (m, n)
+    codes: np.ndarray               # (m,)
     freeze_ids: np.ndarray          # (m,)
     nodes: list[tuple[int, int, int, float]] = field(repr=False)
     first_leaf: list[int] = field(repr=False)           # per freeze id
     when: np.ndarray = field(repr=False)                # (freeze ids, n)
-    steps: list[StepColumns] = field(repr=False)
-    directions: np.ndarray = field(repr=False)          # (solved sets, n)
-    leaf_depth: np.ndarray = field(repr=False)          # (m,)
-    leaf_row: np.ndarray = field(repr=False)            # (m,)
     pruned_mass: float = 0.0
 
     def __post_init__(self):
@@ -96,25 +77,15 @@ class LeafDistribution:
                 self.inst, self.when[freeze_id])
         return dec
 
-    @cached_property
-    def _step_rows(self) -> list[list[tuple]]:
-        """Per depth, the step columns as one tuple per node."""
-        return [list(zip(*(col.tolist() for col in cols))) for cols in self.steps]
-
     def trace(self, i: int) -> WalkTrace:
-        """Leaf i's path, its step records built from the columns and its
-        freeze steps."""
-        rows = self._step_rows
-        row = int(self.leaf_row[i])
-        when = self.when[self.freeze_ids[i]].tolist()
-        steps = []
-        for t in range(int(self.leaf_depth[i]), 0, -1):
-            parent, plus, dm, dp, pivot, k = rows[t - 1][row]
-            frozen = [j for j in range(self.n - 1, -1, -1) if when[j] == t]
-            steps.append(walk.step_record(t, pivot, self.directions[k], dm, dp, plus,
-                                          frozen))
-            row = parent
-        return WalkTrace(steps=steps[::-1], final_x=self.signs[i])
+        """Leaf i's path: the walk replayed on the draws of its code, 0.0
+        for the + endpoint and 1.0 for the -."""
+        code, n = int(self.codes[i]), self.n
+        trace = walk.walk_path(self.inst, (float(code >> (n - t) & 1)
+                                           for t in range(1, n + 1)))
+        if trace.final_x.tobytes() != self.signs[i].tobytes():
+            raise ContractViolationError(f"leaf {i}'s code does not replay to its signs")
+        return trace
 
     @cached_property
     def leaves(self) -> list[Leaf]:
@@ -166,8 +137,7 @@ def enumerate_walk(inst: Instance) -> LeafDistribution:
     weights = 1 << np.arange(n)
     index = np.full(1 << n, -1)         # active bitmask -> row of ``directions``
     directions = np.zeros((0, n))
-    steps: list[StepColumns] = []
-    leaf_cols = []                      # per depth: code, mass, coloring, when, depth, row
+    leaf_cols = []                      # per depth: code, mass, coloring, when
     node_cols = []                      # per depth: code, depth, pivot, z
     cut_cols = []                       # per depth: code, mass of pruned branches
 
@@ -180,8 +150,7 @@ def enumerate_walk(inst: Instance) -> LeafDistribution:
     while bits.size:
         done = bits == 0
         leaves = np.flatnonzero(done)
-        leaf_cols.append((code[leaves], prob[leaves], x[leaves], when[leaves],
-                          np.full(leaves.size, depth), leaves))
+        leaf_cols.append((code[leaves], prob[leaves], x[leaves], when[leaves]))
         rows = np.flatnonzero(~done)
         if not rows.size:
             break
@@ -191,10 +160,9 @@ def enumerate_walk(inst: Instance) -> LeafDistribution:
         new = index[distinct] < 0       # sets no earlier depth has solved
         index[distinct[new]] = np.arange(np.count_nonzero(new)) + len(directions)
         directions = np.concatenate((directions, walk.stacked_directions(inst, masks[new])))
-        k = index[bits]
         pivot = (n - 1 - masks[:, ::-1].argmax(axis=1))[group]
         node_cols.append((code, np.full(rows.size, depth), pivot, x[np.arange(rows.size), pivot]))
-        u = directions[k]
+        u = directions[index[bits]]
         dm, dp = walk.feasible_interval(x, u)
         p_plus = dm / (dm + dp)
         # The candidate children: the + branch of every row, then the -
@@ -210,14 +178,12 @@ def enumerate_walk(inst: Instance) -> LeafDistribution:
         x, froze = walk.move(x[src], u[src], np.where(plus, dp[src], -dm[src])[:, None],
                              masks[group[src]])
         bits = bits[src] - froze @ weights
-        steps.append(StepColumns(rows[src], plus, dm[src], dp[src], pivot[src], k[src]))
         when = when[src]
         when[froze] = depth + 1
         prob, code = mass[take], child_code[take]
         depth += 1
 
-    leaf_code, probabilities, signs, leaf_when, leaf_depth, leaf_row = (
-        np.concatenate(c) for c in zip(*leaf_cols))
+    leaf_code, probabilities, signs, leaf_when = (np.concatenate(c) for c in zip(*leaf_cols))
     order = np.argsort(leaf_code, kind="stable")
     leaf_code, leaf_when = leaf_code[order], leaf_when[order]
     # freeze ids number the distinct rows of ``when``, as bytes, by first leaf
@@ -235,12 +201,11 @@ def enumerate_walk(inst: Instance) -> LeafDistribution:
     for p in cut_mass[np.argsort(cut_code, kind="stable")].tolist():
         pruned += p                     # in depth-first order, as the leaves
     return LeafDistribution(
-        inst=inst, probabilities=probabilities[order], signs=signs[order],
+        inst=inst, probabilities=probabilities[order], signs=signs[order], codes=leaf_code,
         freeze_ids=rank[inverse], first_leaf=first.tolist(), when=leaf_when[first],
         nodes=list(zip(lo.tolist(), hi.tolist(), node_pivot[pre].tolist(),
                        node_z[pre].tolist())),
-        steps=steps, directions=directions, leaf_depth=leaf_depth[order],
-        leaf_row=leaf_row[order], pruned_mass=pruned)
+        pruned_mass=pruned)
 
 
 def _expectation(dist: LeafDistribution, values) -> float:

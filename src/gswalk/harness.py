@@ -154,7 +154,7 @@ def estimate_bound(stats: list[RunStats]) -> tuple[float, bool]:
     is 1 either way.
     """
     if not stats:
-        raise ValueError("no run statistics")
+        raise ParameterError("no run statistics")
     mean_max = float(np.mean([s.max_proxy for s in stats]))
     if mean_max > 1.0 + PROXY_SLACK:
         raise ContractViolationError(
@@ -181,10 +181,10 @@ def write_report(report: ExperimentReport, path, fmt: str = "json",
         text = report_to_json(report)
     elif fmt == "csv":
         if stats is None:
-            raise ValueError("csv format needs the per-run statistics")
+            raise ParameterError("csv format needs the per-run statistics")
         text = stats_to_csv(stats)
     else:
-        raise ValueError(f"unknown report format {fmt!r}")
+        raise ParameterError(f"unknown report format {fmt!r}")
     write_text(path, text)
 
 

@@ -48,24 +48,6 @@ def two_point_moment(x, s, out=None, work=None):
     return np.add(out, work, out=out)
 
 
-def lemma1_gap(x, a, b):
-    """Gap of the two-point moment-ratio bound, for x in [-1,1].
-
-    With A(s) the mean-zero two-point moment at s (``two_point_moment``),
-    returns exp(|a||b| + b^2/2) - A(a+b)/A(a).
-    The ratio form is the inductive step the bound rests on; at b = 0 both
-    sides are 1, and at x = a = 0 the ratio is cosh(b).  Nonnegative up to
-    roundoff.  Accepts scalars or broadcasting arrays.
-    """
-    x = np.asarray(x, float)
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    _check_exponent(a, b)
-    lhs = np.exp(np.abs(a) * np.abs(b) + 0.5 * b * b)
-    out = lhs - two_point_moment(x, a + b) / two_point_moment(x, a)
-    return float(out) if out.ndim == 0 else out
-
-
 def two_point_mgf_gap(z, b):
     """Gap of the Hoeffding step for a mean-zero two-point variable of range 2:
     exp(b^2/2) minus (1-z)/2 exp(-(1+z)b) + (1+z)/2 exp((1-z)b)."""
@@ -86,7 +68,7 @@ def cosh_chain_check(c, lam):
     c = np.asarray(c, float)
     lam = np.asarray(lam, float)
     if not (np.all(c >= 2) and np.all(lam > 0)):
-        raise ValueError(f"need c >= 2 and lam > 0, got c={c}, lam={lam}")
+        raise ParameterError(f"need c >= 2 and lam > 0, got c={c}, lam={lam}")
     shape = np.broadcast_shapes(c.shape, lam.shape)
     cl, e1, e2, gap1 = (np.empty(shape) for _ in range(4))
     np.multiply(c, lam, out=cl)
@@ -114,9 +96,9 @@ class BoundInputs:
 
     def __post_init__(self):
         if not -PROXY_SLACK <= self.mean_max_proxy <= 1.0 + PROXY_SLACK:
-            raise ValueError(f"mean_max_proxy out of [0,1]: {self.mean_max_proxy}")
+            raise ParameterError(f"mean_max_proxy out of [0,1]: {self.mean_max_proxy}")
         if self.mean_block_count < 1.0:
-            raise ValueError(f"mean_block_count must be >= 1: {self.mean_block_count}")
+            raise ParameterError(f"mean_block_count must be >= 1: {self.mean_block_count}")
 
 
 def theorem1_bound(inputs: BoundInputs) -> float:
@@ -142,7 +124,8 @@ def lemma1_grid_min(step: float = 0.01) -> float:
 
 
 def lemma1_sweep(xs: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Yield ``lemma1_gap(x, a[:, None], b[None, :])`` for each x in ``xs``.
+    """Yield, for each x in ``xs``, the lemma-1 gap exp(|a||b| + b^2/2) -
+    A(a+b)/A(a) over a[:, None], b[None, :], with A = ``two_point_moment`` at x.
 
     The x-independent terms are computed once and every gap is evaluated into
     the same reused buffers, so a sweep allocates no per-x (len(a), len(b))

@@ -62,7 +62,7 @@ class TiltedDistribution:
     tilted_p: np.ndarray        # their reweighted, normalized probabilities
     normalizer: float           # W
     half_variance: float        # V, with 2V the base mean of ||M x||^2
-    cutoff_mass: float          # base probability of the cutoff set
+    cutoff_mass: float          # base probability of the cutoff set, at most 1
 
 
 def build_augmented(inst: Instance) -> Instance:
@@ -110,23 +110,24 @@ def tilt_distribution(leaves: LeafDistribution, inst: Instance, sigma: float,
     return TiltedDistribution(support=signs[keep], base_p=base_p,
                               tilted_p=mass / normalizer, normalizer=normalizer,
                               half_variance=0.5 * two_v,
-                              cutoff_mass=float(sum(base_p)))
+                              cutoff_mass=min(1.0, float(sum(base_p))))
 
 
 def sample_perturbation(d: int, n: int, sigma: float,
                         rng: np.random.Generator) -> np.ndarray:
     """i.i.d. centered Gaussian d x n matrix with entry variance sigma^2/d."""
     if sigma <= 0:
-        raise ValueError("sigma must be positive")
+        raise ParameterError("sigma must be positive")
     return rng.normal(0.0, sigma / math.sqrt(d), (d, n))
 
 
 def inner_hit_probability(inst: Instance, perturbation: np.ndarray,
                           tilted: TiltedDistribution, epsilon: float) -> float:
-    """Tilted mass of sign vectors with ||(M+R)x||_inf <= epsilon; exact."""
+    """Tilted mass of sign vectors with ||(M+R)x||_inf <= epsilon; exact, but
+    capped at 1, which roundoff in the sum can pass when every point hits."""
     m = inst.matrix + perturbation
     hits = np.abs(tilted.support @ m.T).max(axis=1) <= epsilon
-    return float(tilted.tilted_p[hits].sum())
+    return min(1.0, float(tilted.tilted_p[hits].sum()))
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
@@ -159,7 +160,7 @@ def outer_success_estimate(inst: Instance, tilted: TiltedDistribution,
 def epsilon_of(sigma: float, d: int, kappa: float) -> float:
     """Target tolerance sigma * sqrt(ln d) * d^(-kappa/32)."""
     if d < 2:
-        raise ValueError("d must be >= 2")
+        raise ParameterError("d must be >= 2")
     if kappa < 1:
         raise ParameterError("kappa must be >= 1")
     return sigma * math.sqrt(math.log(d)) * d ** (-kappa / 32.0)
@@ -268,7 +269,7 @@ def verify_comparison(row: np.ndarray, x: np.ndarray, y: np.ndarray,
 def cube_gaussian_measure(radius: float, d: int) -> float:
     """Standard Gaussian mass of the cube [-radius, radius]^d."""
     if radius <= 0:
-        raise ValueError("radius must be positive")
+        raise ParameterError("radius must be positive")
     return math.erf(radius / math.sqrt(2.0)) ** d
 
 

@@ -13,7 +13,8 @@ directions of several active sets of one size at once, and
 direction each or one shared by all, with the bits of one call per row.
 Monte Carlo sampling advances its runs as rows and exact enumeration the
 nodes of one depth, both solving through ``stacked_directions``;
-``run_walk`` is the one-row case.
+``walk_path`` is the one-row case, on the draws of ``run_walk``'s
+generator or of an enumerated leaf's path code.
 """
 from __future__ import annotations
 
@@ -51,15 +52,6 @@ class StepRecord:
     chosen_delta: float
     choice_probability: float
     frozen: list[int]           # decreasing index order
-
-
-def step_record(t: int, pivot: int, u: np.ndarray, dm: float, dp: float, plus: bool,
-                frozen: list[int]) -> StepRecord:
-    """The record of step t, which took the + endpoint when ``plus``.  The -
-    branch records dp/(dm+dp), which ``run --dump-trace`` prints; it can
-    differ in the last bit from 1 - p_plus, the mass of the branch."""
-    return StepRecord(t, pivot, u, dp, dm, dp if plus else -dm,
-                      (dm if plus else dp) / (dm + dp), frozen)
 
 
 @dataclass
@@ -224,18 +216,28 @@ def apply_step(state: WalkState, u: np.ndarray, chosen_delta: float,
     return WalkState(state.t + 1, x, active, pivot), rec
 
 
-def run_walk(inst: Instance, rng: np.random.Generator) -> WalkTrace:
-    """Run the walk to completion, drawing one ``rng.random()`` per step;
-    terminates in at most n steps."""
+def walk_path(inst: Instance, draws) -> WalkTrace:
+    """Run the walk to completion, step t taking the + endpoint when the t-th
+    item of the iterator ``draws`` is below p_plus; terminates in at most n
+    steps.  A draw of 0.0 takes the + endpoint wherever that branch has
+    positive mass, and 1.0 always the - one, as p_plus <= 1.  The - branch
+    records dp/(dm+dp), which ``run --dump-trace`` prints; it can differ in
+    the last bit from 1 - p_plus, the mass of the branch."""
     x = np.zeros(inst.n)
     active = np.ones(inst.n, dtype=bool)
     live = np.arange(inst.n)
     steps: list[StepRecord] = []
     while live.size:
         u = min_norm_directions(inst, live[None])[0]
-        x, froze, dm, dp, _, plus = step_rows(x, u, rng.random(), active)
+        x, froze, dm, dp, _, plus = step_rows(x, u, next(draws), active)
         active ^= froze                 # froze lies within active
-        steps.append(step_record(len(steps) + 1, int(live[-1]), u, dm, dp, plus,
-                                 froze.nonzero()[0][::-1].tolist()))
+        steps.append(StepRecord(len(steps) + 1, int(live[-1]), u, dp, dm,
+                                dp if plus else -dm, (dm if plus else dp) / (dm + dp),
+                                froze.nonzero()[0][::-1].tolist()))
         live = active.nonzero()[0]
     return WalkTrace(steps=steps, final_x=x)
+
+
+def run_walk(inst: Instance, rng: np.random.Generator) -> WalkTrace:
+    """Run the walk to completion, drawing one ``rng.random()`` per step."""
+    return walk_path(inst, iter(rng.random, None))

@@ -3,6 +3,7 @@ import numpy as np
 
 from gswalk.enumeration import Leaf
 from gswalk.exceptions import ContractViolationError
+from gswalk.inequalities import _check_exponent, two_point_moment
 from gswalk.ortho import OrthoDecomposition
 from gswalk.walk import WalkTrace
 
@@ -33,3 +34,21 @@ def project_pivot(ortho: OrthoDecomposition, pivot: int, v) -> np.ndarray:
     lo = ortho.position[pivots[i + 1]] + 1 if i + 1 < len(pivots) else 0
     w = ortho.directions[lo:ortho.position[pivot] + 1]
     return (w @ np.asarray(v, float)) @ w
+
+
+def lemma1_gap(x, a, b):
+    """Gap of the two-point moment-ratio bound, for x in [-1,1].
+
+    With A(s) the mean-zero two-point moment at s (``two_point_moment``),
+    returns exp(|a||b| + b^2/2) - A(a+b)/A(a).
+    The ratio form is the inductive step the bound rests on; at b = 0 both
+    sides are 1, and at x = a = 0 the ratio is cosh(b).  Nonnegative up to
+    roundoff.  Accepts scalars or broadcasting arrays.
+    """
+    x = np.asarray(x, float)
+    a = np.asarray(a, float)
+    b = np.asarray(b, float)
+    _check_exponent(a, b)
+    lhs = np.exp(np.abs(a) * np.abs(b) + 0.5 * b * b)
+    out = lhs - two_point_moment(x, a + b) / two_point_moment(x, a)
+    return float(out) if out.ndim == 0 else out

@@ -193,6 +193,14 @@ class TestSmoothed:
                          "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_cutoff_mass_written_at_most_one(self, tmp_path):
+        # the base masses of this cutoff set sum to 1 + 2^-52
+        inst, out = tmp_path / "b.txt", tmp_path / "b.json"
+        save_instance(generate_instance("random_unit_sphere", 3, 6, 2), inst)
+        assert main(["smoothed", "--instance", str(inst), "--cutoff-c", "1e6",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["tilted"]["cutoff_mass"] == 1.0
+
 
 class TestDomainErrors:
     """Bad parameters exit 1 with one ``error:`` line and no traceback."""

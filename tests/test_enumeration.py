@@ -9,7 +9,8 @@ from gswalk import enumeration, walk
 from gswalk.enumeration import (brute_force_min_discrepancy,
                                 conditional_increment_check, enumerate_walk,
                                 verify_martingale, verify_subgaussian)
-from gswalk.exceptions import DimensionError, DomainOverflowError
+from gswalk.exceptions import (ContractViolationError, DimensionError,
+                               DomainOverflowError)
 from gswalk.instances import Instance, generate_instance
 from gswalk.ortho import decompose, decompose_freezes, variance_proxy
 from gswalk.smoothed import base_law, build_augmented, tilt_distribution
@@ -489,9 +490,9 @@ class TestColumnarLaw:
         assert len(calls) == len(set(calls)) == len(set(actives)) < len(actives)
 
     def test_records_built_on_read(self, monkeypatch):
-        # the law holds its steps as columns and each freeze sequence as the
+        # the law holds its paths as codes and each freeze sequence as the
         # step at which each coordinate froze; a record exists once its path
-        # is read, and no check reads a path
+        # is replayed, and no check reads a path
         inst = generate_instance("random_unit_sphere", 3, 8, 2)
         built = []
         record = walk.StepRecord
@@ -512,6 +513,16 @@ class TestColumnarLaw:
         assert built == []
         assert len(dist.trace(0).steps) == len(built) > 0
         assert len(dist.first_leaf) < len(dist.probabilities)
+
+    def test_trace_refuses_altered_code(self):
+        dist = enumerate_walk(generate_instance("random_unit_sphere", 3, 6, 2))
+        other = next(j for j, x in enumerate(dist.signs)
+                     if x.tobytes() != dist.signs[0].tobytes())
+        assert dist.trace(other).final_x.tobytes() == dist.signs[other].tobytes()
+        dist.codes = dist.codes.copy()
+        dist.codes[0] = dist.codes[other]
+        with pytest.raises(ContractViolationError, match="leaf 0"):
+            dist.trace(0)
 
     def test_depth_cap_instance(self):
         # n = DEPTH_CAP, the widest tree enumerated: 2^16 leaves

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from gswalk import inequalities
 from gswalk.exceptions import DomainOverflowError, GswError
 from gswalk.inequalities import (BoundInputs, _check_grid, cosh_chain_check,
-                                 cosh_chain_grid_min, lemma1_gap,
-                                 lemma1_grid_min, lemma1_sweep, theorem1_bound,
+                                 cosh_chain_grid_min, lemma1_grid_min,
+                                 lemma1_sweep, theorem1_bound,
                                  two_point_grid_min, two_point_mgf_gap,
                                  two_point_moment)
+from helpers import lemma1_gap
 
 
 class InlinePool:

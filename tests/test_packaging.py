@@ -72,6 +72,10 @@ def test_decompositions_have_one_builder():
     assert calls_outside({"OrthoDecomposition"}, {"decompose_freezes"}) == []
 
 
+def test_step_records_have_one_builder():
+    assert calls_outside({"StepRecord"}, {"walk_path", "apply_step"}) == []
+
+
 def test_quadrature_rule_has_one_builder():
     assert calls_outside({"leggauss"}, {"_gauss_legendre"}) == []
 
@@ -100,6 +104,30 @@ def test_bench_reads_only_names_the_package_has():
     missing = [f"{module}.{name}" for module, name in sorted(used)
                if not hasattr(import_module(f"gswalk.{module}"), name)]
     assert missing == []
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    """Names and attributes that a syntax tree loads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_definition_is_used_exported_or_benched():
+    # a name that only the tests read belongs in tests/helpers.py
+    import gswalk
+    defined, read = [], set()
+    for path in sorted((ROOT / "src" / "gswalk").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            name = getattr(stmt, "name", None)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.stem, name))
+            read |= names_read(stmt) - {name}     # a definition's reads of itself
+    benched = module_attributes(ROOT / "bench" / "workloads.py", "gswalk")
+    unused = [f"{module}.{name}" for module, name in defined
+              if not (name.startswith("__") and name.endswith("__"))
+              and name not in read and name not in gswalk.__all__
+              and (module, name) not in benched]
+    assert unused == []
 
 
 def modules_after(code: str) -> set[str]:

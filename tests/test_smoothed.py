@@ -78,6 +78,14 @@ class TestTiltedDistribution:
             _, tilted = tilted_for(inst, cutoff=cutoff)
             assert tilted.cutoff_mass >= 1 - 1 / cutoff - 1e-9
 
+    @pytest.mark.parametrize("case", [(4, 4, 7), (3, 6, 2), (4, 8, 2), (2, 10, 3)],
+                             ids=lambda c: f"{c[0]}x{c[1]}-{c[2]}")
+    def test_cutoff_mass_at_most_one(self, case):
+        # the cutoff set is the whole support, whose masses sum past 1 by roundoff
+        _, tilted = tilted_for(generate_instance("random_unit_sphere", *case), cutoff=1e6)
+        assert float(sum(tilted.base_p)) > 1.0
+        assert tilted.cutoff_mass == 1.0
+
     def test_huge_sigma_is_conditioned_base_law(self):
         inst = generate_instance("random_unit_sphere", 2, 4, 5)
         leaves, tilted = tilted_for(inst, sigma=1e9, cutoff=2.0)
@@ -213,6 +221,16 @@ class TestInnerOuter:
         pert = sample_perturbation(4, 4, 1.0, np.random.default_rng(3))
         eps = self.inst.n + self.inst.d * 1.0
         assert inner_hit_probability(self.inst, pert, self.tilted, eps) == 1.0
+
+    @pytest.mark.parametrize("case", [(4, 4, 0), (3, 6, 9), (4, 8, 1), (2, 10, 3)],
+                             ids=lambda c: f"{c[0]}x{c[1]}-{c[2]}")
+    def test_inner_all_hit_at_most_one(self, case):
+        # every point hits, and the tilted masses sum past 1 by roundoff
+        d, n, seed = case
+        inst = generate_instance("random_unit_sphere", d, n, seed)
+        _, tilted = tilted_for(inst)
+        assert float(tilted.tilted_p.sum()) > 1.0
+        assert inner_hit_probability(inst, np.zeros((d, n)), tilted, 1e9) == 1.0
 
     def test_inner_zero_epsilon(self):
         pert = sample_perturbation(4, 4, 1.0, np.random.default_rng(3))
