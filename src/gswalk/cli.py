@@ -152,9 +152,10 @@ def _cmd_trace(args) -> int:
     proxies = ortho.basis_variance_proxies(inst, dec)
     print(f"seed {seed}: T={trace.total_steps}")
     print("freeze order (position -> column):", " ".join(map(str, dec.order)))
-    for p, t0 in dec.pivot_phases:
-        print(f"pivot {p}: phase starts step {t0}, "
-              f"nontrivial blocks {dec.block_counts[p]}")
+    for r in np.flatnonzero(dec.order == dec.pivot)[::-1]:     # pivots, top down
+        live = set(dec.block[(dec.pivot == dec.pivot[r]) & dec.nonzero].tolist())
+        print(f"pivot {dec.pivot[r]}: phase starts step {dec.block[r] + 1}, "
+              f"nontrivial blocks {len(live)}")
     print(f"total nontrivial blocks: {dec.total_nontrivial}")
     print("basis proxies:", " ".join(f"{z:.12g}" for z in proxies))
     return 0

@@ -7,24 +7,23 @@ not solved before go through one ``walk.stacked_directions`` call, and
 every node of the depth then takes its step in one numpy pass.  The leaf
 law is held as columns: the exact probability and sign outcome of each leaf
 and the id of its freeze sequence.  A decomposition depends only on the
-freeze sequence, so one is built per id, on first read, from the step at
-which each coordinate froze.  A leaf's path is kept as its code, and its
-trace replays the walk along it, so expectations of any path functional
-can be computed without sampling.
+freeze sequence, so every id's is built on first read, in one stacked pass
+from the step at which each coordinate froze.  A leaf's path is kept as its
+code, and its trace replays the walk along it, so expectations of any path
+functional can be computed without sampling.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
 
 import numpy as np
 
 from . import walk
 from .exceptions import ContractViolationError, DimensionError, DomainOverflowError
 from .instances import Instance
-from .ortho import OrthoDecomposition, decompose_freezes, variance_proxy
+from .ortho import OrthoDecomposition, decompose_stack, variance_proxy_batch
 from .walk import WalkTrace
 
 PRUNE_TOL = 1e-15                   # branches below this mass are dropped
@@ -42,8 +41,8 @@ class LeafDistribution:
     bit n - t is 1 where step t took the - endpoint, and freeze sequence
     ``freeze_ids[i]``: ids number the distinct freeze sequences in order of
     first appearance, and ``when[k]`` holds, for sequence k, the step at
-    which each coordinate froze.  ``nodes`` lists the internal
-    nodes in preorder as (lo, hi, pivot, z): leaves lo..hi-1 lie below the
+    which each coordinate froze.  ``nodes`` holds the internal nodes in
+    preorder as columns (lo, hi, pivot, z): leaves lo..hi-1 lie below the
     node (none when every branch below was pruned), and z is the pivot's
     coordinate in the coloring the node's prefix reaches.
     """
@@ -52,30 +51,26 @@ class LeafDistribution:
     signs: np.ndarray               # (m, n)
     codes: np.ndarray               # (m,)
     freeze_ids: np.ndarray          # (m,)
-    nodes: list[tuple[int, int, int, float]] = field(repr=False)
-    first_leaf: list[int] = field(repr=False)           # per freeze id
+    nodes: tuple[np.ndarray, ...] = field(repr=False)   # (internal nodes,) each
     when: np.ndarray = field(repr=False)                # (freeze ids, n)
     pruned_mass: float = 0.0
-
-    def __post_init__(self):
-        self._decompositions: list = [None] * len(self.first_leaf)     # per freeze id
-
-    @property
-    def d(self) -> int:
-        return self.inst.d
 
     @property
     def n(self) -> int:
         return self.inst.n
 
+    @cached_property
+    def decompositions(self) -> OrthoDecomposition:
+        """Every freeze sequence's decomposition, row k for id k."""
+        return decompose_stack(self.inst, self.when)
+
+    @cached_property
+    def _rows(self) -> list[OrthoDecomposition]:
+        return [self.decompositions[k] for k in range(len(self.when))]
+
     def decomposition(self, freeze_id: int) -> OrthoDecomposition:
-        """The decomposition shared by every leaf with this freeze sequence,
-        built on first request from its freeze steps."""
-        dec = self._decompositions[freeze_id]
-        if dec is None:
-            dec = self._decompositions[freeze_id] = decompose_freezes(
-                self.inst, self.when[freeze_id])
-        return dec
+        """The decomposition shared by every leaf with this freeze sequence."""
+        return self._rows[freeze_id]
 
     def trace(self, i: int) -> WalkTrace:
         """Leaf i's path: the walk replayed on the draws of its code, 0.0
@@ -190,7 +185,6 @@ def enumerate_walk(inst: Instance) -> LeafDistribution:
     _, first, inverse = np.unique(leaf_when.view(np.dtype((np.void, n)))[:, 0],
                                   return_index=True, return_inverse=True)
     rank = np.argsort(np.argsort(first))
-    first = np.sort(first)
     node_code, node_depth, node_pivot, node_z = (np.concatenate(c) for c in zip(*node_cols))
     # nodes were collected depth by depth, so a node stays before its + child
     pre = np.argsort(node_code, kind="stable")
@@ -202,9 +196,8 @@ def enumerate_walk(inst: Instance) -> LeafDistribution:
         pruned += p                     # in depth-first order, as the leaves
     return LeafDistribution(
         inst=inst, probabilities=probabilities[order], signs=signs[order], codes=leaf_code,
-        freeze_ids=rank[inverse], first_leaf=first.tolist(), when=leaf_when[first],
-        nodes=list(zip(lo.tolist(), hi.tolist(), node_pivot[pre].tolist(),
-                       node_z[pre].tolist())),
+        freeze_ids=rank[inverse], when=leaf_when[np.sort(first)],
+        nodes=(lo, hi, node_pivot[pre], node_z[pre]),
         pruned_mass=pruned)
 
 
@@ -235,12 +228,11 @@ def verify_subgaussian(dist: LeafDistribution, inst: Instance, v,
                        lam: float) -> float:
     """E exp(lam <M X, v> - lam^2 Z/2) with each leaf's own proxy Z.
 
-    Z is computed once per freeze sequence; the leaves that share one share
-    its decomposition, hence their proxy.
+    Z is computed once per freeze sequence, every sequence in one call; the
+    leaves that share one share its decomposition, hence their proxy.
     """
     v = np.asarray(v, float)
-    proxies = np.array([variance_proxy(inst, dist.decomposition(k), v)
-                        for k in range(len(dist.first_leaf))])
+    proxies = variance_proxy_batch(inst, dist.decompositions, v[:, None])[:, 0]
     args = lam * leaf_margins(dist, inst, v) - 0.5 * lam * lam * proxies[dist.freeze_ids]
     wild = np.flatnonzero(np.abs(args) > MGF_EXP_LIMIT)
     if wild.size:
@@ -256,22 +248,24 @@ def conditional_increment_check(dist: LeafDistribution) -> float:
     At every internal node the pivot's remaining total movement must equal
     +1-z or -1-z (z its current fractional value) with probabilities (1+z)/2
     and (1-z)/2; both the probability masses and the conditional mean are
-    checked.  Each node sums the probabilities of its run of leaves in leaf
-    order; a node whose leaves were all pruned is skipped.
+    checked.  Each node sums the probabilities of its run of leaves left to
+    right, a node whose leaves were all pruned skipped; runs of like length
+    are rows padded with +0.0, which changes no sum, under one cumsum.
     """
-    probs = dist.probabilities.tolist()
-    worst = 0.0
-    for lo, hi, pivot, z in dist.nodes:
-        if lo == hi:
-            continue
-        run = probs[lo:hi]
-        total = sum(run)
-        plus = sum(compress(run, (dist.signs[lo:hi, pivot] > 0).tolist()))
-        p_plus = plus / total
-        worst = max(worst, abs(p_plus - (1.0 + z) / 2.0))
-        mean_move = p_plus * (1.0 - z) + (1.0 - p_plus) * (-1.0 - z)
-        worst = max(worst, abs(mean_move))
-    return worst
+    lo, hi, pivot, z = (c[dist.nodes[1] > dist.nodes[0]] for c in dist.nodes)
+    sums = np.empty((2, len(lo)))      # each node's total and plus mass
+    group = np.frexp(hi - lo)[1]        # runs of 2^(g-1) up to 2^g - 1 leaves
+    for g in np.flatnonzero(np.bincount(group)).tolist():
+        sel = np.flatnonzero(group == g)
+        idx = lo[sel, None] + np.arange((hi - lo)[sel].max())
+        idx = np.where(idx < hi[sel, None], idx, -1)
+        run = np.where(idx >= 0, dist.probabilities[idx], 0.0)
+        plus = np.where(dist.signs[idx, pivot[sel, None]] > 0, run, 0.0)
+        sums[:, sel] = np.cumsum([run, plus], axis=2)[:, :, -1]
+    p_plus = sums[1] / sums[0]
+    mean_move = p_plus * (1.0 - z) + (1.0 - p_plus) * (-1.0 - z)
+    return float(max(np.max(np.abs(p_plus - (1.0 + z) / 2.0), initial=0.0),
+                     np.max(np.abs(mean_move), initial=0.0)))
 
 
 def brute_force_min_discrepancy(inst: Instance) -> tuple[float, np.ndarray]:

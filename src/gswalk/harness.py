@@ -8,8 +8,9 @@ Runs advance together as rows, a chunk at a time, with the arithmetic of a
 plain ``run_walk``, so every value is unchanged.  At each depth the rows are
 grouped by active set and the distinct sets' directions are solved once, in
 one ``walk.stacked_directions`` call.  A run keeps only the step at which
-each coordinate froze; runs with one freeze sequence within a chunk share a
-decomposition and its proxies.
+each coordinate froze; a chunk's distinct freeze sequences are decomposed
+in one ``ortho.decompose_stack`` pass, and runs with one sequence share its
+decomposition and proxies.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from .enumeration import brute_force_min_discrepancy
 from .exceptions import ContractViolationError, ParameterError, ReportFormatError
 from .inequalities import PROXY_SLACK, BoundInputs, theorem1_bound
 from .instances import Instance, json_text, stream_rng, usable_cores, write_text
-from .ortho import basis_variance_proxies, decompose_freezes
+from .ortho import basis_variance_proxies, decompose_stack
 
 # The report's empirical tail: coordinate and thresholds c.
 TAIL_COORD = 0
@@ -80,13 +81,9 @@ def _walk_rows(inst: Instance, draws: np.ndarray) -> tuple[np.ndarray, np.ndarra
     t = 0
     while live.size:
         act = active[live]
-        packed = np.packbits(act, axis=1)
-        width = packed.shape[1]
-        raw = packed.tobytes()
-        keys = [raw[i:i + width] for i in range(0, len(raw), width)]
-        number: dict[bytes, int] = {}
-        group = np.array([number.setdefault(key, len(number)) for key in keys])
-        u = walk.stacked_directions(inst, act[np.unique(group, return_index=True)[1]])
+        _, first, group = np.unique(act.view(np.dtype((np.void, n)))[:, 0],
+                                    return_index=True, return_inverse=True)
+        u = walk.stacked_directions(inst, act[first])
         moved, froze, *_ = walk.step_rows(x[live], u[group], draws[live, t], act)
         t += 1
         x[live] = moved
@@ -107,17 +104,15 @@ def _run_range(args):
         # the stacked product makes each run's own matrix-vector call (as in
         # ``enumeration.leaf_margins``), so every discrepancy keeps its bits
         discrepancies = np.abs(np.matmul(inst.matrix, signs[:, :, None])).max(axis=(1, 2))
-        # one chunk's freeze sequences, so the table is bounded as the chunk is
-        sequences: dict[bytes, tuple[int, np.ndarray]] = {}
-        for r, x, w, disc in zip(runs, signs, when, discrepancies.tolist()):
-            key = w.tobytes()
-            if key not in sequences:
-                dec = decompose_freezes(inst, w)
-                sequences[key] = dec.total_nontrivial, basis_variance_proxies(inst, dec)
-            blocks, proxies = sequences[key]
-            out.append(RunStats(run_index=r, discrepancy=disc,
-                                block_count=blocks, max_proxy=float(proxies.max()),
-                                proxies=proxies.copy(), signs=x.copy()))
+        # the chunk's distinct freeze rows, compared as bytes
+        _, first, seq = np.unique(when.view(np.dtype((np.void, when.itemsize * inst.n)))[:, 0],
+                                  return_index=True, return_inverse=True)
+        dec = decompose_stack(inst, when[first])
+        proxies = basis_variance_proxies(inst, dec)[seq]
+        blocks = dec.total_nontrivial[seq].tolist()
+        for r, x, z, b, disc in zip(runs, signs, proxies, blocks, discrepancies.tolist()):
+            out.append(RunStats(run_index=r, discrepancy=disc, block_count=b,
+                                max_proxy=float(z.max()), proxies=z, signs=x.copy()))
     return out
 
 

@@ -31,21 +31,14 @@ def _check_exponent(*values):
         raise DomainOverflowError(f"argument magnitude {worst:.3g} exceeds {EXP_GUARD}")
 
 
-def two_point_moment(x, s, out=None, work=None):
+def two_point_moment(x, s):
     """A(x, s) = (1-x)/2 exp(-(1+x)s) + (1+x)/2 exp((1-x)s).
 
     The moment E exp(sY) of the mean-zero variable Y taking -(1+x) and 1-x,
-    for x in [-1,1].  ``out`` and ``work`` are optional buffers of the
-    broadcast shape; the result is written into ``out``.
+    for x in [-1,1].
     """
-    shape = np.broadcast_shapes(np.shape(x), np.shape(s))
-    out = np.multiply(-(1.0 + x), s, out=np.empty(shape) if out is None else out)
-    np.exp(out, out=out)
-    np.multiply(0.5 * (1.0 - x), out, out=out)
-    work = np.multiply(1.0 - x, s, out=np.empty(shape) if work is None else work)
-    np.exp(work, out=work)
-    np.multiply(0.5 * (1.0 + x), work, out=work)
-    return np.add(out, work, out=out)
+    return (0.5 * (1.0 - x) * np.exp(-(1.0 + x) * s)
+            + 0.5 * (1.0 + x) * np.exp((1.0 - x) * s))
 
 
 def two_point_mgf_gap(z, b):
@@ -127,18 +120,23 @@ def lemma1_sweep(xs: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Yield, for each x in ``xs``, the lemma-1 gap exp(|a||b| + b^2/2) -
     A(a+b)/A(a) over a[:, None], b[None, :], with A = ``two_point_moment`` at x.
 
-    The x-independent terms are computed once and every gap is evaluated into
-    the same reused buffers, so a sweep allocates no per-x (len(a), len(b))
-    temporaries; each yielded array is overwritten by the next one.
+    The x-independent terms, among them the distinct sums a+b and each
+    point's index among them, are computed once; per x, A is evaluated per
+    distinct sum into a reused buffer, so a sweep makes no per-x (len(a),
+    len(b)) temporaries.  Each yielded array is overwritten by the next one.
     """
     a, b = a[:, None], b[None, :]
     _check_exponent(a, b)
-    lhs = np.exp(np.abs(a) * np.abs(b) + 0.5 * b * b)
     s = a + b
-    gap = np.empty_like(s)
-    work = np.empty_like(s)
+    sums = np.sort(s, axis=None)
+    sums = sums[np.append(True, sums[1:] != sums[:-1])]     # distinct, ascending
+    where = np.searchsorted(sums, s)
+    del s                               # before lhs and gap exist, for a lower peak
+    lhs = np.exp(np.abs(a) * np.abs(b) + 0.5 * b * b)
+    gap = np.empty_like(lhs)
     for x in xs:
-        two_point_moment(x, s, out=gap, work=work)
+        # every index is in range; the default mode would buffer a copy of gap
+        np.take(two_point_moment(x, sums), where, out=gap, mode="clip")
         np.divide(gap, two_point_moment(x, a), out=gap)
         yield np.subtract(lhs, gap, out=gap)
 

@@ -1,18 +1,17 @@
-"""Post-hoc orthogonal decomposition of a walk.
+"""Post-hoc orthogonal decomposition of walks.
 
 From the step at which each coordinate froze we rebuild the freeze ordering
 of the coordinates, the Gram-Schmidt directions of the columns taken in that
 order, the per-pivot partition of positions into freeze blocks, the count of
 nontrivial blocks, and the per-direction variance proxy that drives the
-concentration bound.
+concentration bound, for a stack of walks at once.
 
 Positions and column indices are 0-based throughout; step numbers are 1-based
 as recorded in the trace.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import groupby
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,46 +24,26 @@ ZERO_RESIDUAL_RTOL = 1e-10
 
 @dataclass
 class OrthoDecomposition:
-    order: np.ndarray                   # order[r] = column index at position r
-    position: np.ndarray                # inverse of order
-    directions: np.ndarray = field(repr=False)  # (n, d); row r unit vector or 0
-    pivot_phases: list[tuple[int, int]]  # (pivot, start step), in pivot order
-    blocks: dict[tuple[int, int], tuple[int, ...]]  # (pivot, step) -> positions
-    block_counts: dict[int, int]        # pivot -> nontrivial block count
-    total_nontrivial: int               # sum of block_counts
+    """The decompositions of K walks, indexed (walk, position); indexed by
+    one walk, that walk's alone.  Position r holds column ``order[r]`` and
+    its direction, a unit vector where ``nonzero[r]`` and 0 elsewhere, in
+    block (``pivot[r]``, ``block[r]``): (pivot, its phase's start step - 1)
+    at a pivot's own position, else (pivot, the step that froze it).  Blocks
+    and phases are runs of positions."""
+    order: np.ndarray                   # (K, n)
+    directions: np.ndarray = field(repr=False)  # (K, n, d)
+    pivot: np.ndarray                   # (K, n)
+    block: np.ndarray                   # (K, n)
+    nonzero: np.ndarray                 # (K, n)
+    total_nontrivial: np.ndarray        # (K,) blocks holding a nonzero direction
 
+    @property
+    def position(self) -> np.ndarray:
+        """Inverse of ``order``."""
+        return np.argsort(self.order, axis=-1)
 
-def gram_schmidt_sequence(inst: Instance, order: np.ndarray) -> np.ndarray:
-    """Orthonormal residual directions of the columns taken in position order.
-
-    Row r is the normalized residual of column order[r] against the span of the
-    earlier columns, or exactly zero when the residual norm falls below
-    ``ZERO_RESIDUAL_RTOL`` relative to the column norm.  Once d rows are
-    nonzero they span R^d, every later residual is roundoff that this rule
-    zeroes, and the loop stops.
-    """
-    n = inst.n
-    w = np.zeros((n, inst.d))
-    rank = 0
-    for r in range(n):
-        if rank == inst.d:
-            break
-        v = inst.matrix[:, order[r]].copy()
-        scale = np.linalg.norm(v)
-        if r:
-            v -= w[:r].T @ (w[:r] @ v)
-            # second pass for numerical orthogonality
-            v -= w[:r].T @ (w[:r] @ v)
-        nrm = np.linalg.norm(v)
-        if scale > 0 and nrm > ZERO_RESIDUAL_RTOL * scale:
-            w[r] = v / nrm
-            rank += 1
-    return w
-
-
-def _nonzero_rows(directions: np.ndarray) -> list[bool]:
-    """Which rows of ``directions`` are unit vectors (the rest are exactly 0)."""
-    return (np.linalg.norm(directions, axis=1) > 0.5).tolist()
+    def __getitem__(self, k: int) -> OrthoDecomposition:
+        return OrthoDecomposition(*(getattr(self, f.name)[k] for f in fields(self)))
 
 
 def decompose(inst: Instance, trace: WalkTrace) -> OrthoDecomposition:
@@ -78,59 +57,72 @@ def decompose(inst: Instance, trace: WalkTrace) -> OrthoDecomposition:
     froze = sorted((j, rec.t) for rec in trace.steps for j in rec.frozen)
     if [j for j, _ in froze] != list(range(inst.n)):
         raise ContractViolationError("frozen sets of the trace do not partition [n]")
-    dec = decompose_freezes(inst, np.array([t for _, t in froze]))
-    pivots, starts = zip(*dec.pivot_phases)
-    derived = np.array(pivots)[np.searchsorted(starts, steps, side="right") - 1]
-    if derived.tolist() != [rec.pivot for rec in trace.steps]:
+    when = np.array([t for _, t in froze])
+    active = when >= np.arange(1, len(steps) + 1)[:, None]
+    pivots = np.where(active.any(axis=1), inst.n - 1 - active[:, ::-1].argmax(axis=1), -1)
+    if pivots.tolist() != [rec.pivot for rec in trace.steps]:
         raise ContractViolationError("a step's pivot is not its largest active coordinate")
-    return dec
+    return decompose_freezes(inst, when)
 
 
 def decompose_freezes(inst: Instance, when: np.ndarray) -> OrthoDecomposition:
-    """Full decomposition of a walk from ``when[i]``, the step at which
-    coordinate i froze, and nothing else; the pivot of step t, the largest
-    coordinate still active, is the largest one frozen at t or later.
+    """One walk's decomposition from ``when[i]``, the step at which
+    coordinate i froze: row 0 of a ``decompose_stack`` of one."""
+    return decompose_stack(inst, np.asarray(when)[None])[0]
 
-    Positions are handed out from the top down.  Each pivot takes the next
-    free position when its phase starts, keyed as its own singleton block
-    ``(pivot, start step - 1)``; the other coordinates a step freezes take the
-    next positions, largest index first, as block ``(pivot, step)``.  So every
-    block, and every pivot's phase, is a contiguous run of positions, and the
-    blocks of one pivot are adjacent in ``blocks``.  Blocks whose positions
-    all carry a zero residual direction add no orthogonal vector and are not
-    counted as nontrivial.
+
+def decompose_stack(inst: Instance, when: np.ndarray) -> OrthoDecomposition:
+    """Decompositions of K walks from their freeze rows ``when`` (K, n).
+
+    The pivot of step t is the largest coordinate frozen at t or later, so a
+    coordinate leads a phase from the step after every larger one froze.
+    Positions go out top down, step by step: a phase's pivot, then the rest
+    of the step, largest index first.  Gram-Schmidt runs over positions from
+    the bottom for all walks at once, as stacked matmul items of one-walk
+    shapes, so no row's bits depend on the rest of the stack.  A residual
+    below ``ZERO_RESIDUAL_RTOL`` times its column's norm is zeroed, and a
+    walk with d nonzero rows takes no more (later residuals are roundoff).
     """
-    n = inst.n
-    w = when.tolist()
-    placed: list[int] = []          # columns in decreasing position order
-    blocks: dict[tuple[int, int], tuple[int, ...]] = {}
-    phases: list[tuple[int, int]] = []
-    pivot = n - 1
-    # the coordinates step by step, largest index first
-    for t, frozen in groupby(sorted(range(n), key=lambda i: (w[i], -i)), key=w.__getitem__):
-        while w[pivot] < t:         # down to the largest coordinate still active
-            pivot -= 1
-        if not phases or phases[-1][0] != pivot:
-            phases.append((pivot, t))
-            blocks[(pivot, t - 1)] = (n - 1 - len(placed),)
-            placed.append(pivot)
-        others = [j for j in frozen if j != pivot]
-        if others:
-            top = n - 1 - len(placed)
-            blocks[(pivot, t)] = tuple(range(top, top - len(others), -1))
-            placed += others
-    order = np.array(placed[::-1], dtype=int)
-    position = np.empty(n, dtype=int)
-    position[order] = np.arange(n)
-    directions = gram_schmidt_sequence(inst, order)
-    nonzero = _nonzero_rows(directions)
-    counts = {p: 0 for p, _ in phases}
-    for (p, _), q in blocks.items():
-        counts[p] += any(nonzero[q[-1]:q[0] + 1])
-    return OrthoDecomposition(order=order, position=position,
-                              directions=directions, pivot_phases=phases,
-                              blocks=blocks, block_counts=counts,
-                              total_nontrivial=sum(counts.values()))
+    when = np.asarray(when, dtype=np.int64)
+    count, n = when.shape
+    later = np.zeros_like(when)         # last step at which a larger coordinate froze
+    later[:, :-1] = np.maximum.accumulate(when[:, :0:-1], axis=1)[:, ::-1]
+    leads = when > later
+    step = np.where(leads, later + 1, when)     # the step that places each coordinate
+    placed = np.argsort((2 * step + ~leads) * n - np.arange(n), axis=1)   # top down
+    head = np.maximum.accumulate(
+        np.where(np.take_along_axis(leads, placed, 1), np.arange(n), 0), axis=1)
+    order = placed[:, ::-1]
+    pivot = np.take_along_axis(placed, head, 1)[:, ::-1]
+    block = np.take_along_axis(step - leads, order, 1)
+
+    cols = np.ascontiguousarray(inst.matrix.T)
+    scale = np.sqrt(np.matmul(cols[:, None, :], cols[:, :, None])[:, 0, 0])
+    directions = np.zeros((count, n, inst.d))
+    nonzero = np.zeros((count, n), dtype=bool)
+    rank = np.zeros(count, dtype=int)
+    for r in range(n):
+        live = np.flatnonzero(rank < inst.d)
+        if not live.size:
+            break
+        col = order[live, r]
+        v = cols[col]
+        w = directions[live, :r]
+        for _ in range(2 if r else 0):      # twice, for numerical orthogonality
+            v -= np.matmul(w.transpose(0, 2, 1), np.matmul(w, v[:, :, None]))[:, :, 0]
+        nrm = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+        keep = (scale[col] > 0) & (nrm > ZERO_RESIDUAL_RTOL * scale[col])
+        hit = live[keep]
+        directions[hit, r] = v[keep] / nrm[keep, None]
+        nonzero[hit, r] = True
+        rank[hit] += 1
+
+    k, r = np.nonzero(nonzero)          # a block's nonzero positions are adjacent
+    key = (k * n + pivot[k, r]) * (block.max() + 1) + block[k, r]
+    opens = np.diff(key, prepend=-1) != 0
+    return OrthoDecomposition(order=order, directions=directions, pivot=pivot, block=block,
+                              nonzero=nonzero,
+                              total_nontrivial=np.bincount(k[opens], minlength=count))
 
 
 def variance_proxy(inst: Instance, ortho: OrthoDecomposition, v) -> float:
@@ -145,26 +137,44 @@ def variance_proxy(inst: Instance, ortho: OrthoDecomposition, v) -> float:
 
 def variance_proxy_batch(inst: Instance, ortho: OrthoDecomposition,
                          vs: np.ndarray) -> np.ndarray:
-    """Vectorized proxy for the columns of ``vs`` (shape (d, m))."""
-    beta = ortho.directions @ vs          # (n, m)
-    nonzero = _nonzero_rows(ortho.directions)
-    out = np.zeros(vs.shape[1])
-    # each pivot's blocks are adjacent in ``blocks``, in phase order
-    for p, group in groupby(ortho.blocks.items(), key=lambda item: item[0][0]):
-        # a block of zero directions adds an exact 0, and so does a pivot
-        # left without blocks; skipping them changes no bit
-        live = [q for _, q in group if any(nonzero[q[-1]:q[0] + 1])]
-        if not live:
-            continue
-        alpha = ortho.directions @ inst.matrix[:, p]
-        acc = np.zeros_like(out)
-        for q in live:
-            # stored (decreasing) position order: a forward slice would sum
-            # the block in another order and change the last bit of Z
-            idx = list(q)
-            acc += np.abs(alpha[idx] @ beta[idx])
-        out += acc ** 2
-    return out
+    """Proxies for the columns of ``vs`` (d, m): (K, m) for a stack, (m,)
+    for one walk.  A block of zero directions adds an exact 0 and is skipped;
+    each other block is summed in stored (decreasing) position order as one
+    matmul item, from products over every position, all in the shapes of a
+    one-walk loop (a product over the read positions alone rounds otherwise).
+    """
+    n, m = inst.n, vs.shape[1]
+    directions = ortho.directions.reshape(-1, n, inst.d)
+    beta = np.matmul(directions, vs)    # (K, n, m)
+    # every position, top down, keyed so that a key names one phase or block
+    pivot, block, nonzero = (np.reshape(a, (-1, n))[:, ::-1].ravel()
+                             for a in (ortho.pivot, ortho.block, ortho.nonzero))
+    phase = np.arange(len(pivot)) // n * n + n - 1 - pivot
+    key = phase * (block.max() + 1) + block
+    live = key[nonzero]
+    entry = np.flatnonzero(np.searchsorted(live, key, "right") > np.searchsorted(live, key))
+    k, r = entry // n, n - 1 - entry % n
+    first = np.flatnonzero(np.diff(key[entry], prepend=-1))     # each block's top
+    owner = np.cumsum(np.diff(phase[entry], prepend=-1) != 0) - 1
+    head = np.flatnonzero(np.diff(owner, prepend=-1))           # each phase's top
+    # alpha = directions @ pivot column per live phase, broadcast over (walk, slot)
+    walk = k[head]
+    slot = np.arange(len(head)) - np.searchsorted(walk, walk)
+    grid = np.zeros((len(directions), slot.max(initial=0) + 1), dtype=int)
+    grid[walk, slot] = pivot[entry[head]]
+    alpha = np.matmul(directions[:, None], inst.matrix.T[grid][..., None])[walk, slot, :, 0]
+    length = np.diff(first, append=len(entry))
+    sums = np.empty((len(first), m))
+    for size in np.flatnonzero(np.bincount(length)).tolist():
+        sel = np.flatnonzero(length == size)
+        idx = first[sel][:, None] + np.arange(size)
+        sums[sel] = np.matmul(alpha[owner[idx], r[idx]][:, None, :],
+                              beta[k[idx], r[idx]])[:, 0]
+    acc = np.zeros((len(head), m))
+    np.add.at(acc, owner[first], np.abs(sums))
+    out = np.zeros((len(directions), m))
+    np.add.at(out, walk, acc ** 2)
+    return out.reshape(np.shape(ortho.total_nontrivial) + (m,))
 
 
 def basis_variance_proxies(inst: Instance, ortho: OrthoDecomposition) -> np.ndarray:
@@ -182,10 +192,10 @@ def direction_expansion_residual(inst: Instance, trace: WalkTrace,
     """
     worst = 0.0
     remaining = inst.n
+    position = ortho.position
     for rec in trace.steps:
-        w = ortho.directions[remaining - 1:ortho.position[rec.pivot] + 1]
+        w = ortho.directions[remaining - 1:position[rec.pivot] + 1]
         approx = (w @ inst.matrix[:, rec.pivot]) @ w
         worst = max(worst, float(np.linalg.norm(inst.matrix @ rec.u - approx)))
         remaining -= len(rec.frozen)
     return worst
-

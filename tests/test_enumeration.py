@@ -11,12 +11,14 @@ from gswalk.enumeration import (brute_force_min_discrepancy,
                                 verify_martingale, verify_subgaussian)
 from gswalk.exceptions import (ContractViolationError, DimensionError,
                                DomainOverflowError)
+from gswalk.inequalities import PROXY_SLACK
 from gswalk.instances import Instance, generate_instance
-from gswalk.ortho import decompose, decompose_freezes, variance_proxy
+from gswalk.ortho import (basis_variance_proxies, decompose, decompose_stack,
+                          variance_proxy, variance_proxy_batch)
 from gswalk.smoothed import base_law, build_augmented, tilt_distribution
 from gswalk.walk import WalkState
 from conftest import make_columns
-from helpers import choices, replay
+from helpers import choices, freeze_row, replay
 
 SHARING_CASES = [("random_unit_sphere", 3, 7, 4), ("sign_columns", 3, 8, 2),
                  ("duplicated_column", 3, 7, 1), ("random_in_ball", 4, 9, 3)]
@@ -130,9 +132,9 @@ class TestEnumerateWalk:
 
         def counting(*args):
             calls.append(args)
-            return decompose_freezes(*args)
+            return decompose_stack(*args)
 
-        monkeypatch.setattr(enumeration, "decompose_freezes", counting)
+        monkeypatch.setattr(enumeration, "decompose_stack", counting)
         dist = enumerate_walk(inst)
         assert calls == []
         first = dist.leaves[0]
@@ -143,10 +145,11 @@ class TestEnumerateWalk:
             got = lf.ortho
             assert np.array_equal(got.order, want.order)
             assert np.array_equal(got.directions, want.directions)
-            assert got.blocks == want.blocks
+            assert np.array_equal(got.block, want.block)
             assert got.total_nontrivial == want.total_nontrivial
-        # one decomposition per distinct freeze sequence, not one per leaf
-        assert len(calls) == len({freeze_sequence(lf) for lf in dist.leaves})
+        # one stack for the law, one row per distinct freeze sequence
+        assert len(calls) == 1
+        assert len(calls[0][1]) == len({freeze_sequence(lf) for lf in dist.leaves})
 
     @pytest.mark.parametrize("case", SHARING_CASES, ids=lambda c: f"{c[0]}-{c[2]}")
     def test_shared_decompositions_equal_per_leaf(self, case):
@@ -156,9 +159,9 @@ class TestEnumerateWalk:
             assert np.array_equal(got.order, want.order)
             assert np.array_equal(got.position, want.position)
             assert np.array_equal(got.directions, want.directions)
-            assert got.pivot_phases == want.pivot_phases
-            assert list(got.blocks.items()) == list(want.blocks.items())
-            assert got.block_counts == want.block_counts
+            assert np.array_equal(got.pivot, want.pivot)
+            assert np.array_equal(got.block, want.block)
+            assert np.array_equal(got.nonzero, want.nonzero)
             assert got.total_nontrivial == want.total_nontrivial
 
     @pytest.mark.parametrize("case", SHARING_CASES, ids=lambda c: f"{c[0]}-{c[2]}")
@@ -289,15 +292,17 @@ class TestSubgaussian:
         want = per_leaf_expectation(dist, lambda lf: math.exp(
             0.7 * float(inst.matrix @ lf.signs @ v)
             - 0.5 * 0.7 * 0.7 * variance_proxy(inst, decompose(inst, lf.trace), v)))
-        calls = []
+        rows = []
 
         def counting(*args):
-            calls.append(args)
-            return variance_proxy(*args)
+            rows.append(variance_proxy_batch(*args))
+            return rows[-1]
 
-        monkeypatch.setattr(enumeration, "variance_proxy", counting)
+        monkeypatch.setattr(enumeration, "variance_proxy_batch", counting)
         assert verify_subgaussian(dist, inst, v, 0.7) == want
-        assert len(calls) == len({freeze_sequence(lf) for lf in dist.leaves})
+        # one call, one proxy row per distinct freeze sequence
+        assert [z.shape for z in rows] == [(len({freeze_sequence(lf)
+                                                 for lf in dist.leaves}), 1)]
 
     def test_random_matrix_of_cases(self):
         rng = np.random.default_rng(17)
@@ -310,6 +315,19 @@ class TestSubgaussian:
             for v in dirs:
                 for lam in (0.5, 1.0, 2.0):
                     assert verify_subgaussian(dist, inst, v, lam) <= 1 + 1e-10
+
+    @pytest.mark.parametrize("kind", ["random_unit_sphere", "random_in_ball",
+                                      "sign_columns", "duplicated_column"])
+    def test_invariant_chain_on_every_freeze_id(self, kind):
+        # Z_{e_i} <= ||e_i||^2 = 1, sum_i Z_{e_i} <= hatT <= min(d, n)
+        for d, n in ((2, 9), (3, 11), (4, 13)):
+            for seed in range(3):
+                inst = generate_instance(kind, d, n, seed)
+                stack = enumerate_walk(inst).decompositions
+                z = basis_variance_proxies(inst, stack)
+                assert np.all(z <= 1.0 + PROXY_SLACK)
+                assert np.all(z.sum(axis=1) <= stack.total_nontrivial + PROXY_SLACK)
+                assert np.all(stack.total_nontrivial <= min(d, n))
 
 
 class TestConditionalIncrements:
@@ -341,8 +359,11 @@ class TestConditionalIncrements:
                 x = x + rec.chosen_delta * rec.u
             pivot = rep.steps[depth].pivot
             z = float(x[pivot])
-            total = sum(lf.probability for lf in members)
-            plus = sum(lf.probability for lf in members if lf.signs[pivot] > 0)
+            total = plus = 0.0
+            for lf in members:          # left to right, whatever sum() does
+                total += lf.probability
+                if lf.signs[pivot] > 0:
+                    plus += lf.probability
             p_plus = plus / total
             worst = max(worst, abs(p_plus - (1.0 + z) / 2.0))
             mean_move = p_plus * (1.0 - z) + (1.0 - p_plus) * (-1.0 - z)
@@ -465,8 +486,10 @@ class TestColumnarLaw:
             seen.setdefault(freeze_sequence(lf), len(seen))
         assert dist.freeze_ids.tolist() == [seen[freeze_sequence(lf)]
                                             for lf in dist.leaves]
-        assert dist.first_leaf == [dist.freeze_ids.tolist().index(k)
-                                   for k in range(len(seen))]
+        # ``when`` keeps each id's freeze row, read off its first leaf
+        for k in range(len(seen)):
+            first = dist.leaves[dist.freeze_ids.tolist().index(k)]
+            assert dist.when[k].tolist() == freeze_row(first.trace).tolist()
 
     @pytest.mark.parametrize("case", [("random_unit_sphere", 4, 10, 1),
                                       ("sign_columns", 3, 8, 2),
@@ -512,7 +535,7 @@ class TestColumnarLaw:
         verify_subgaussian(dist, inst, v, 0.7)
         assert built == []
         assert len(dist.trace(0).steps) == len(built) > 0
-        assert len(dist.first_leaf) < len(dist.probabilities)
+        assert len(dist.when) < len(dist.probabilities)
 
     def test_trace_refuses_altered_code(self):
         dist = enumerate_walk(generate_instance("random_unit_sphere", 3, 6, 2))
@@ -533,9 +556,10 @@ class TestColumnarLaw:
         assert abs(sum(dist.probabilities.tolist()) + dist.pruned_mass - 1.0) <= 1e-12
         # preorder runs of leaves: the root's run is all of them, and a run
         # is nested in every open run it starts in, never straddling one
-        assert len(dist.nodes) == m - 1 and dist.nodes[0][:2] == (0, m)
+        nodes = list(zip(*(column.tolist() for column in dist.nodes)))
+        assert len(nodes) == m - 1 and nodes[0][:2] == (0, m)
         open_runs, start = [(0, m)], 0
-        for lo, hi, pivot, z in dist.nodes[1:]:
+        for lo, hi, pivot, z in nodes[1:]:
             assert start <= lo < hi <= m and 0 <= pivot < inst.n and abs(z) < 1.0
             start = lo
             while hi > open_runs[-1][1]:

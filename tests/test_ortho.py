@@ -4,14 +4,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gswalk.enumeration import enumerate_walk
 from gswalk.exceptions import ContractViolationError
 from gswalk.instances import Instance, generate_instance
 from gswalk.ortho import (ZERO_RESIDUAL_RTOL, basis_variance_proxies, decompose,
-                          direction_expansion_residual, gram_schmidt_sequence,
-                          variance_proxy, variance_proxy_batch)
+                          decompose_freezes, decompose_stack,
+                          direction_expansion_residual, variance_proxy,
+                          variance_proxy_batch)
+from gswalk.smoothed import build_augmented
 from gswalk.walk import run_walk
 from conftest import make_columns
-from helpers import project_pivot
+from helpers import (freeze_row, project_pivot, reference_decomposition,
+                     reference_proxies)
 
 
 def walk_and_decompose(inst, seed=0):
@@ -68,11 +72,11 @@ class TestMultiFreeze:
         dec = decompose(inst, trace)
         assert dec.order.tolist() == [2, 3, 4, 0, 1, 5]
         assert dec.position.tolist() == [3, 4, 0, 1, 2, 5]
-        # insertion order too: the blocks of one pivot are adjacent
-        assert list(dec.blocks.items()) == [((5, 0), (5,)), ((5, 1), (4, 3)),
-                                            ((4, 1), (2,)), ((4, 2), (1, 0))]
-        assert dec.pivot_phases == [(5, 1), (4, 2)]
-        assert dec.block_counts == {5: 1, 4: 1}
+        # blocks (5, 0), (5, 1), (4, 1), (4, 2) from the top down
+        assert dec.pivot.tolist() == [4, 4, 4, 5, 5, 5]
+        assert dec.block.tolist() == [2, 2, 1, 1, 1, 0]
+        # block (5, 1) holds two nonzero directions, block (4, 2) one
+        assert dec.nonzero.tolist() == [True, False, False, True, True, False]
         assert dec.total_nontrivial == 2
         proxies = basis_variance_proxies(inst, dec)
         assert [float(z).hex() for z in proxies] == [
@@ -84,16 +88,9 @@ class TestMultiFreeze:
         for d, n in ((5, 12), (8, 16)):
             for seed in range(6):
                 inst = generate_instance("sign_columns", d, n, seed)
-                _, dec = walk_and_decompose(inst, seed)
-                beta = dec.directions @ np.eye(d)
-                want = np.zeros(d)
-                for p, _ in dec.pivot_phases:
-                    alpha = dec.directions @ inst.matrix[:, p]
-                    acc = np.zeros(d)
-                    for (owner, _), q in dec.blocks.items():
-                        if owner == p:
-                            acc += np.abs(alpha[list(q)] @ beta[list(q)])
-                    want += acc ** 2
+                trace, dec = walk_and_decompose(inst, seed)
+                want = unskipped_proxies(
+                    inst, reference_decomposition(inst, freeze_row(trace)), np.eye(d))
                 got = basis_variance_proxies(inst, dec)
                 assert got.tobytes() == want.tobytes()
 
@@ -101,6 +98,13 @@ class TestMultiFreeze:
     def test_column_frozen_twice_or_never(self, frozen):
         inst, trace = self.walk()
         trace.steps[1] = replace(trace.steps[1], frozen=frozen)
+        with pytest.raises(ContractViolationError):
+            decompose(inst, trace)
+
+    def test_step_after_every_freeze_rejected(self):
+        # no coordinate is active at a third step, so it has no pivot
+        inst, trace = self.walk()
+        trace.steps.append(replace(trace.steps[1], t=3, frozen=[]))
         with pytest.raises(ContractViolationError):
             decompose(inst, trace)
 
@@ -128,14 +132,15 @@ def full_gram_schmidt(inst, order):
     return w
 
 
-def unskipped_proxies(inst, dec, vs):
-    """Reference: every pivot and every block, zero directions included."""
-    beta = dec.directions @ vs
+def unskipped_proxies(inst, ref, vs):
+    """Reference: every pivot and every block of the per-sequence reference,
+    rescanned per pivot, zero directions included."""
+    beta = ref.directions @ vs
     out = np.zeros(vs.shape[1])
-    for p, _ in dec.pivot_phases:
-        alpha = dec.directions @ inst.matrix[:, p]
+    for p, _ in ref.pivot_phases:
+        alpha = ref.directions @ inst.matrix[:, p]
         acc = np.zeros_like(out)
-        for (owner, _), q in dec.blocks.items():
+        for (owner, _), q in ref.blocks.items():
             if owner == p:
                 acc += np.abs(alpha[list(q)] @ beta[list(q)])
         out += acc ** 2
@@ -156,76 +161,98 @@ class TestEarlyStopBitwise:
 
     def test_directions_and_proxies_match_full_loops(self):
         for inst, seed in self.instances():
-            _, dec = walk_and_decompose(inst, seed)
+            trace, dec = walk_and_decompose(inst, seed)
             full = full_gram_schmidt(inst, dec.order)
             assert dec.directions.tobytes() == full.tobytes()
-            assert gram_schmidt_sequence(inst, dec.order).tobytes() == full.tobytes()
+            ref = reference_decomposition(inst, freeze_row(trace))
             vs = np.column_stack([np.eye(inst.d), np.random.default_rng(seed)
                                   .standard_normal((inst.d, 3))])
             got = variance_proxy_batch(inst, dec, vs)
-            assert got.tobytes() == unskipped_proxies(inst, dec, vs).tobytes()
+            assert got.tobytes() == unskipped_proxies(inst, ref, vs).tobytes()
             assert (basis_variance_proxies(inst, dec).tobytes()
-                    == unskipped_proxies(inst, dec, np.eye(inst.d)).tobytes())
+                    == unskipped_proxies(inst, ref, np.eye(inst.d)).tobytes())
             if inst.n > 6:
                 # the skips are exercised: pivots whose blocks are all zero
-                assert 0 in dec.block_counts.values()
+                assert any(not dec.nonzero[dec.pivot == p].any() for p in set(dec.pivot))
+
+
+def in_index_order(n):
+    """A freeze row that places column r at position r: each coordinate
+    freezes alone, largest first, and so leads its own phase."""
+    return np.arange(n, 0, -1)
 
 
 class TestGramSchmidt:
     def test_identity(self):
         inst = generate_instance("identity", 3, 3, 0)
-        w = gram_schmidt_sequence(inst, np.arange(3))
-        assert np.allclose(w, np.eye(3), atol=1e-14)
+        dec = decompose_freezes(inst, in_index_order(3))
+        assert dec.order.tolist() == [0, 1, 2]
+        assert np.allclose(dec.directions, np.eye(3), atol=1e-14)
 
     def test_dependent_column_zeroed(self):
         inst = make_columns([1, 0], [1, 0])
-        w = gram_schmidt_sequence(inst, np.arange(2))
+        w = decompose_freezes(inst, in_index_order(2)).directions
         assert np.allclose(w[0], [1, 0])
         assert np.all(w[1] == 0.0)
 
     def test_oblique_pair(self):
         inst = make_columns([1, 0], [0.5, math.sqrt(3) / 2])
-        w = gram_schmidt_sequence(inst, np.arange(2))
+        w = decompose_freezes(inst, in_index_order(2)).directions
         assert np.allclose(w[0], [1, 0], atol=1e-14)
         assert np.allclose(w[1], [0, 1], atol=1e-14)
 
     def test_orthonormality(self):
         for seed in range(6):
             inst = generate_instance("random_unit_sphere", 4, 8, seed)
-            order = np.random.default_rng(seed).permutation(8)
-            w = gram_schmidt_sequence(inst, order)
-            nonzero = w[np.linalg.norm(w, axis=1) > 0.5]
-            gram = nonzero @ nonzero.T
-            assert np.max(np.abs(gram - np.eye(len(nonzero)))) <= 1e-8
-            norms = np.linalg.norm(w, axis=1)
-            assert np.all((np.abs(norms - 1) <= 1e-10) | (norms == 0.0))
+            when = np.random.default_rng(seed).integers(1, 9, size=(20, 8))
+            stack = decompose_stack(inst, when)
+            for w, nonzero in zip(stack.directions, stack.nonzero):
+                gram = w[nonzero] @ w[nonzero].T
+                assert np.max(np.abs(gram - np.eye(len(gram)))) <= 1e-8
+                norms = np.linalg.norm(w, axis=1)
+                assert np.all((np.abs(norms - 1) <= 1e-10) | (norms == 0.0))
+                assert np.array_equal(norms > 0.5, nonzero)
 
 
 class TestFreezeBlocks:
     def test_identity_two(self):
         inst = generate_instance("identity", 2, 2, 0)
         trace, dec = walk_and_decompose(inst)
-        # each pivot carries exactly its own singleton block
-        assert dec.blocks == {(1, 0): (1,), (0, 1): (0,)}
+        # each pivot carries exactly its own singleton block: (1, 0), (0, 1)
+        assert dec.pivot.tolist() == [0, 1]
+        assert dec.block.tolist() == [1, 0]
 
     def test_duplicated_columns(self):
         inst = make_columns([1, 0], [1, 0])
         trace, dec = walk_and_decompose(inst)
-        assert dec.blocks == {(1, 0): (1,), (1, 1): (0,)}
+        # blocks (1, 0) and (1, 1)
+        assert dec.pivot.tolist() == [1, 1]
+        assert dec.block.tolist() == [1, 0]
 
     def test_single_column(self):
         inst = make_columns([0.5, 0.0])
         _, dec = walk_and_decompose(inst)
-        assert dec.blocks == {(0, 0): (0,)}
+        assert dec.pivot.tolist() == [0]
+        assert dec.block.tolist() == [0]
 
     def test_partition_property(self):
         for seed in range(6):
             inst = generate_instance("random_unit_sphere", 3, 8, seed)
             trace, dec = walk_and_decompose(inst, seed)
-            covered = sorted(r for q in dec.blocks.values() for r in q)
-            assert covered == list(range(inst.n))
-            for (p, t0) in dec.pivot_phases:
-                assert dec.blocks[(p, t0 - 1)] == (int(dec.position[p]),)
+            runs = {}
+            for r, key in enumerate(zip(dec.pivot.tolist(), dec.block.tolist())):
+                runs.setdefault(key, []).append(r)
+            # every block and every phase is a contiguous run of positions
+            for rows in runs.values():
+                assert rows == list(range(rows[0], rows[-1] + 1))
+            for p in set(dec.pivot.tolist()):
+                rows = np.flatnonzero(dec.pivot == p)
+                assert rows.tolist() == list(range(rows[0], rows[-1] + 1))
+                # topped by the pivot's own singleton block
+                assert rows[-1] == dec.position[p]
+                assert runs[(p, dec.block[rows[-1]])] == [rows[-1]]
+            want = reference_decomposition(inst, freeze_row(trace)).blocks
+            assert {key: tuple(rows[::-1]) for key, rows in runs.items()} == want
 
 
 class TestNontrivialCount:
@@ -234,7 +261,7 @@ class TestNontrivialCount:
             inst = generate_instance("identity", n, n, 0)
             _, dec = walk_and_decompose(inst)
             assert dec.total_nontrivial == n
-            assert all(c == 1 for c in dec.block_counts.values())
+            assert dec.nonzero.all()
 
     def test_duplicated_columns(self):
         inst = make_columns([1, 0], [1, 0])
@@ -246,7 +273,8 @@ class TestNontrivialCount:
             inst = generate_instance("random_unit_sphere", 2, 3, seed)
             _, dec = walk_and_decompose(inst, seed)
             assert dec.total_nontrivial <= 2
-            assert dec.total_nontrivial == sum(dec.block_counts.values())
+            assert dec.total_nontrivial == len(set(zip(dec.pivot[dec.nonzero],
+                                                       dec.block[dec.nonzero])))
 
     def test_dimension_bound(self):
         for seed in range(6):
@@ -328,7 +356,7 @@ class TestProjectPivot:
         rng = np.random.default_rng(4)
         inst = generate_instance("random_unit_sphere", 4, 6, 8)
         _, dec = walk_and_decompose(inst)
-        for p, _ in dec.pivot_phases:
+        for p in set(dec.pivot.tolist()):
             v = rng.standard_normal(4)
             pv = project_pivot(dec, p, v)
             assert np.max(np.abs(project_pivot(dec, p, pv) - pv)) <= 1e-10
@@ -343,7 +371,7 @@ class TestProjectPivot:
             u_svd, s, _ = np.linalg.svd(inst.matrix, full_matrices=False)
             basis = u_svd[:, s > 1e-10]
             v = rng.standard_normal(5)
-            total = sum(project_pivot(dec, p, v) for p, _ in dec.pivot_phases)
+            total = sum(project_pivot(dec, p, v) for p in set(dec.pivot.tolist()))
             assert np.max(np.abs(total - basis @ (basis.T @ v))) <= 1e-8
 
     def test_unknown_pivot(self):
@@ -351,3 +379,91 @@ class TestProjectPivot:
         _, dec = walk_and_decompose(inst)
         with pytest.raises(ContractViolationError):
             project_pivot(dec, 0, np.array([1.0, 0.0]))
+
+
+def unit_columns(m):
+    return m / np.linalg.norm(m, axis=0)
+
+
+def differential_instance(name: str) -> Instance:
+    """The generators, the degenerate families, the augmented 16x12 and a
+    multi-freeze instance, each small enough to enumerate."""
+    gen = np.random.default_rng(3)
+    if name == "nearly_parallel":
+        return Instance(unit_columns(np.eye(4)[:, :1] + 1e-7 * gen.standard_normal((4, 10))))
+    if name == "tiny":
+        return Instance(1e-300 * unit_columns(gen.standard_normal((3, 9))))
+    if name == "mixed_scale":
+        return Instance(unit_columns(gen.standard_normal((4, 10)))
+                        * 10.0 ** gen.uniform(-12, 0, 10))
+    if name == "rank_deficient":       # 10 columns spanning 2 dimensions of R^5
+        basis = np.linalg.qr(gen.standard_normal((5, 2)))[0]
+        return Instance(unit_columns(basis @ gen.standard_normal((2, 10))))
+    if name == "d1":
+        return Instance(gen.uniform(-1, 1, (1, 10)))
+    if name == "augmented":
+        return build_augmented(generate_instance("random_unit_sphere", 4, 12, 1))
+    if name == "multi_freeze":
+        return generate_instance("sign_columns", 3, 6, 1)
+    kind, d, n, seed = {"identity": ("identity", 4, 4, 0),
+                        "duplicated_column": ("duplicated_column", 3, 9, 1),
+                        "sign_columns": ("sign_columns", 5, 12, 1),
+                        "random_unit_sphere": ("random_unit_sphere", 4, 11, 1),
+                        "random_in_ball": ("random_in_ball", 3, 10, 2)}[name]
+    return generate_instance(kind, d, n, seed)
+
+
+class TestColumnarBuilder:
+    """Every freeze sequence of a law, built as one stack, against the
+    per-sequence reference and against a stack of one, byte for byte."""
+
+    @pytest.mark.parametrize("name", [
+        "identity", "duplicated_column", "sign_columns", "random_unit_sphere",
+        "random_in_ball", "nearly_parallel", "tiny", "mixed_scale",
+        "rank_deficient", "d1", "augmented", "multi_freeze"])
+    def test_stack_matches_reference_and_stack_of_one(self, name):
+        inst = differential_instance(name)
+        when = enumerate_walk(inst).when
+        stack = decompose_stack(inst, when)
+        vs = np.column_stack([np.eye(inst.d), unit_columns(
+            np.random.default_rng(7).standard_normal((inst.d, 3)))])
+        proxies = variance_proxy_batch(inst, stack, vs)
+        # one column takes the dot-product path of the block sums
+        single = variance_proxy_batch(inst, stack, vs[:, -1:])
+        assert proxies.shape == (len(when), vs.shape[1])
+        for k, row in enumerate(when):
+            ref = reference_decomposition(inst, row)
+            assert stack.order[k].tolist() == ref.order.tolist()
+            assert stack.directions[k].tobytes() == ref.directions.tobytes()
+            assert stack.total_nontrivial[k] == ref.total_nontrivial
+            assert proxies[k].tobytes() == reference_proxies(inst, ref, vs).tobytes()
+            assert single[k].tobytes() == reference_proxies(inst, ref, vs[:, -1:]).tobytes()
+            one = decompose_freezes(inst, row)
+            for got, want in ((one.order, stack.order[k]), (one.pivot, stack.pivot[k]),
+                              (one.block, stack.block[k]), (one.nonzero, stack.nonzero[k]),
+                              (one.directions, stack.directions[k])):
+                assert got.tobytes() == want.tobytes()
+            assert one.total_nontrivial == stack.total_nontrivial[k]
+            assert variance_proxy_batch(inst, one, vs).tobytes() == proxies[k].tobytes()
+
+    def test_any_positive_freeze_steps(self):
+        # rows no walk produces: repeated and skipped steps, steps beyond n
+        inst = generate_instance("random_unit_sphere", 3, 6, 1)
+        when = np.random.default_rng(0).integers(1, 40, size=(200, 6))
+        stack = decompose_stack(inst, when)
+        proxies = basis_variance_proxies(inst, stack)
+        for k, row in enumerate(when):
+            ref = reference_decomposition(inst, row)
+            assert stack.order[k].tolist() == ref.order.tolist()
+            assert stack.total_nontrivial[k] == ref.total_nontrivial
+            assert proxies[k].tobytes() == reference_proxies(inst, ref, np.eye(3)).tobytes()
+
+    def test_rows_do_not_depend_on_the_rest_of_the_stack(self):
+        inst = differential_instance("random_unit_sphere")
+        when = enumerate_walk(inst).when
+        stack = decompose_stack(inst, when)
+        pick = np.random.default_rng(1).permutation(len(when))[:25]
+        part = decompose_stack(inst, when[pick])
+        assert part.directions.tobytes() == stack.directions[pick].tobytes()
+        assert (basis_variance_proxies(inst, part).tobytes()
+                == basis_variance_proxies(inst, stack)[pick].tobytes())

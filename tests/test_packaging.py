@@ -37,14 +37,15 @@ def test_third_party_imports_are_the_declared_dependencies():
 def calls_outside(names: set[str], allowed: set[str], reads: bool = False) -> list[str]:
     """``module:line`` of each call to one of ``names`` (as a bare name or an
     attribute) in ``src/gswalk`` that no function named in ``allowed`` encloses;
-    with ``reads``, of each use of one of ``names``, called or not."""
+    with ``reads``, of each use of one of ``names``, called or not, other
+    than the assignment that defines it."""
     found = []
 
     def visit(node, path, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
         used = node if reads else getattr(node, "func", None) if isinstance(node, ast.Call) else None
-        if isinstance(used, (ast.Name, ast.Attribute)):
+        if isinstance(used, (ast.Name, ast.Attribute)) and not isinstance(used.ctx, ast.Store):
             name = used.id if isinstance(used, ast.Name) else used.attr
             if name in names and func not in allowed:
                 found.append(f"{path.name}:{node.lineno}")
@@ -69,7 +70,12 @@ def test_directions_have_one_solve_path():
 
 
 def test_decompositions_have_one_builder():
-    assert calls_outside({"OrthoDecomposition"}, {"decompose_freezes"}) == []
+    # __getitem__ only takes one sequence's row of a built stack
+    assert calls_outside({"OrthoDecomposition"}, {"decompose_stack", "__getitem__"}) == []
+
+
+def test_zero_residual_rule_has_one_place():
+    assert calls_outside({"ZERO_RESIDUAL_RTOL"}, {"decompose_stack"}, reads=True) == []
 
 
 def test_step_records_have_one_builder():
@@ -159,6 +165,21 @@ def test_command_loads_only_what_it_runs():
         "main(['check-ineq', '--which', 'hoeffding', '--grid-step', '0.1'])")
     assert "gswalk.inequalities" in loaded
     assert not {"gswalk.enumeration", "gswalk.harness", "gswalk.smoothed"} & loaded
+
+
+def test_commands_leave_numpy_ma_unloaded(tmp_path):
+    # a np.unique call without index outputs imports numpy.ma (about 20 ms)
+    path = str(tmp_path / "instance.txt")
+    loaded = modules_after(
+        "from gswalk.cli import main; "
+        "main(['gen', '--kind', 'random_unit_sphere', '--d', '3', '--n', '7', "
+        f"'--seed', '1', '--out', {path!r}]); "
+        f"main(['oracle', '--instance', {path!r}, '--check', 'all']); "
+        f"main(['trace', '--instance', {path!r}]); "
+        f"main(['mc', '--instance', {path!r}, '--runs', '20', '--threads', '1', "
+        f"'--out', {str(tmp_path / 'runs.csv')!r}, '--format', 'csv']); "
+        "main(['check-ineq', '--which', 'lemma1', '--grid-step', '0.1'])")
+    assert "gswalk.enumeration" in loaded and "numpy.ma" not in loaded
 
 
 def test_every_public_name_resolves():
