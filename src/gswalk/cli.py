@@ -153,7 +153,7 @@ def _cmd_trace(args) -> int:
     print(f"seed {seed}: T={trace.total_steps}")
     print("freeze order (position -> column):", " ".join(map(str, dec.order)))
     for r in np.flatnonzero(dec.order == dec.pivot)[::-1]:     # pivots, top down
-        live = set(dec.block[(dec.pivot == dec.pivot[r]) & dec.nonzero].tolist())
+        live = set(dec.run[(dec.pivot == dec.pivot[r]) & dec.nonzero].tolist())
         print(f"pivot {dec.pivot[r]}: phase starts step {dec.block[r] + 1}, "
               f"nontrivial blocks {len(live)}")
     print(f"total nontrivial blocks: {dec.total_nontrivial}")

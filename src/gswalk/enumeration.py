@@ -264,8 +264,7 @@ def conditional_increment_check(dist: LeafDistribution) -> float:
         sums[:, sel] = np.cumsum([run, plus], axis=2)[:, :, -1]
     p_plus = sums[1] / sums[0]
     mean_move = p_plus * (1.0 - z) + (1.0 - p_plus) * (-1.0 - z)
-    return float(max(np.max(np.abs(p_plus - (1.0 + z) / 2.0), initial=0.0),
-                     np.max(np.abs(mean_move), initial=0.0)))
+    return float(np.abs([p_plus - (1.0 + z) / 2.0, mean_move]).max(initial=0.0))
 
 
 def brute_force_min_discrepancy(inst: Instance) -> tuple[float, np.ndarray]:

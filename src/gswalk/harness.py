@@ -8,9 +8,8 @@ Runs advance together as rows, a chunk at a time, with the arithmetic of a
 plain ``run_walk``, so every value is unchanged.  At each depth the rows are
 grouped by active set and the distinct sets' directions are solved once, in
 one ``walk.stacked_directions`` call.  A run keeps only the step at which
-each coordinate froze; a chunk's distinct freeze sequences are decomposed
-in one ``ortho.decompose_stack`` pass, and runs with one sequence share its
-decomposition and proxies.
+each coordinate froze, and a chunk's distinct freeze sequences are
+decomposed once each, in one ``ortho.decompose_stack`` call.
 """
 from __future__ import annotations
 
@@ -81,9 +80,13 @@ def _walk_rows(inst: Instance, draws: np.ndarray) -> tuple[np.ndarray, np.ndarra
     t = 0
     while live.size:
         act = active[live]
-        _, first, group = np.unique(act.view(np.dtype((np.void, n)))[:, 0],
-                                    return_index=True, return_inverse=True)
-        u = walk.stacked_directions(inst, act[first])
+        packed = np.packbits(act, axis=1)
+        width = packed.shape[1]
+        raw = packed.tobytes()
+        keys = [raw[i:i + width] for i in range(0, len(raw), width)]
+        number: dict[bytes, int] = {}
+        group = np.array([number.setdefault(key, len(number)) for key in keys])
+        u = walk.stacked_directions(inst, act[np.unique(group, return_index=True)[1]])
         moved, froze, *_ = walk.step_rows(x[live], u[group], draws[live, t], act)
         t += 1
         x[live] = moved
@@ -108,9 +111,8 @@ def _run_range(args):
         _, first, seq = np.unique(when.view(np.dtype((np.void, when.itemsize * inst.n)))[:, 0],
                                   return_index=True, return_inverse=True)
         dec = decompose_stack(inst, when[first])
-        proxies = basis_variance_proxies(inst, dec)[seq]
-        blocks = dec.total_nontrivial[seq].tolist()
-        for r, x, z, b, disc in zip(runs, signs, proxies, blocks, discrepancies.tolist()):
+        proxies, blocks = basis_variance_proxies(inst, dec)[seq], dec.total_nontrivial[seq]
+        for r, x, z, b, disc in zip(runs, signs, proxies, blocks.tolist(), discrepancies.tolist()):
             out.append(RunStats(run_index=r, discrepancy=disc, block_count=b,
                                 max_proxy=float(z.max()), proxies=z, signs=x.copy()))
     return out

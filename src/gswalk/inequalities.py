@@ -31,14 +31,21 @@ def _check_exponent(*values):
         raise DomainOverflowError(f"argument magnitude {worst:.3g} exceeds {EXP_GUARD}")
 
 
-def two_point_moment(x, s):
+def two_point_moment(x, s, out=None, work=None):
     """A(x, s) = (1-x)/2 exp(-(1+x)s) + (1+x)/2 exp((1-x)s).
 
     The moment E exp(sY) of the mean-zero variable Y taking -(1+x) and 1-x,
-    for x in [-1,1].
+    for x in [-1,1].  ``out`` and ``work`` are optional buffers of the
+    broadcast shape; the result is written into ``out``.
     """
-    return (0.5 * (1.0 - x) * np.exp(-(1.0 + x) * s)
-            + 0.5 * (1.0 + x) * np.exp((1.0 - x) * s))
+    shape = np.broadcast_shapes(np.shape(x), np.shape(s))
+    out = np.multiply(-(1.0 + x), s, out=np.empty(shape) if out is None else out)
+    np.exp(out, out=out)
+    np.multiply(0.5 * (1.0 - x), out, out=out)
+    work = np.multiply(1.0 - x, s, out=np.empty(shape) if work is None else work)
+    np.exp(work, out=work)
+    np.multiply(0.5 * (1.0 + x), work, out=work)
+    return np.add(out, work, out=out)
 
 
 def two_point_mgf_gap(z, b):

@@ -29,11 +29,13 @@ class OrthoDecomposition:
     its direction, a unit vector where ``nonzero[r]`` and 0 elsewhere, in
     block (``pivot[r]``, ``block[r]``): (pivot, its phase's start step - 1)
     at a pivot's own position, else (pivot, the step that froze it).  Blocks
-    and phases are runs of positions."""
+    and phases are runs of positions; ``run[r]`` numbers the walk's blocks
+    from 0 at the top."""
     order: np.ndarray                   # (K, n)
     directions: np.ndarray = field(repr=False)  # (K, n, d)
     pivot: np.ndarray                   # (K, n)
     block: np.ndarray                   # (K, n)
+    run: np.ndarray                     # (K, n)
     nonzero: np.ndarray                 # (K, n)
     total_nontrivial: np.ndarray        # (K,) blocks holding a nonzero direction
 
@@ -47,10 +49,10 @@ class OrthoDecomposition:
 
 
 def decompose(inst: Instance, trace: WalkTrace) -> OrthoDecomposition:
-    """Full decomposition of a trace: ``decompose_freezes`` of the step at
-    which each coordinate froze.  Raises ``ContractViolationError`` unless
-    the steps are numbered 1, 2, ..., their frozen sets partition [n] and
-    each step's pivot is the largest coordinate still active."""
+    """Full decomposition of a trace: a ``decompose_stack`` of one, from the
+    step at which each coordinate froze.  Raises ``ContractViolationError``
+    unless the steps are numbered 1, 2, ..., their frozen sets partition [n]
+    and each step's pivot is the largest coordinate still active."""
     steps = [rec.t for rec in trace.steps]
     if steps != list(range(1, len(steps) + 1)):
         raise ContractViolationError("steps of the trace are not numbered 1, 2, ...")
@@ -62,13 +64,7 @@ def decompose(inst: Instance, trace: WalkTrace) -> OrthoDecomposition:
     pivots = np.where(active.any(axis=1), inst.n - 1 - active[:, ::-1].argmax(axis=1), -1)
     if pivots.tolist() != [rec.pivot for rec in trace.steps]:
         raise ContractViolationError("a step's pivot is not its largest active coordinate")
-    return decompose_freezes(inst, when)
-
-
-def decompose_freezes(inst: Instance, when: np.ndarray) -> OrthoDecomposition:
-    """One walk's decomposition from ``when[i]``, the step at which
-    coordinate i froze: row 0 of a ``decompose_stack`` of one."""
-    return decompose_stack(inst, np.asarray(when)[None])[0]
+    return decompose_stack(inst, when[None])[0]
 
 
 def decompose_stack(inst: Instance, when: np.ndarray) -> OrthoDecomposition:
@@ -90,16 +86,17 @@ def decompose_stack(inst: Instance, when: np.ndarray) -> OrthoDecomposition:
     leads = when > later
     step = np.where(leads, later + 1, when)     # the step that places each coordinate
     placed = np.argsort((2 * step + ~leads) * n - np.arange(n), axis=1)   # top down
-    head = np.maximum.accumulate(
-        np.where(np.take_along_axis(leads, placed, 1), np.arange(n), 0), axis=1)
+    opens = np.take_along_axis(leads, placed, 1)    # phase tops, top down
+    head = np.maximum.accumulate(np.where(opens, np.arange(n), 0), axis=1)
     order = placed[:, ::-1]
     pivot = np.take_along_axis(placed, head, 1)[:, ::-1]
     block = np.take_along_axis(step - leads, order, 1)
+    opens |= np.diff(block[:, ::-1], prepend=-1) != 0       # block tops
+    run = np.cumsum(opens, axis=1)[:, ::-1] - 1
 
     cols = np.ascontiguousarray(inst.matrix.T)
     scale = np.sqrt(np.matmul(cols[:, None, :], cols[:, :, None])[:, 0, 0])
     directions = np.zeros((count, n, inst.d))
-    nonzero = np.zeros((count, n), dtype=bool)
     rank = np.zeros(count, dtype=int)
     for r in range(n):
         live = np.flatnonzero(rank < inst.d)
@@ -114,14 +111,12 @@ def decompose_stack(inst: Instance, when: np.ndarray) -> OrthoDecomposition:
         keep = (scale[col] > 0) & (nrm > ZERO_RESIDUAL_RTOL * scale[col])
         hit = live[keep]
         directions[hit, r] = v[keep] / nrm[keep, None]
-        nonzero[hit, r] = True
         rank[hit] += 1
 
-    k, r = np.nonzero(nonzero)          # a block's nonzero positions are adjacent
-    key = (k * n + pivot[k, r]) * (block.max() + 1) + block[k, r]
-    opens = np.diff(key, prepend=-1) != 0
-    return OrthoDecomposition(order=order, directions=directions, pivot=pivot, block=block,
-                              nonzero=nonzero,
+    nonzero = directions.any(axis=2)
+    k = np.nonzero(nonzero)[0]          # a block's nonzero positions are adjacent
+    opens = np.diff(k * n + run[nonzero], prepend=-1) != 0
+    return OrthoDecomposition(order, directions, pivot, block, run, nonzero,
                               total_nontrivial=np.bincount(k[opens], minlength=count))
 
 
@@ -146,16 +141,14 @@ def variance_proxy_batch(inst: Instance, ortho: OrthoDecomposition,
     n, m = inst.n, vs.shape[1]
     directions = ortho.directions.reshape(-1, n, inst.d)
     beta = np.matmul(directions, vs)    # (K, n, m)
-    # every position, top down, keyed so that a key names one phase or block
-    pivot, block, nonzero = (np.reshape(a, (-1, n))[:, ::-1].ravel()
-                             for a in (ortho.pivot, ortho.block, ortho.nonzero))
-    phase = np.arange(len(pivot)) // n * n + n - 1 - pivot
-    key = phase * (block.max() + 1) + block
-    live = key[nonzero]
-    entry = np.flatnonzero(np.searchsorted(live, key, "right") > np.searchsorted(live, key))
+    # every position, top down; a key names one block of one walk
+    pivot, run, nonzero = (np.reshape(a, (-1, n))[:, ::-1].ravel()
+                           for a in (ortho.pivot, ortho.run, ortho.nonzero))
+    key = np.arange(len(run)) // n * n + run
+    entry = np.flatnonzero(np.bincount(key[nonzero], minlength=len(key))[key])
     k, r = entry // n, n - 1 - entry % n
     first = np.flatnonzero(np.diff(key[entry], prepend=-1))     # each block's top
-    owner = np.cumsum(np.diff(phase[entry], prepend=-1) != 0) - 1
+    owner = np.cumsum(np.diff(k * n - pivot[entry], prepend=-n) != 0) - 1   # its phase
     head = np.flatnonzero(np.diff(owner, prepend=-1))           # each phase's top
     # alpha = directions @ pivot column per live phase, broadcast over (walk, slot)
     walk = k[head]

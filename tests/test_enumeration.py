@@ -161,6 +161,7 @@ class TestEnumerateWalk:
             assert np.array_equal(got.directions, want.directions)
             assert np.array_equal(got.pivot, want.pivot)
             assert np.array_equal(got.block, want.block)
+            assert np.array_equal(got.run, want.run)
             assert np.array_equal(got.nonzero, want.nonzero)
             assert got.total_nontrivial == want.total_nontrivial
 

@@ -8,9 +8,8 @@ from gswalk.enumeration import enumerate_walk
 from gswalk.exceptions import ContractViolationError
 from gswalk.instances import Instance, generate_instance
 from gswalk.ortho import (ZERO_RESIDUAL_RTOL, basis_variance_proxies, decompose,
-                          decompose_freezes, decompose_stack,
-                          direction_expansion_residual, variance_proxy,
-                          variance_proxy_batch)
+                          decompose_stack, direction_expansion_residual,
+                          variance_proxy, variance_proxy_batch)
 from gswalk.smoothed import build_augmented
 from gswalk.walk import run_walk
 from conftest import make_columns
@@ -75,6 +74,7 @@ class TestMultiFreeze:
         # blocks (5, 0), (5, 1), (4, 1), (4, 2) from the top down
         assert dec.pivot.tolist() == [4, 4, 4, 5, 5, 5]
         assert dec.block.tolist() == [2, 2, 1, 1, 1, 0]
+        assert dec.run.tolist() == [3, 3, 2, 1, 1, 0]
         # block (5, 1) holds two nonzero directions, block (4, 2) one
         assert dec.nonzero.tolist() == [True, False, False, True, True, False]
         assert dec.total_nontrivial == 2
@@ -185,19 +185,19 @@ def in_index_order(n):
 class TestGramSchmidt:
     def test_identity(self):
         inst = generate_instance("identity", 3, 3, 0)
-        dec = decompose_freezes(inst, in_index_order(3))
+        dec = decompose_stack(inst, in_index_order(3)[None])[0]
         assert dec.order.tolist() == [0, 1, 2]
         assert np.allclose(dec.directions, np.eye(3), atol=1e-14)
 
     def test_dependent_column_zeroed(self):
         inst = make_columns([1, 0], [1, 0])
-        w = decompose_freezes(inst, in_index_order(2)).directions
+        w = decompose_stack(inst, in_index_order(2)[None])[0].directions
         assert np.allclose(w[0], [1, 0])
         assert np.all(w[1] == 0.0)
 
     def test_oblique_pair(self):
         inst = make_columns([1, 0], [0.5, math.sqrt(3) / 2])
-        w = decompose_freezes(inst, in_index_order(2)).directions
+        w = decompose_stack(inst, in_index_order(2)[None])[0].directions
         assert np.allclose(w[0], [1, 0], atol=1e-14)
         assert np.allclose(w[1], [0, 1], atol=1e-14)
 
@@ -253,6 +253,9 @@ class TestFreezeBlocks:
                 assert runs[(p, dec.block[rows[-1]])] == [rows[-1]]
             want = reference_decomposition(inst, freeze_row(trace)).blocks
             assert {key: tuple(rows[::-1]) for key, rows in runs.items()} == want
+            # run labels number the same blocks from 0 at the top
+            for label, rows in enumerate(want.values()):
+                assert dec.run[list(rows)].tolist() == [label] * len(rows)
 
 
 class TestNontrivialCount:
@@ -275,6 +278,7 @@ class TestNontrivialCount:
             assert dec.total_nontrivial <= 2
             assert dec.total_nontrivial == len(set(zip(dec.pivot[dec.nonzero],
                                                        dec.block[dec.nonzero])))
+            assert dec.total_nontrivial == len(set(dec.run[dec.nonzero].tolist()))
 
     def test_dimension_bound(self):
         for seed in range(6):
@@ -436,11 +440,14 @@ class TestColumnarBuilder:
             assert stack.order[k].tolist() == ref.order.tolist()
             assert stack.directions[k].tobytes() == ref.directions.tobytes()
             assert stack.total_nontrivial[k] == ref.total_nontrivial
+            for label, rows in enumerate(ref.blocks.values()):
+                assert stack.run[k, list(rows)].tolist() == [label] * len(rows)
             assert proxies[k].tobytes() == reference_proxies(inst, ref, vs).tobytes()
             assert single[k].tobytes() == reference_proxies(inst, ref, vs[:, -1:]).tobytes()
-            one = decompose_freezes(inst, row)
+            one = decompose_stack(inst, row[None])[0]
             for got, want in ((one.order, stack.order[k]), (one.pivot, stack.pivot[k]),
-                              (one.block, stack.block[k]), (one.nonzero, stack.nonzero[k]),
+                              (one.block, stack.block[k]), (one.run, stack.run[k]),
+                              (one.nonzero, stack.nonzero[k]),
                               (one.directions, stack.directions[k])):
                 assert got.tobytes() == want.tobytes()
             assert one.total_nontrivial == stack.total_nontrivial[k]
