@@ -2,13 +2,14 @@
 
 Expands the full decision tree of the walk, one branch per endpoint choice,
 multiplying branch probabilities.  The tree is built one depth at a time:
-a node's active set fixes its pivot and direction, so the sets of a depth
-not solved before go through one ``walk.stacked_directions`` call, and
-every node of the depth then takes its step in one numpy pass.  The leaf
-law is held as columns: the exact probability and sign outcome of each leaf
-and the id of its freeze sequence.  A decomposition depends only on the
-freeze sequence, so every id's is built on first read, in one stacked pass
-from the step at which each coordinate froze.  A leaf's path is kept as its
+a node's active set fixes its pivot and direction, so the active sets of a
+depth go through one ``walk.stacked_directions`` call, which solves each
+distinct set once, and every node of the depth then takes its step in one
+numpy pass.  The leaf law is held as columns: the exact probability and
+sign outcome of each leaf and the id of its freeze sequence, numbered by
+``distinct_rows``.  A decomposition depends only on the freeze sequence, so
+every id's is built on first read, in one stacked pass from the step at
+which each coordinate froze.  A leaf's path is kept as its
 code, and its trace replays the walk along it, so expectations of any path
 functional can be computed without sampling.
 """
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import walk
 from .exceptions import ContractViolationError, DimensionError, DomainOverflowError
-from .instances import Instance
+from .instances import Instance, distinct_rows, ordered_sum
 from .ortho import OrthoDecomposition, decompose_stack, variance_proxy_batch
 from .walk import WalkTrace
 
@@ -115,49 +116,40 @@ def enumerate_walk(inst: Instance) -> LeafDistribution:
     order with the + branch first.
 
     The tree grows one depth at a time.  A node is a row: its coloring, its
-    active set as a bitmask, its mass, its path code and, per coordinate,
-    the step that froze it (0 while active).  Path codes are left-aligned,
-    the step into depth t in bit n - t and the + branch 0, so depth-first
-    order is code order with each node before its + child.  The sets of a
-    depth that no earlier depth has seen solve their directions in one
-    ``walk.stacked_directions`` call, and all nodes of the depth step in one
-    pass.  ``DEPTH_CAP`` bounds the direction table, indexed by bitmask, to
-    2^n rows, keeps bitmasks and codes within int64 and steps within int8.
+    boolean active row, its mass, its path code and, per coordinate, the
+    step that froze it (0 while active).  Path codes are left-aligned, the
+    step into depth t in bit n - t and the + branch 0, so depth-first order
+    is code order with each node before its + child.  The nodes of a depth
+    get their directions from one ``walk.stacked_directions`` call and step
+    in one pass.  ``DEPTH_CAP`` keeps codes within int64, steps within int8
+    and the leaves to at most 2^n.
     """
     n = inst.n
     if n > DEPTH_CAP:
         raise DimensionError(
             f"enumeration refused: n={n} exceeds depth cap {DEPTH_CAP} "
             f"(up to 2^n leaves)")
-    weights = 1 << np.arange(n)
-    index = np.full(1 << n, -1)         # active bitmask -> row of ``directions``
-    directions = np.zeros((0, n))
     leaf_cols = []                      # per depth: code, mass, coloring, when
     node_cols = []                      # per depth: code, depth, pivot, z
     cut_cols = []                       # per depth: code, mass of pruned branches
 
     x = np.zeros((1, n))
-    bits = np.array([(1 << n) - 1], dtype=np.int64)
+    active = np.ones((1, n), dtype=bool)
     prob = np.ones(1)
     code = np.zeros(1, dtype=np.int64)
     when = np.zeros((1, n), dtype=np.int8)
     depth = 0
-    while bits.size:
-        done = bits == 0
+    while len(active):
+        done = ~active.any(axis=1)
         leaves = np.flatnonzero(done)
         leaf_cols.append((code[leaves], prob[leaves], x[leaves], when[leaves]))
         rows = np.flatnonzero(~done)
         if not rows.size:
             break
-        x, bits, prob, code, when = x[rows], bits[rows], prob[rows], code[rows], when[rows]
-        distinct, group = np.unique(bits, return_inverse=True)
-        masks = (distinct[:, None] & weights) > 0
-        new = index[distinct] < 0       # sets no earlier depth has solved
-        index[distinct[new]] = np.arange(np.count_nonzero(new)) + len(directions)
-        directions = np.concatenate((directions, walk.stacked_directions(inst, masks[new])))
-        pivot = (n - 1 - masks[:, ::-1].argmax(axis=1))[group]
+        x, active, prob, code, when = x[rows], active[rows], prob[rows], code[rows], when[rows]
+        pivot = n - 1 - active[:, ::-1].argmax(axis=1)
         node_cols.append((code, np.full(rows.size, depth), pivot, x[np.arange(rows.size), pivot]))
-        u = directions[index[bits]]
+        u = walk.stacked_directions(inst, active)
         dm, dp = walk.feasible_interval(x, u)
         p_plus = dm / (dm + dp)
         # The candidate children: the + branch of every row, then the -
@@ -170,9 +162,10 @@ def enumerate_walk(inst: Instance) -> LeafDistribution:
         cut_cols.append((child_code[cut], mass[cut]))
         take = np.flatnonzero(~cut)
         src, plus = take % rows.size, take < rows.size
+        active = active[src]
         x, froze = walk.move(x[src], u[src], np.where(plus, dp[src], -dm[src])[:, None],
-                             masks[group[src]])
-        bits = bits[src] - froze @ weights
+                             active)
+        active ^= froze                 # froze lies within active
         when = when[src]
         when[froze] = depth + 1
         prob, code = mass[take], child_code[take]
@@ -181,32 +174,26 @@ def enumerate_walk(inst: Instance) -> LeafDistribution:
     leaf_code, probabilities, signs, leaf_when = (np.concatenate(c) for c in zip(*leaf_cols))
     order = np.argsort(leaf_code, kind="stable")
     leaf_code, leaf_when = leaf_code[order], leaf_when[order]
-    # freeze ids number the distinct rows of ``when``, as bytes, by first leaf
-    _, first, inverse = np.unique(leaf_when.view(np.dtype((np.void, n)))[:, 0],
-                                  return_index=True, return_inverse=True)
-    rank = np.argsort(np.argsort(first))
+    first, freeze_ids = distinct_rows(leaf_when)
     node_code, node_depth, node_pivot, node_z = (np.concatenate(c) for c in zip(*node_cols))
     # nodes were collected depth by depth, so a node stays before its + child
     pre = np.argsort(node_code, kind="stable")
     lo = np.searchsorted(leaf_code, node_code[pre])
     hi = np.searchsorted(leaf_code, node_code[pre] + (1 << (n - node_depth[pre])))
     cut_code, cut_mass = (np.concatenate(c) for c in zip(*cut_cols))
-    pruned = 0.0
-    for p in cut_mass[np.argsort(cut_code, kind="stable")].tolist():
-        pruned += p                     # in depth-first order, as the leaves
     return LeafDistribution(
         inst=inst, probabilities=probabilities[order], signs=signs[order], codes=leaf_code,
-        freeze_ids=rank[inverse], when=leaf_when[np.sort(first)],
+        freeze_ids=freeze_ids, when=leaf_when[first],
         nodes=(lo, hi, node_pivot[pre], node_z[pre]),
-        pruned_mass=pruned)
+        # in depth-first order, as the leaves
+        pruned_mass=ordered_sum(cut_mass[np.argsort(cut_code, kind="stable")]))
 
 
 def _expectation(dist: LeafDistribution, values) -> float:
     """Sum of p * value over the leaves (``values`` aligned with them), added
     left to right in decreasing-probability order, ties in leaf order."""
     order = np.argsort(-dist.probabilities, kind="stable")
-    terms = dist.probabilities[order] * np.asarray(values, float)[order]
-    return float(sum(terms.tolist()))
+    return ordered_sum(dist.probabilities[order] * np.asarray(values, float)[order])
 
 
 def leaf_margins(dist: LeafDistribution, inst: Instance, v) -> np.ndarray:

@@ -5,11 +5,11 @@ identical regardless of execution order or worker count.  The per-run CSV is
 the canonical record; the JSON report aggregates it.
 
 Runs advance together as rows, a chunk at a time, with the arithmetic of a
-plain ``run_walk``, so every value is unchanged.  At each depth the rows are
-grouped by active set and the distinct sets' directions are solved once, in
-one ``walk.stacked_directions`` call.  A run keeps only the step at which
-each coordinate froze, and a chunk's distinct freeze sequences are
-decomposed once each, in one ``ortho.decompose_stack`` call.
+plain ``run_walk``, so every value is unchanged.  At each depth the active
+rows go to one ``walk.stacked_directions`` call, which solves each distinct
+set once.  A run keeps only the step at which each coordinate froze, and a
+chunk's distinct freeze sequences (``distinct_rows``) are decomposed once
+each, in one ``ortho.decompose_stack`` call.
 """
 from __future__ import annotations
 
@@ -23,7 +23,8 @@ from . import walk
 from .enumeration import brute_force_min_discrepancy
 from .exceptions import ContractViolationError, ParameterError, ReportFormatError
 from .inequalities import PROXY_SLACK, BoundInputs, theorem1_bound
-from .instances import Instance, json_text, stream_rng, usable_cores, write_text
+from .instances import (Instance, distinct_rows, json_text, stream_rng, usable_cores,
+                        write_text)
 from .ortho import basis_variance_proxies, decompose_stack
 
 # The report's empirical tail: coordinate and thresholds c.
@@ -67,10 +68,9 @@ def _walk_rows(inst: Instance, draws: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Walk each row to completion, step t of row i taking ``draws[i, t - 1]``.
 
     Returns the final colorings (g, n) and, per coordinate, the step that
-    froze it (g, n).  At each depth the rows still walking are grouped by
-    active set; the distinct sets solve their directions in one
-    ``walk.stacked_directions`` call (one stack per size), and every row
-    then steps in one pass along its set's direction.
+    froze it (g, n).  At each depth the active sets of the rows still
+    walking get their directions from one ``walk.stacked_directions`` call,
+    and every row then steps in one pass along its own.
     """
     g, n = draws.shape
     x = np.zeros((g, n))
@@ -80,14 +80,8 @@ def _walk_rows(inst: Instance, draws: np.ndarray) -> tuple[np.ndarray, np.ndarra
     t = 0
     while live.size:
         act = active[live]
-        packed = np.packbits(act, axis=1)
-        width = packed.shape[1]
-        raw = packed.tobytes()
-        keys = [raw[i:i + width] for i in range(0, len(raw), width)]
-        number: dict[bytes, int] = {}
-        group = np.array([number.setdefault(key, len(number)) for key in keys])
-        u = walk.stacked_directions(inst, act[np.unique(group, return_index=True)[1]])
-        moved, froze, *_ = walk.step_rows(x[live], u[group], draws[live, t], act)
+        u = walk.stacked_directions(inst, act)
+        moved, froze, *_ = walk.step_rows(x[live], u, draws[live, t], act)
         t += 1
         x[live] = moved
         active[live] = act ^ froze      # froze lies within act
@@ -107,9 +101,7 @@ def _run_range(args):
         # the stacked product makes each run's own matrix-vector call (as in
         # ``enumeration.leaf_margins``), so every discrepancy keeps its bits
         discrepancies = np.abs(np.matmul(inst.matrix, signs[:, :, None])).max(axis=(1, 2))
-        # the chunk's distinct freeze rows, compared as bytes
-        _, first, seq = np.unique(when.view(np.dtype((np.void, when.itemsize * inst.n)))[:, 0],
-                                  return_index=True, return_inverse=True)
+        first, seq = distinct_rows(when)
         dec = decompose_stack(inst, when[first])
         proxies, blocks = basis_variance_proxies(inst, dec)[seq], dec.total_nontrivial[seq]
         for r, x, z, b, disc in zip(runs, signs, proxies, blocks.tolist(), discrepancies.tolist()):
@@ -133,10 +125,8 @@ def run_experiment(inst: Instance, runs: int, master_seed: int,
               for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_run_range, chunks))
-    out = [s for part in parts for s in part]
-    out.sort(key=lambda s: s.run_index)
-    return out
+        # map keeps the order of the chunks, which are in index order
+        return [s for part in pool.map(_run_range, chunks) for s in part]
 
 
 def estimate_bound(stats: list[RunStats]) -> tuple[float, bool]:

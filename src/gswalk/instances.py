@@ -3,8 +3,9 @@
 Columns must satisfy ||v_i||_2 <= 1 (up to a small load tolerance).  Instances
 are immutable after construction and safe to share between threads.
 Every random stream of the package is ``stream_rng(seed, *key)``, every file
-goes through ``read_text`` / ``write_text``, every JSON document ``json_text``
-and every pool or split is sized by ``usable_cores``.
+goes through ``read_text`` / ``write_text``, every JSON document ``json_text``,
+every pool or split is sized by ``usable_cores``, every set of distinct rows
+comes from ``distinct_rows`` and every byte-stable total is ``ordered_sum``.
 """
 from __future__ import annotations
 
@@ -53,9 +54,6 @@ class Instance:
     def n(self) -> int:
         return self.matrix.shape[1]
 
-    def column(self, i: int) -> np.ndarray:
-        return self.matrix[:, i]
-
 
 def generate_instance(kind: str, d: int, n: int, seed: int) -> Instance:
     """Deterministically generate a test instance of the given family."""
@@ -86,6 +84,24 @@ def generate_instance(kind: str, d: int, n: int, seed: int) -> Instance:
 def stream_rng(seed: int, *key: int) -> np.random.Generator:
     """The generator of stream ``key`` under ``seed``; () is the root stream."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The index of each distinct row of ``rows`` (m, k), in order of first
+    appearance, and each row's number among them; rows are equal when their
+    bytes are.  ``rows[first][number]`` is ``rows``."""
+    rows = np.ascontiguousarray(rows)
+    # index outputs keep np.unique from importing numpy.ma
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    _, first, number = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return first[order], np.argsort(order)[number]
+
+
+def ordered_sum(values) -> float:
+    """The sum of ``values`` added left to right, whatever the interpreter's
+    ``sum()`` does (3.12 made it compensated); 0.0 when empty."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
 
 
 def usable_cores() -> int:

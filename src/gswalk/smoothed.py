@@ -19,7 +19,7 @@ import numpy as np
 
 from .exceptions import (ContractViolationError, DegeneratePairError,
                          DomainOverflowError, ParameterError)
-from .instances import Instance, stream_rng
+from .instances import Instance, distinct_rows, ordered_sum, stream_rng
 from .enumeration import LeafDistribution
 
 WILSON_Z = 1.959963984540054        # two-sided 95%
@@ -74,11 +74,8 @@ def build_augmented(inst: Instance) -> Instance:
 def base_law(leaves: LeafDistribution) -> tuple[np.ndarray, np.ndarray]:
     """Distinct sign vectors (k, n) in first-leaf order and their summed leaf
     probabilities, added in leaf order."""
-    signs = leaves.signs
-    _, first, group = np.unique(signs, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    probs = np.bincount(np.argsort(order)[group], weights=leaves.probabilities)
-    return signs[first[order]], probs
+    first, group = distinct_rows(leaves.signs)
+    return leaves.signs[first], np.bincount(group, weights=leaves.probabilities)
 
 
 def tilt_distribution(leaves: LeafDistribution, inst: Instance, sigma: float,
@@ -95,7 +92,7 @@ def tilt_distribution(leaves: LeafDistribution, inst: Instance, sigma: float,
     signs, probs = base_law(leaves)
     d, n = inst.d, inst.n
     sq_norms = np.array([float(np.sum((inst.matrix @ x) ** 2)) for x in signs])
-    two_v = float(sum(probs * sq_norms))
+    two_v = ordered_sum(probs * sq_norms)
     keep = sq_norms <= cutoff_c * two_v * (1.0 + 1e-12) + 1e-300
     base_p = probs[keep]
     exponents = [d * s / (2.0 * sigma * sigma * n) for s in sq_norms[keep]]
@@ -104,13 +101,13 @@ def tilt_distribution(leaves: LeafDistribution, inst: Instance, sigma: float,
         raise DomainOverflowError(f"tilt weight exp({top:.6g}) overflows double precision "
                                   f"(d={d}, n={n}, sigma={sigma:g})")
     mass = base_p * [math.exp(e) for e in exponents]
-    normalizer = float(sum(mass))
+    normalizer = ordered_sum(mass)
     if normalizer <= 0.0:
         raise ContractViolationError("cutoff set carries no probability mass")
     return TiltedDistribution(support=signs[keep], base_p=base_p,
                               tilted_p=mass / normalizer, normalizer=normalizer,
                               half_variance=0.5 * two_v,
-                              cutoff_mass=min(1.0, float(sum(base_p))))
+                              cutoff_mass=min(1.0, ordered_sum(base_p)))
 
 
 def sample_perturbation(d: int, n: int, sigma: float,

@@ -8,11 +8,12 @@ interval with the mean-zero choice of probabilities.  Coordinates reaching
 
 The step works on rows of colorings.  ``min_norm_directions`` solves the
 directions of several active sets of one size at once, and
-``stacked_directions`` those of sets of any sizes, one stack per size;
+``stacked_directions`` gives one direction per row of active sets of any
+sizes, solving each distinct set once, one stack per size;
 ``feasible_interval``, ``move`` and ``step_rows`` take rows with one
 direction each or one shared by all, with the bits of one call per row.
 Monte Carlo sampling advances its runs as rows and exact enumeration the
-nodes of one depth, both solving through ``stacked_directions``;
+nodes of one depth, both passing every row to ``stacked_directions``;
 ``walk_path`` is the one-row case, on the draws of ``run_walk``'s
 generator or of an enumerated leaf's path code.
 """
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import ContractViolationError
-from .instances import Instance
+from .instances import Instance, distinct_rows
 
 FREEZE_TOL = 1e-9
 RANK_RCOND = 1e-10
@@ -104,15 +105,18 @@ def min_norm_directions(inst: Instance, sets: np.ndarray) -> np.ndarray:
 
 def stacked_directions(inst: Instance, active: np.ndarray) -> np.ndarray:
     """Directions (g, n) of g nonempty active sets of any sizes, given as
-    boolean rows (g, n); the sets of one size solve as one stack through
-    ``min_norm_directions``, so every row gets the bits of its own solve."""
-    sizes = np.count_nonzero(active, axis=1)
-    u = np.empty(active.shape)
+    boolean rows (g, n), one per row.  Each distinct set is solved once, and
+    the sets of one size as one stack through ``min_norm_directions``, so
+    every row gets the bits of its own solve."""
+    first, number = distinct_rows(active)
+    sets = active[first]
+    sizes = np.count_nonzero(sets, axis=1)
+    u = np.empty(sets.shape)
     for k in set(sizes.tolist()):
         same = np.flatnonzero(sizes == k)
         # sorted indices, so each set's pivot, its largest index, is last
-        u[same] = min_norm_directions(inst, active[same].nonzero()[1].reshape(-1, k))
-    return u
+        u[same] = min_norm_directions(inst, sets[same].nonzero()[1].reshape(-1, k))
+    return u[number]
 
 
 def _gram_solve(at: np.ndarray, target: np.ndarray, out: np.ndarray) -> list[int]:

@@ -1,3 +1,4 @@
+import builtins
 import math
 
 import numpy as np
@@ -53,14 +54,15 @@ def family_instance(family: str, seed: int) -> Instance:
 def uncached_enumeration(inst):
     """Reference descent: every node solves its own direction and steps by
     ``walk.apply_step``.  Returns the leaves as (probability, signs, steps),
-    the pruned mass and the active set of every expanded internal node."""
+    the pruned mass and the (depth, active set) of every expanded internal
+    node."""
     leaves, actives, pruned = [], [], [0.0]
 
     def descend(state, steps, prob):
         if not state.active.size:
             leaves.append((prob, state.x, steps))
             return
-        actives.append(state.active.tobytes())
+        actives.append((state.t, state.active.tobytes()))
         u = walk.min_norm_direction(inst, state.active, state.pivot)
         dm, dp = walk.feasible_interval(state.x, u)
         p_plus = dm / (dm + dp)
@@ -244,6 +246,23 @@ class TestExactExpectation:
         val = per_leaf_expectation(
             dist, lambda lf: float(np.abs(inst.matrix @ lf.signs).max()))
         assert val == 0.0
+
+    def test_totals_do_not_depend_on_the_interpreters_sum(self, monkeypatch):
+        # Python 3.12 made sum() over floats compensated; reported totals
+        # add left to right on every supported interpreter.  Under fsum
+        # each of these totals moves in its last bits.
+        inst = generate_instance("random_unit_sphere", 4, 13, 1)
+        small = generate_instance("random_unit_sphere", 3, 8, 1)
+        dist, law = enumerate_walk(inst), enumerate_walk(build_augmented(small))
+
+        def totals():
+            tilted = tilt_distribution(law, small, 1.0, 2.0)
+            return (verify_subgaussian(dist, inst, np.eye(4)[0], 1.0),
+                    tilted.half_variance, tilted.normalizer, tilted.cutoff_mass)
+
+        want = totals()
+        monkeypatch.setattr(builtins, "sum", math.fsum)
+        assert totals() == want
 
 
 class TestMartingale:
@@ -495,23 +514,35 @@ class TestColumnarLaw:
     @pytest.mark.parametrize("case", [("random_unit_sphere", 4, 10, 1),
                                       ("sign_columns", 3, 8, 2),
                                       ("duplicated_column", 3, 7, 1),
-                                      # two active sets recur at a later depth
+                                      # two active sets recur at a later
+                                      # depth: 7 solves of 5 distinct sets
                                       ("sign_columns", 3, 7, 1)],
                              ids=lambda c: f"{c[0]}-{c[2]}")
     def test_one_solve_per_active_set(self, case, monkeypatch):
+        # each depth solves its distinct sets once; a set recurring at a
+        # later depth is solved again
         inst = generate_instance(*case)
         _, _, actives = uncached_enumeration(inst)
-        calls = []
-        solve = walk.stacked_directions
+        depths = []
+        stacked, solve = walk.stacked_directions, walk.min_norm_directions
 
-        def counting(inst, active):
+        def per_depth(inst, active):
+            depths.append([])
+            return stacked(inst, active)
+
+        def counting(inst, sets):
             # each row is one set, as the index array the reference descent keeps
-            calls.extend(np.flatnonzero(row).tobytes() for row in active)
-            return solve(inst, active)
+            depths[-1].extend(row.tobytes() for row in sets)
+            return solve(inst, sets)
 
-        monkeypatch.setattr(walk, "stacked_directions", counting)
+        monkeypatch.setattr(walk, "stacked_directions", per_depth)
+        monkeypatch.setattr(walk, "min_norm_directions", counting)
         enumerate_walk(inst)
-        assert len(calls) == len(set(calls)) == len(set(actives)) < len(actives)
+        solved = [(t, key) for t, keys in enumerate(depths, 1) for key in keys]
+        assert len(solved) == len(set(solved)) == len(set(actives)) < len(actives)
+        assert set(solved) == set(actives)
+        if case == ("sign_columns", 3, 7, 1):
+            assert len(solved) == 7 > len({key for _, key in actives}) == 5
 
     def test_records_built_on_read(self, monkeypatch):
         # the law holds its paths as codes and each freeze sequence as the

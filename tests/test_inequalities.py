@@ -150,13 +150,6 @@ class TestTwoPointMoment:
         want = (1.0 - p_hi) * math.exp(s * lo) + p_hi * math.exp(s * hi)
         assert float(two_point_moment(x, s)) == pytest.approx(want, rel=1e-15)
 
-    def test_buffers_are_written(self):
-        s = np.linspace(-1.0, 1.0, 9)[None, :]
-        out, work = np.empty((1, 9)), np.empty((1, 9))
-        got = two_point_moment(-0.25, s, out=out, work=work)
-        assert got is out
-        assert np.array_equal(got, two_point_moment(-0.25, s))
-
 
 class TestTwoPoint:
     def test_origin(self):

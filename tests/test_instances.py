@@ -7,9 +7,9 @@ import pytest
 from gswalk.exceptions import (ContractViolationError, DimensionError,
                                InstanceFormatError, NormViolationError,
                                ReportFormatError)
-from gswalk.instances import (Instance, generate_instance, json_text, load_instance,
-                              read_text, save_instance, stream_rng, usable_cores,
-                              write_text)
+from gswalk.instances import (Instance, distinct_rows, generate_instance, json_text,
+                              load_instance, ordered_sum, read_text, save_instance,
+                              stream_rng, usable_cores, write_text)
 
 
 class TestInstance:
@@ -21,7 +21,7 @@ class TestInstance:
     def test_rectangular_identity(self):
         inst = generate_instance("identity", 4, 2, 0)
         assert inst.matrix.shape == (4, 2)
-        assert np.array_equal(inst.column(1), np.array([0.0, 1.0, 0.0, 0.0]))
+        assert np.array_equal(inst.matrix[:, 1], np.array([0.0, 1.0, 0.0, 0.0]))
 
     def test_identity_needs_n_le_d(self):
         with pytest.raises(DimensionError):
@@ -30,8 +30,8 @@ class TestInstance:
     def test_duplicated_column(self):
         inst = generate_instance("duplicated_column", 2, 2, 0)
         e1 = np.array([1.0, 0.0])
-        assert np.array_equal(inst.column(0), e1)
-        assert np.array_equal(inst.column(1), e1)
+        assert np.array_equal(inst.matrix[:, 0], e1)
+        assert np.array_equal(inst.matrix[:, 1], e1)
 
     def test_unit_sphere_norms(self):
         inst = generate_instance("random_unit_sphere", 4, 8, 42)
@@ -196,3 +196,26 @@ class TestSharedRules:
         assert usable_cores() == 6
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert usable_cores() == 1
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.int32, float])
+    @pytest.mark.parametrize("m", [1, 2, 40])
+    def test_distinct_rows_number_by_first_appearance(self, dtype, m):
+        # active rows, freeze rows and sign rows, with repeats; m = 2 is
+        # two equal rows
+        gen = np.random.default_rng(m)
+        pool = np.array([[0, 1, 1, 0, 1], [1, 1, 0, 0, 1], [0, 0, 0, 1, 1]])
+        rows = pool[gen.integers(0, len(pool), m) if m != 2 else [1, 1]].astype(dtype)
+        if dtype is float:
+            rows = 2.0 * rows - 1.0
+        first, number = distinct_rows(rows)
+        seen: dict[bytes, int] = {}
+        want = [seen.setdefault(row.tobytes(), len(seen)) for row in rows]
+        assert number.tolist() == want
+        assert first.tolist() == [want.index(k) for k in range(len(seen))]
+        assert rows[first][number].tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("values, total", [([], 0.0), ([0.25], 0.25),
+                                               # fsum and 3.12's sum() give 1.0
+                                               ([1e16, 1.0, -1e16], 0.0)])
+    def test_ordered_sum_adds_left_to_right(self, values, total):
+        assert ordered_sum(np.array(values)) == total

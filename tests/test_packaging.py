@@ -86,6 +86,10 @@ def test_quadrature_rule_has_one_builder():
     assert calls_outside({"leggauss"}, {"_gauss_legendre"}) == []
 
 
+def test_equal_rows_have_one_rule():
+    assert calls_outside({"unique"}, {"distinct_rows"}) == []
+
+
 @pytest.mark.parametrize("name", ["sched_getaffinity", "cpu_count"])
 def test_core_count_has_one_rule(name):
     assert calls_outside({name}, {"usable_cores"}, reads=True) == []
@@ -119,16 +123,26 @@ def names_read(tree: ast.AST) -> set[str]:
 
 
 def test_every_definition_is_used_exported_or_benched():
-    # a name that only the tests read belongs in tests/helpers.py
+    # a name that only the tests read belongs in tests/helpers.py; this
+    # holds for top-level definitions and for the methods and properties
+    # of the package's classes
     import gswalk
-    defined, read = [], set()
+    defined, members, read = [], [], set()
     for path in sorted((ROOT / "src" / "gswalk").glob("*.py")):
         for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
             name = getattr(stmt, "name", None)
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 defined.append((path.stem, name))
+            if isinstance(stmt, ast.ClassDef):
+                members += [(path.stem, member.name) for member in stmt.body
+                            if isinstance(member, ast.FunctionDef)]
             read |= names_read(stmt) - {name}     # a definition's reads of itself
-    benched = module_attributes(ROOT / "bench" / "workloads.py", "gswalk")
+    bench = ROOT / "bench" / "workloads.py"
+    benched = module_attributes(bench, "gswalk")
+    # the bench reads a member off an object it holds
+    bench_reads = names_read(ast.parse(bench.read_text(encoding="utf-8")))
+    benched |= {member for member in members if member[1] in bench_reads}
+    defined += members
     unused = [f"{module}.{name}" for module, name in defined
               if not (name.startswith("__") and name.endswith("__"))
               and name not in read and name not in gswalk.__all__

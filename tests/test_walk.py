@@ -124,7 +124,7 @@ class TestMinNormDirection:
             inst = generate_instance("random_unit_sphere", 3, 5, seed)
             u = min_norm_direction(inst, list(range(5)), 4)
             assert (np.linalg.norm(inst.matrix @ u)
-                    <= np.linalg.norm(inst.column(4)) + 1e-12)
+                    <= np.linalg.norm(inst.matrix[:, 4]) + 1e-12)
 
 
 class TestGramDirection:
@@ -239,8 +239,9 @@ class TestStackedSolve:
     @pytest.mark.parametrize("family", ["sign_columns", "duplicated_column",
                                         "mixed_scale", "d1"])
     def test_mixed_sizes_in_one_call(self, family):
-        # one call with sets of several sizes, in shuffled order, as one
-        # depth of an enumeration or of lockstep sampling brings them
+        # one call with sets of several sizes, some repeated, in shuffled
+        # order, as one depth of an enumeration or of lockstep sampling
+        # brings them
         if family == "sign_columns":
             inst = generate_instance("sign_columns", 2, 16, 4)
         else:
@@ -254,7 +255,7 @@ class TestStackedSolve:
         # refuses once it has more other columns than rows
         unit = inst.matrix / np.linalg.norm(inst.matrix, axis=0)
         active[-1] = np.abs(unit.T @ unit[:, 0]) > 1.0 - 1e-9
-        active = active[gen.permutation(len(active))]
+        active = np.concatenate((active, active[-4:]))[gen.permutation(len(active) + 4)]
         u = stacked_directions(inst, active)
         assert u.shape == active.shape
         refused = 0
@@ -495,7 +496,7 @@ class TestRunWalk:
                 assert rec.pivot == max(active)
                 assert set(np.nonzero(rec.u)[0]) <= active
                 assert (np.linalg.norm(inst.matrix @ rec.u)
-                        <= np.linalg.norm(inst.column(rec.pivot)) + 1e-12)
+                        <= np.linalg.norm(inst.matrix[:, rec.pivot]) + 1e-12)
                 assert rec.delta_plus > 0 and rec.delta_minus > 0
                 assert rec.chosen_delta in (rec.delta_plus, -rec.delta_minus)
                 active -= set(rec.frozen)
