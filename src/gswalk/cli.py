@@ -320,12 +320,10 @@ def _cmd_report(args) -> int:
         print("\n".join(lines))
     else:
         from . import harness
-        rows = harness.parse_csv(text)
-        disc = np.array([r["discrepancy"] for r in rows])
-        blocks = np.array([r["hatT"] for r in rows], dtype=float)
-        maxz = np.array([r["maxZ"] for r in rows])
-        print(f"runs={len(rows)} mean_hatT={blocks.mean():.6g} "
-              f"mean_maxZ={maxz.mean():.6g} min_disc={disc.min():.6g} "
+        stats = harness.parse_csv(text)
+        disc = stats.discrepancy
+        print(f"runs={stats.run_index.size} mean_hatT={stats.block_count.mean():.6g} "
+              f"mean_maxZ={stats.max_proxy.mean():.6g} min_disc={disc.min():.6g} "
               f"mean_disc={disc.mean():.6g}")
     return 0
 

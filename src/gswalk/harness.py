@@ -2,18 +2,18 @@
 
 Each run draws its generator from (master_seed, run_index), so results are
 identical regardless of execution order or worker count.  The per-run CSV is
-the canonical record; the JSON report aggregates it.
+the canonical record; ``RunStats`` holds its columns from the sampler through
+the process pool to ``parse_csv``, and the JSON report aggregates it.
 
 Runs advance together as rows, a chunk at a time, with the arithmetic of a
-plain ``run_walk``, so every value is unchanged.  At each depth the active
-rows go to one ``walk.stacked_directions`` call, which solves each distinct
-set once.  A run keeps only the step at which each coordinate froze, and a
-chunk's distinct freeze sequences (``distinct_rows``) are decomposed once
-each, in one ``ortho.decompose_stack`` call.
+plain ``run_walk``, so every value is unchanged, and fill their range's
+preallocated columns.  At each depth the active rows go to one
+``walk.stacked_directions`` call, which solves each distinct set once.  A run
+keeps only the step at which each coordinate froze; a chunk's distinct freeze
+sequences (``distinct_rows``) are decomposed in one ``ortho.decompose_stack``.
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -34,16 +34,17 @@ TAIL_GRID = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 # other active columns, (rows, k - 1, d) floats, stays under 1 MiB.
 CHUNK_FLOATS = 1 << 17
 CSV_HEADER = "run_index,discrepancy,hatT,maxZ,final_X"
+SIGN_TOKENS = {"+1": 1.0, "-1": -1.0}
 
 
 @dataclass
 class RunStats:
-    run_index: int
-    discrepancy: float
-    block_count: int                 # nontrivial orthogonal blocks of the run
-    max_proxy: float                 # max over basis directions
-    proxies: np.ndarray = field(repr=False)
-    signs: np.ndarray = field(repr=False)
+    """The columns of the per-run CSV for R runs, in run-index order."""
+    run_index: np.ndarray            # (R,) int
+    discrepancy: np.ndarray          # (R,)
+    block_count: np.ndarray          # (R,) int, nontrivial orthogonal blocks (hatT)
+    max_proxy: np.ndarray            # (R,) max proxy over basis directions (maxZ)
+    signs: np.ndarray = field(repr=False)    # (R, n) final colorings (final_X)
 
 
 @dataclass
@@ -93,25 +94,26 @@ def _walk_rows(inst: Instance, draws: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def _run_range(args):
     inst, master_seed, start, stop = args
     chunk = max(1, CHUNK_FLOATS // (inst.n * inst.d))
-    out = []
-    for lo in range(start, stop, chunk):
-        runs = range(lo, min(lo + chunk, stop))
+    runs = stop - start
+    out = RunStats(np.arange(start, stop), np.empty(runs), np.empty(runs, dtype=int),
+                   np.empty(runs), np.empty((runs, inst.n)))
+    for lo in range(0, runs, chunk):
+        rows = slice(lo, lo + chunk)
         signs, when = _walk_rows(inst, np.array([stream_rng(master_seed, r).random(inst.n)
-                                                for r in runs]))
+                                                for r in out.run_index[rows].tolist()]))
+        out.signs[rows] = signs
         # the stacked product makes each run's own matrix-vector call (as in
         # ``enumeration.leaf_margins``), so every discrepancy keeps its bits
-        discrepancies = np.abs(np.matmul(inst.matrix, signs[:, :, None])).max(axis=(1, 2))
+        out.discrepancy[rows] = np.abs(np.matmul(inst.matrix, signs[:, :, None])).max(axis=(1, 2))
         first, seq = distinct_rows(when)
         dec = decompose_stack(inst, when[first])
-        proxies, blocks = basis_variance_proxies(inst, dec)[seq], dec.total_nontrivial[seq]
-        for r, x, z, b, disc in zip(runs, signs, proxies, blocks.tolist(), discrepancies.tolist()):
-            out.append(RunStats(run_index=r, discrepancy=disc, block_count=b,
-                                max_proxy=float(z.max()), proxies=z, signs=x.copy()))
+        out.max_proxy[rows] = basis_variance_proxies(inst, dec).max(axis=1)[seq]
+        out.block_count[rows] = dec.total_nontrivial[seq]
     return out
 
 
 def run_experiment(inst: Instance, runs: int, master_seed: int,
-                   workers: int = 1) -> list[RunStats]:
+                   workers: int = 1) -> RunStats:
     """Independent seeded walk runs, sorted by index, on <= usable_cores() processes."""
     if runs < 1:
         raise ParameterError(f"runs must be >= 1, got {runs}")
@@ -126,10 +128,11 @@ def run_experiment(inst: Instance, runs: int, master_seed: int,
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # map keeps the order of the chunks, which are in index order
-        return [s for part in pool.map(_run_range, chunks) for s in part]
+        parts = [vars(p).values() for p in pool.map(_run_range, chunks)]
+    return RunStats(*map(np.concatenate, zip(*parts)))
 
 
-def estimate_bound(stats: list[RunStats]) -> tuple[float, bool]:
+def estimate_bound(stats: RunStats) -> tuple[float, bool]:
     """Plug sample means into the existence bound; existence holds when the
     minimum observed discrepancy does not exceed it.
 
@@ -140,29 +143,30 @@ def estimate_bound(stats: list[RunStats]) -> tuple[float, bool]:
     taken as 1, which is exact: with ln E T <= 0 the max(1, .) in the bound
     is 1 either way.
     """
-    if not stats:
+    if not stats.run_index.size:
         raise ParameterError("no run statistics")
-    mean_max = float(np.mean([s.max_proxy for s in stats]))
+    mean_max = float(np.mean(stats.max_proxy))
     if mean_max > 1.0 + PROXY_SLACK:
         raise ContractViolationError(
             f"mean max variance proxy {mean_max!r} exceeds ||e_i||^2 = 1")
-    mean_blocks = float(np.mean([s.block_count for s in stats]))
+    mean_blocks = float(np.mean(stats.block_count))
     bound = theorem1_bound(BoundInputs(mean_max_proxy=min(mean_max, 1.0),
                                        mean_block_count=max(mean_blocks, 1.0)))
-    return bound, min(s.discrepancy for s in stats) <= bound
+    return bound, bool(stats.discrepancy.min() <= bound)
 
 
-def empirical_tail(inst: Instance, stats: list[RunStats], coord: int,
+def empirical_tail(inst: Instance, stats: RunStats, coord: int,
                    c_grid) -> list[dict]:
-    """Exceedance fractions of |<M X, e_coord>| against the 2 exp(-c^2/2) bound."""
-    margins = np.abs(np.array([float(inst.matrix[coord] @ s.signs) for s in stats]))
+    """Exceedance fractions of |<M X, e_coord>| against the 2 exp(-c^2/2) bound;
+    stacked (1, n) by (n, 1) products keep each run's own dot product bits."""
+    margins = np.abs(np.matmul(stats.signs[:, None, :], inst.matrix[coord][:, None]))[:, 0, 0]
     return [{"c": float(c),
              "empirical": float(np.mean(margins > c)),
              "bound": 2.0 * math.exp(-c * c / 2.0)} for c in c_grid]
 
 
 def write_report(report: ExperimentReport, path, fmt: str = "json",
-                 stats: list[RunStats] | None = None) -> None:
+                 stats: RunStats | None = None) -> None:
     """Write the aggregate JSON report or the per-run CSV (requires stats)."""
     if fmt == "json":
         text = report_to_json(report)
@@ -180,18 +184,17 @@ def report_to_json(report: ExperimentReport) -> str:
     return json_text(asdict(report))
 
 
-def stats_to_csv(stats: list[RunStats]) -> str:
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for s in stats:
-        signs = "".join("+1" if v > 0 else "-1" for v in s.signs)
-        buf.write(f"{s.run_index},{s.discrepancy!r},{s.block_count},"
-                  f"{s.max_proxy!r},{signs}\n")
-    return buf.getvalue()
+def stats_to_csv(stats: RunStats) -> str:
+    tokens = np.where(stats.signs > 0, "+1", "-1")      # (R, n), viewed as R strings
+    rows = zip(stats.run_index.tolist(), stats.discrepancy.tolist(), stats.block_count.tolist(),
+               stats.max_proxy.tolist(), tokens.view(f"<U{2 * tokens.shape[1]}")[:, 0].tolist())
+    return "".join([CSV_HEADER + "\n"] + [f"{i},{disc!r},{b},{z!r},{x}\n"
+                                          for i, disc, b, z, x in rows])
 
 
-def parse_csv(text: str) -> list[dict]:
-    """The rows of a per-run CSV; it needs the header and at least one row."""
+def parse_csv(text: str) -> RunStats:
+    """The columns of a per-run CSV of one or more rows, each with a finite
+    discrepancy and maxZ, hatT >= 0 and the first row's count of +1/-1 tokens."""
     lines = text.strip().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ReportFormatError("neither a JSON report nor a per-run CSV with header "
@@ -199,29 +202,28 @@ def parse_csv(text: str) -> list[dict]:
     rows = []
     for line in lines[1:]:
         try:
-            idx, disc, blocks, maxz, signs = line.split(",")
-            rows.append({"run_index": int(idx), "discrepancy": float(disc),
-                         "hatT": int(blocks), "maxZ": float(maxz),
-                         "final_X": signs})
-        except ValueError:
+            idx, disc, blocks, maxz, x = line.split(",")
+            signs = [SIGN_TOKENS[x[i:i + 2]] for i in range(0, len(x), 2)]
+            row = int(idx), float(disc), int(blocks), float(maxz), signs
+            if (not (math.isfinite(row[1]) and math.isfinite(row[3])) or row[2] < 0
+                    or not signs or len(signs) != len(rows[0][4] if rows else signs)):
+                raise ValueError
+        except (ValueError, KeyError):
             raise ReportFormatError(f"malformed CSV row {line!r}") from None
+        rows.append(row)
     if not rows:
         raise ReportFormatError("CSV report has no run rows")
-    return rows
+    return RunStats(*map(np.array, zip(*rows)))
 
 
-def build_report(inst: Instance, instance_desc: dict, stats: list[RunStats],
+def build_report(inst: Instance, instance_desc: dict, stats: RunStats,
                  master_seed: int) -> ExperimentReport:
     """Aggregate per-run statistics into the report structure."""
-    blocks = np.array([s.block_count for s in stats], dtype=float)
-    maxz = np.array([s.max_proxy for s in stats])
-    disc = np.array([s.discrepancy for s in stats])
-    runs = len(stats)
+    blocks, maxz, disc = stats.block_count, stats.max_proxy, stats.discrepancy
+    runs = stats.run_index.size
     bound, _ = estimate_bound(stats)
     tail = empirical_tail(inst, stats, TAIL_COORD, TAIL_GRID)
-    opt = None
-    if inst.n <= 20:
-        opt = brute_force_min_discrepancy(inst)[0]
+    opt = brute_force_min_discrepancy(inst)[0] if inst.n <= 20 else None
     return ExperimentReport(
         instance=instance_desc, runs=runs, master_seed=master_seed,
         mean_hatT=float(blocks.mean()),

@@ -17,7 +17,7 @@ from gswalk.enumeration import (conditional_increment_check, enumerate_walk,
 from gswalk.harness import (report_to_json, run_experiment, build_report,
                             estimate_bound, stats_to_csv)
 from gswalk.inequalities import BoundInputs, lemma1_grid_min, theorem1_bound
-from gswalk.instances import generate_instance
+from gswalk.instances import distinct_rows, generate_instance
 from gswalk.ortho import (basis_variance_proxies, decompose,
                           direction_expansion_residual, variance_proxy_batch)
 from gswalk.smoothed import (SmoothedConfig, TiltedDistribution,
@@ -283,14 +283,12 @@ def test_criterion_9_oracle_equivalence():
     runs = 100_000
     # the production sampler draws run r from the stream run_walk gets below
     stats = run_experiment(inst, runs, 99)
-    for s in stats[:2000]:
-        gen = np.random.default_rng(np.random.SeedSequence(entropy=99,
-                                                           spawn_key=(s.run_index,)))
-        assert s.signs.tobytes() == run_walk(inst, gen).final_x.tobytes()
-    counts: dict[bytes, int] = {}
-    for s in stats:
-        key = s.signs.astype(np.int8).tobytes()
-        counts[key] = counts.get(key, 0) + 1
+    for r, x in zip(stats.run_index[:2000].tolist(), stats.signs):
+        gen = np.random.default_rng(np.random.SeedSequence(entropy=99, spawn_key=(r,)))
+        assert x.tobytes() == run_walk(inst, gen).final_x.tobytes()
+    signs = stats.signs.astype(np.int8)
+    first, number = distinct_rows(signs)
+    counts = dict(zip([row.tobytes() for row in signs[first]], np.bincount(number).tolist()))
     assert set(counts) <= set(exact)
     for key, p in exact.items():
         se = math.sqrt(p * (1 - p) / runs)

@@ -346,8 +346,16 @@ class TestDomainErrors:
         '"min_disc": 1, "tail": []}\n',
         '{"runs": 3, "mean_hatT": 1, "mean_maxZ": 1, "theorem1_bound": 1, '
         '"min_disc": 1, "tail": [{"c": 0.5}]}\n',
+        "run_index,discrepancy,hatT,maxZ,final_X\n0,nan,2,inf,garbage\n1,0.5,-3,0.2,+1\n",
+        "run_index,discrepancy,hatT,maxZ,final_X\n0,nan,2,0.25,+1-1\n",
+        "run_index,discrepancy,hatT,maxZ,final_X\n0,0.5,2,inf,+1-1\n",
+        "run_index,discrepancy,hatT,maxZ,final_X\n0,0.5,-3,0.25,+1-1\n",
+        "run_index,discrepancy,hatT,maxZ,final_X\n0,0.5,2,0.25,-+11\n",
+        "run_index,discrepancy,hatT,maxZ,final_X\n0,0.5,2,0.25,+1-1\n1,0.5,2,0.25,+1\n",
     ], ids=["csv-header-only", "csv-four-fields", "not-a-report", "json-no-mean_hatT",
-            "json-str-mean_hatT", "json-tail-no-bound"])
+            "json-str-mean_hatT", "json-tail-no-bound", "csv-nan-inf-garbage",
+            "csv-nan-discrepancy", "csv-inf-maxZ", "csv-negative-hatT",
+            "csv-signs-not-in-pairs", "csv-rows-differ-in-n"])
     def test_malformed_report(self, tmp_path, capsys, text):
         path = tmp_path / "bad-report"
         path.write_text(text)

@@ -13,7 +13,8 @@ BAD_CALLS = {
         2, 2, 0.0, np.random.default_rng(0)),
     "epsilon_of": lambda tmp: smoothed.epsilon_of(1.0, 1, 32.0),
     "cube_gaussian_measure": lambda tmp: smoothed.cube_gaussian_measure(0.0, 2),
-    "estimate_bound": lambda tmp: harness.estimate_bound([]),
+    "estimate_bound": lambda tmp: harness.estimate_bound(harness.RunStats(
+        np.arange(0), np.empty(0), np.arange(0), np.empty(0), np.empty((0, 2)))),
     "csv_without_stats": lambda tmp: harness.write_report(None, tmp / "r.csv", fmt="csv"),
     "unknown_format": lambda tmp: harness.write_report(None, tmp / "r.xml", fmt="xml"),
 }

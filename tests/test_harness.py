@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gswalk import harness
-from gswalk.exceptions import ContractViolationError, ParameterError
+from gswalk.exceptions import ContractViolationError, ParameterError, ReportFormatError
 from gswalk.harness import (RunStats, build_report, empirical_tail,
                             estimate_bound, parse_csv, report_to_json,
                             run_experiment, stats_to_csv, write_report)
@@ -26,29 +27,41 @@ LOCKSTEP_CASES = [("identity", 4, 4, 0), ("random_unit_sphere", 8, 8, 4000),
                   ("sign_columns", 4, 8, 1)]
 
 
-def reference_stats(inst, runs: int, master_seed: int) -> list[RunStats]:
-    """Per-run statistics computed run by run through the uncached run_walk."""
-    stats = []
+def reference_stats(inst, runs: int, master_seed: int) -> tuple[RunStats, np.ndarray]:
+    """Per-run statistics computed run by run through the uncached run_walk,
+    and each run's d basis proxies (runs, d)."""
+    rows, proxies = [], []
     for r in range(runs):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=master_seed, spawn_key=(r,)))
         trace = run_walk(inst, rng)
         dec = decompose(inst, trace)
-        proxies = basis_variance_proxies(inst, dec)
-        stats.append(RunStats(
-            run_index=r, discrepancy=float(np.abs(inst.matrix @ trace.final_x).max()),
-            block_count=dec.total_nontrivial, max_proxy=float(proxies.max()),
-            proxies=proxies, signs=trace.final_x))
-    return stats
+        proxies.append(basis_variance_proxies(inst, dec))
+        rows.append((r, float(np.abs(inst.matrix @ trace.final_x).max()),
+                     dec.total_nontrivial, float(proxies[-1].max()), trace.final_x))
+    return RunStats(*map(np.array, zip(*rows))), np.array(proxies)
 
 
 def assert_matches_reference(stats, inst, master_seed: int) -> None:
     """The CSV of ``stats``, which holds T-hat and max Z, and each run's
-    block count and d basis proxies bit for bit equal the reference's."""
-    want = reference_stats(inst, len(stats), master_seed)
+    block count equal the reference's."""
+    want, _ = reference_stats(inst, stats.run_index.size, master_seed)
     assert stats_to_csv(stats) == stats_to_csv(want)
-    assert ([(s.block_count, s.proxies.tobytes()) for s in stats]
-            == [(s.block_count, s.proxies.tobytes()) for s in want])
+    assert np.array_equal(stats.block_count, want.block_count)
+
+
+def columns(max_proxy: float = 1.0, block_count: int = 4, runs: int = 1) -> RunStats:
+    """A table of ``runs`` equal runs with discrepancy 1 and signs (+1, +1)."""
+    return RunStats(np.arange(runs), np.ones(runs), np.full(runs, block_count),
+                    np.full(runs, max_proxy), np.ones((runs, 2)))
+
+
+def assert_same_columns(got: RunStats, want: RunStats) -> None:
+    """Every column of ``got`` equals ``want``'s in dtype, shape and bytes."""
+    for name, col in vars(want).items():
+        other = getattr(got, name)
+        assert (other.dtype, other.shape) == (col.dtype, col.shape), name
+        assert other.tobytes() == col.tobytes(), name
 
 
 FAMILIES = ("rank_deficient", "duplicate_opposite", "mixed_scale", "d1",
@@ -98,17 +111,15 @@ class TestRunExperiment:
     def test_identity_four(self):
         inst = generate_instance("identity", 4, 4, 0)
         stats = run_experiment(inst, 50, 123)
-        for s in stats:
-            assert s.discrepancy == 1.0
-            assert s.block_count == 4
-            assert s.max_proxy == pytest.approx(1.0, abs=1e-10)
+        assert np.all(stats.discrepancy == 1.0)
+        assert np.all(stats.block_count == 4)
+        assert stats.max_proxy == pytest.approx(np.ones(50), abs=1e-10)
 
     def test_duplicated_columns(self):
         inst = make_columns([1, 0], [1, 0])
         stats = run_experiment(inst, 50, 9)
-        for s in stats:
-            assert s.discrepancy == 0.0
-            assert s.block_count == 1
+        assert np.all(stats.discrepancy == 0.0)
+        assert np.all(stats.block_count == 1)
 
     def test_deterministic_csv(self):
         inst = generate_instance("random_unit_sphere", 3, 5, 2)
@@ -121,9 +132,8 @@ class TestRunExperiment:
         inst = generate_instance("random_unit_sphere", 3, 5, 2)
         short = run_experiment(inst, 20, 7)
         long = run_experiment(inst, 40, 7)
-        for a, b in zip(short, long):
-            assert a.discrepancy == b.discrepancy
-            assert np.array_equal(a.signs, b.signs)
+        assert np.array_equal(short.discrepancy, long.discrepancy[:20])
+        assert np.array_equal(short.signs, long.signs[:20])
 
     def test_parallel_matches_serial(self):
         inst = generate_instance("random_unit_sphere", 3, 5, 2)
@@ -144,17 +154,19 @@ class TestRunExperiment:
     def test_invariants_per_run(self):
         inst = generate_instance("random_unit_sphere", 4, 8, 6)
         stats = run_experiment(inst, 100, 11)
-        for s in stats:
-            assert s.block_count <= min(inst.d, inst.n)
-            assert 0 <= s.max_proxy <= 1 + 1e-8
-            assert s.proxies.sum() <= s.block_count + 1e-8
-            recomputed = float(np.abs(inst.matrix @ s.signs).max())
-            assert abs(recomputed - s.discrepancy) <= 1e-10
+        # the reference runs are these runs: their CSVs are equal
+        want, proxies = reference_stats(inst, 100, 11)
+        assert stats_to_csv(stats) == stats_to_csv(want)
+        assert np.all(stats.block_count <= min(inst.d, inst.n))
+        assert np.all((0 <= stats.max_proxy) & (stats.max_proxy <= 1 + 1e-8))
+        assert np.all(proxies.sum(axis=1) <= stats.block_count + 1e-8)
+        recomputed = np.abs(stats.signs @ inst.matrix.T).max(axis=1)
+        assert np.all(np.abs(recomputed - stats.discrepancy) <= 1e-10)
 
     def test_mean_increment_consistent(self):
         inst = generate_instance("random_unit_sphere", 3, 6, 4)
         stats = run_experiment(inst, 2000, 21)
-        margins = np.array([inst.matrix @ s.signs for s in stats])
+        margins = stats.signs @ inst.matrix.T
         for i in range(inst.d):
             col = margins[:, i]
             assert abs(col.mean()) <= 3 * col.std(ddof=1) / math.sqrt(len(col))
@@ -176,20 +188,19 @@ class TestLockstep:
     def test_matches_uncached_walk(self, kind, d, n, seed, workers):
         inst = generate_instance(kind, d, n, seed)
         stats = run_experiment(inst, 300, 5 + seed, workers=workers)
-        assert len(stats) == 300
+        assert np.array_equal(stats.run_index, np.arange(300))
         assert_matches_reference(stats, inst, 5 + seed)
 
     def test_runs_do_not_share_arrays(self):
+        # writing into one experiment's columns leaves a second one unchanged
         inst = generate_instance("identity", 3, 3, 0)
         stats = run_experiment(inst, 200, 2)
-        first = next(s for s in stats[1:] if np.array_equal(s.signs, stats[0].signs))
-        want_signs, want_proxies = first.signs.copy(), first.proxies.copy()
-        stats[0].signs[:] = 0.0
-        stats[0].proxies[:] = -1.0
-        assert np.array_equal(first.signs, want_signs)
-        assert np.array_equal(first.proxies, want_proxies)
+        want = stats_to_csv(stats)
         again = run_experiment(inst, 200, 2)
-        assert stats_to_csv(again[1:]) == stats_to_csv(stats[1:])
+        for col in vars(stats).values():
+            col[:] = 0
+        assert stats_to_csv(again) == want
+        assert stats_to_csv(run_experiment(inst, 200, 2)) == want
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("rows", [1, 2, None], ids=["rows1", "rows2", "default"])
@@ -206,7 +217,7 @@ class TestLockstep:
             patch.setattr(InProcessPool, "sizes", [])
             patch.setattr(harness, "usable_cores", lambda: 2)
             got = run_experiment(inst, 13, seed % 1000, workers=workers)
-        assert len(got) == 13
+        assert np.array_equal(got.run_index, np.arange(13))
         assert_matches_reference(got, inst, seed % 1000)
 
     def test_memory_keeps_no_step_directions(self):
@@ -237,9 +248,24 @@ class TestLockstep:
                     current, peak = tracemalloc.get_traced_memory()
                 finally:
                     tracemalloc.stop()
-                assert len(stats) == runs
+                assert stats.run_index.size == runs
                 extra.append(peak - current)
         assert extra[1] - extra[0] < 8 * 2**10
+
+    def test_memory_retained_is_the_columns(self):
+        # an experiment keeps its five columns, four 8-byte values and n signs a
+        # run (281 KiB here), and no object or array per run beside them
+        inst = generate_instance("random_unit_sphere", 8, 8, 1)
+        run_experiment(inst, 1, 0)
+        tracemalloc.start()
+        try:
+            stats = run_experiment(inst, 3000, 2)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        columns = 3000 * (4 + inst.n) * 8
+        assert retained < 2 * columns
+        assert sum(col.nbytes for col in vars(stats).values()) == columns
 
 
 class TestEstimateBound:
@@ -259,24 +285,18 @@ class TestEstimateBound:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            estimate_bound([])
-
-    @staticmethod
-    def stats(max_proxy: float, block_count: int = 4) -> list[RunStats]:
-        return [RunStats(run_index=0, discrepancy=1.0, block_count=block_count,
-                         max_proxy=max_proxy, proxies=np.array([max_proxy]),
-                         signs=np.ones(2))]
+            estimate_bound(columns(runs=0))
 
     def test_proxy_above_one_fails_closed(self):
         with pytest.raises(ContractViolationError, match="exceeds"):
-            estimate_bound(self.stats(1.5))
+            estimate_bound(columns(1.5))
 
     def test_proxy_roundoff_is_taken_as_one(self):
-        assert estimate_bound(self.stats(1.0 + 5e-10)) == estimate_bound(self.stats(1.0))
+        assert estimate_bound(columns(1.0 + 5e-10)) == estimate_bound(columns(1.0))
 
     def test_block_count_floor_is_exact(self):
         # below one block ln E T < 0, and the bound's max(1, .) is 1
-        assert estimate_bound(self.stats(1.0, block_count=0)) == (2.0, True)
+        assert estimate_bound(columns(1.0, block_count=0)) == (2.0, True)
 
 
 class TestEmpiricalTail:
@@ -297,7 +317,7 @@ class TestEmpiricalTail:
     def test_random_within_bound(self):
         inst = generate_instance("random_unit_sphere", 4, 8, 10)
         stats = run_experiment(inst, 3000, 13)
-        runs = len(stats)
+        runs = stats.run_index.size
         for row in empirical_tail(inst, stats, 0, [1.0, 2.0, 3.0]):
             se = math.sqrt(max(row["empirical"], 1e-12)
                            * (1 - row["empirical"]) / runs)
@@ -333,25 +353,35 @@ class TestReports:
         assert all(set(row) == {"c", "empirical", "bound"}
                    for row in payload["tail"])
 
-    def test_csv_round_trip(self, tmp_path):
-        inst = generate_instance("random_unit_sphere", 3, 5, 8)
-        stats = run_experiment(inst, 25, 4)
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind,d,n", [("random_unit_sphere", 3, 5), ("sign_columns", 3, 6),
+                                          ("duplicated_column", 3, 6),
+                                          ("random_in_ball", 3, 5)])
+    def test_csv_round_trip(self, tmp_path, kind, d, n, workers):
+        inst = generate_instance(kind, d, n, 8)
+        stats = run_experiment(inst, 25, 4, workers=workers)
         path = tmp_path / "runs.csv"
-        desc = {"d": 3, "n": 5, "kind": "random_unit_sphere", "seed": 4}
+        desc = {"d": d, "n": n, "kind": kind, "seed": 4}
         report = build_report(inst, desc, stats, 4)
         write_report(report, path, fmt="csv", stats=stats)
         text = path.read_text()
         assert text.splitlines()[0] == "run_index,discrepancy,hatT,maxZ,final_X"
         assert len(text.splitlines()) == 26
-        rows = parse_csv(text)
-        assert [r["run_index"] for r in rows] == list(range(25))
-        # aggregates recompute exactly from the per-run record
-        assert np.mean([r["hatT"] for r in rows]) == pytest.approx(
-            report.mean_hatT, abs=1e-12)
-        assert np.mean([r["discrepancy"] for r in rows]) == pytest.approx(
-            report.mean_disc, abs=1e-12)
-        assert np.mean([r["maxZ"] for r in rows]) == pytest.approx(
-            report.mean_maxZ, abs=1e-12)
+        # the record reads back bit for bit, and the report recomputes from it
+        got = parse_csv(text)
+        assert_same_columns(got, stats)
+        assert np.array_equal(got.run_index, np.arange(25))
+        assert report_to_json(build_report(inst, desc, got, 4)) == report_to_json(report)
+
+    @pytest.mark.parametrize("row", ["0,nan,2,0.25,+1-1", "0,0.5,2,inf,+1-1",
+                                     "0,0.5,-3,0.25,+1-1", "0,0.5,2,0.25,-+11",
+                                     "0,0.5,2,0.25,+1-", "0,0.5,2,0.25,",
+                                     "0,0.5,2,0.25,+1"])
+    def test_parse_csv_names_the_bad_row(self, row):
+        # the first row holds two signs, so the last case differs in n
+        text = f"run_index,discrepancy,hatT,maxZ,final_X\n1,0.5,2,0.25,+1-1\n{row}\n"
+        with pytest.raises(ReportFormatError, match=re.escape(repr(row))):
+            parse_csv(text)
 
     def test_csv_needs_stats(self, tmp_path):
         _, _, report = self.make()

@@ -90,6 +90,10 @@ def test_equal_rows_have_one_rule():
     assert calls_outside({"unique"}, {"distinct_rows"}) == []
 
 
+def test_run_record_format_has_one_place():
+    assert calls_outside({"CSV_HEADER"}, {"stats_to_csv", "parse_csv"}, reads=True) == []
+
+
 @pytest.mark.parametrize("name", ["sched_getaffinity", "cpu_count"])
 def test_core_count_has_one_rule(name):
     assert calls_outside({name}, {"usable_cores"}, reads=True) == []
