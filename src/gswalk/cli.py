@@ -301,20 +301,27 @@ def _cmd_report(args) -> int:
     if text.lstrip().startswith("{"):
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:       # a JSONDecodeError, or an int of too many digits
             raise ReportFormatError(f"invalid JSON report: {exc}") from None
         missing = [key for key in REPORT_KEYS if key not in payload]
         if missing:
             raise ReportFormatError(f"JSON report lacks {', '.join(missing)}")
         try:
+            # JSON reads NaN, Infinity and 1e999 as floats; a bool is no run count
+            tail = payload["tail"] if args.summary else []
+            numbers = [payload[key] for key in REPORT_KEYS[1:-1]] + [
+                row[key] for row in tail for key in ("c", "empirical", "bound")]
+            if type(payload["runs"]) is not int or payload["runs"] < 1:
+                raise ValueError(f"runs must be a positive integer, got {payload['runs']!r}")
+            if not all(map(math.isfinite, numbers)):
+                raise ValueError(f"the numbers to print must be finite: {numbers}")
             lines = [f"runs={payload['runs']} mean_hatT={payload['mean_hatT']:.6g} "
                      f"mean_maxZ={payload['mean_maxZ']:.6g} "
                      f"bound={payload['theorem1_bound']:.6g} "
                      f"min_disc={payload['min_disc']:.6g}"]
-            if args.summary:
-                lines += [f"  tail c={row['c']}: empirical {row['empirical']:.4g} "
-                          f"<= bound {row['bound']:.4g}" for row in payload["tail"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            lines += [f"  tail c={row['c']}: empirical {row['empirical']:.4g} "
+                      f"<= bound {row['bound']:.4g}" for row in tail]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ReportFormatError(
                 f"malformed JSON report ({type(exc).__name__}: {exc})") from None
         print("\n".join(lines))

@@ -193,8 +193,9 @@ def stats_to_csv(stats: RunStats) -> str:
 
 
 def parse_csv(text: str) -> RunStats:
-    """The columns of a per-run CSV of one or more rows, each with a finite
-    discrepancy and maxZ, hatT >= 0 and the first row's count of +1/-1 tokens."""
+    """The columns of a per-run CSV of one or more rows, each with a run index
+    above the last row's (or >= 0), a finite discrepancy >= 0, hatT >= 0, maxZ
+    in [0, 1 + PROXY_SLACK] and the first row's count of +1/-1 tokens."""
     lines = text.strip().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ReportFormatError("neither a JSON report nor a per-run CSV with header "
@@ -205,8 +206,9 @@ def parse_csv(text: str) -> RunStats:
             idx, disc, blocks, maxz, x = line.split(",")
             signs = [SIGN_TOKENS[x[i:i + 2]] for i in range(0, len(x), 2)]
             row = int(idx), float(disc), int(blocks), float(maxz), signs
-            if (not (math.isfinite(row[1]) and math.isfinite(row[3])) or row[2] < 0
-                    or not signs or len(signs) != len(rows[0][4] if rows else signs)):
+            last, n = (rows[-1][0], len(rows[0][4])) if rows else (-1, len(signs))
+            if not (last < row[0] and 0 <= row[1] < math.inf and row[2] >= 0
+                    and 0 <= row[3] <= 1.0 + PROXY_SLACK and 0 < len(signs) == n):
                 raise ValueError
         except (ValueError, KeyError):
             raise ReportFormatError(f"malformed CSV row {line!r}") from None

@@ -17,7 +17,7 @@ from .instances import usable_cores
 EXP_GUARD = 50.0
 MIN_AXIS_POINTS = 5             # a coarser grid axis certifies nothing
 MAX_GRID_CELLS = 1 << 23        # largest array a grid may allocate (64 MiB of floats)
-BAND_FLOATS = 1 << 13           # grid points per band of the cosh-chain sweep
+BAND_FLOATS = 1 << 13           # grid points per band of a 2-D grid sweep
 PROXY_SLACK = 1e-9              # roundoff allowed on a proxy estimate in [0, 1]
 # Domains of the grid certifications.
 X_LIM, AB_LIM = 0.99, 3.0       # lemma 1: |x| <= X_LIM, |a|, |b| <= AB_LIM
@@ -35,17 +35,9 @@ def two_point_moment(x, s):
     """A(x, s) = (1-x)/2 exp(-(1+x)s) + (1+x)/2 exp((1-x)s).
 
     The moment E exp(sY) of the mean-zero variable Y taking -(1+x) and 1-x,
-    for x in [-1,1].  The chain runs in place on two buffers of the
-    broadcast shape, so a grid costs two arrays of its size.
+    for x in [-1,1].
     """
-    shape = np.broadcast_shapes(np.shape(x), np.shape(s))
-    out = np.multiply(-(1.0 + x), s, out=np.empty(shape))
-    np.exp(out, out=out)
-    np.multiply(0.5 * (1.0 - x), out, out=out)
-    work = np.multiply(1.0 - x, s, out=np.empty(shape))
-    np.exp(work, out=work)
-    np.multiply(0.5 * (1.0 + x), work, out=work)
-    return np.add(out, work, out=out)
+    return 0.5 * (1.0 - x) * np.exp(-(1.0 + x) * s) + 0.5 * (1.0 + x) * np.exp((1.0 - x) * s)
 
 
 def two_point_mgf_gap(z, b):
@@ -69,21 +61,13 @@ def cosh_chain_check(c, lam):
     lam = np.asarray(lam, float)
     if not (np.all(c >= 2) and np.all(lam > 0)):
         raise ParameterError(f"need c >= 2 and lam > 0, got c={c}, lam={lam}")
-    shape = np.broadcast_shapes(c.shape, lam.shape)
-    cl, e1, e2, gap1 = (np.empty(shape) for _ in range(4))
-    np.multiply(c, lam, out=cl)
+    cl = c * lam
     if np.max(cl) > 100.0:
         raise DomainOverflowError(f"c*lam = {np.max(cl):.3g} exceeds 100")
-    lam2 = lam * lam
-    np.subtract(np.expm1(cl, out=e1), cl, out=e1)
-    np.multiply(2.0, np.subtract(np.cosh(cl, out=e2), 1.0, out=e2), out=e2)
-    half = np.multiply(0.5, cl, out=gap1)
-    np.subtract(e1, np.multiply(lam2, np.exp(half, out=half), out=half), out=gap1)
-    # e2 - e1 = expm1(-cl) + cl, which avoids cancellation at large cl; the
-    # product e1 e2 and then gap2 are written over e2 and e1
-    prod = np.multiply(e1, e2, out=e2)
-    num = np.add(np.expm1(np.negative(cl, out=e1), out=e1), cl, out=e1)
-    gap2 = np.divide(np.multiply(lam2, num, out=num), prod, out=num)
+    e1 = np.expm1(cl) - cl
+    gap1 = e1 - lam * lam * np.exp(0.5 * cl)
+    # 2(cosh(cl) - 1) - e1 = expm1(-cl) + cl, which avoids cancellation at large cl
+    gap2 = lam * lam * (np.expm1(-cl) + cl) / (e1 * (2.0 * (np.cosh(cl) - 1.0)))
     return (float(gap1), float(gap2)) if gap1.ndim == 0 else (gap1, gap2)
 
 
@@ -97,8 +81,8 @@ class BoundInputs:
     def __post_init__(self):
         if not -PROXY_SLACK <= self.mean_max_proxy <= 1.0 + PROXY_SLACK:
             raise ParameterError(f"mean_max_proxy out of [0,1]: {self.mean_max_proxy}")
-        if self.mean_block_count < 1.0:
-            raise ParameterError(f"mean_block_count must be >= 1: {self.mean_block_count}")
+        if not 1.0 <= self.mean_block_count < math.inf:
+            raise ParameterError(f"mean_block_count out of [1, inf): {self.mean_block_count}")
 
 
 def theorem1_bound(inputs: BoundInputs) -> float:
@@ -151,21 +135,27 @@ def lemma1_sweep(xs: np.ndarray, a: np.ndarray, b: np.ndarray):
 def two_point_grid_min(step: float = 0.01) -> float:
     """Minimum Hoeffding-step gap over the z in [-Z_LIM, Z_LIM], b in [-B_LIM, B_LIM] grid."""
     _check_grid(step, 2 * Z_LIM, 2 * B_LIM)
-    zs = _grid(-Z_LIM, Z_LIM, step)[:, None]
-    bs = _grid(-B_LIM, B_LIM, step)[None, :]
-    return float(two_point_mgf_gap(zs, bs).min())
+    zs, bs = _grid(-Z_LIM, Z_LIM, step), _grid(-B_LIM, B_LIM, step)
+    return float(min(_band_mins(two_point_mgf_gap, zs, bs)))
 
 
 def cosh_chain_grid_min(step: float = 0.01) -> tuple[float, float]:
-    """Minimum of both chain gaps over c in [2, C_MAX], lam in [step, LAM_MAX],
-    taken band by band over at most BAND_FLOATS grid points at a time."""
+    """Minimum of both chain gaps over c in [2, C_MAX], lam in [step, LAM_MAX]."""
     _check_grid(step, C_MAX - 2.0, LAM_MAX - step)
-    cs = _grid(2.0, C_MAX, step)[:, None]
-    lams = _grid(step, LAM_MAX, step)[None, :]
-    rows = max(1, BAND_FLOATS // lams.size)
-    mins = [[gap.min() for gap in cosh_chain_check(cs[lo:lo + rows], lams)]
-            for lo in range(0, len(cs), rows)]
-    return tuple(float(m) for m in np.min(mins, axis=0))
+    cs, lams = _grid(2.0, C_MAX, step), _grid(step, LAM_MAX, step)
+    return tuple(float(m) for m in np.min(_band_mins(cosh_chain_check, cs, lams), axis=0))
+
+
+def _band_mins(gap, rows: np.ndarray, cols: np.ndarray) -> list:
+    """Minima of ``gap(rows[:, None], cols[None, :])``, an array or a tuple of
+    arrays, over bands of rows of at most BAND_FLOATS points, in row order."""
+    band = max(1, BAND_FLOATS // cols.size)
+
+    def band_min(lo):       # a band's arrays are freed before the next band is built
+        out = gap(rows[lo:lo + band, None], cols[None, :])
+        return tuple(g.min() for g in out) if isinstance(out, tuple) else out.min()
+
+    return [band_min(lo) for lo in range(0, len(rows), band)]
 
 
 def _check_grid(step: float, *spans: float) -> None:

@@ -352,10 +352,47 @@ class TestDomainErrors:
         "run_index,discrepancy,hatT,maxZ,final_X\n0,0.5,-3,0.25,+1-1\n",
         "run_index,discrepancy,hatT,maxZ,final_X\n0,0.5,2,0.25,-+11\n",
         "run_index,discrepancy,hatT,maxZ,final_X\n0,0.5,2,0.25,+1-1\n1,0.5,2,0.25,+1\n",
+        '{"runs": -3, "mean_hatT": 1, "mean_maxZ": 1, "theorem1_bound": 1, '
+        '"min_disc": 1, "tail": []}\n',
+        '{"runs": 0, "mean_hatT": 1, "mean_maxZ": 1, "theorem1_bound": 1, '
+        '"min_disc": 1, "tail": []}\n',
+        '{"runs": true, "mean_hatT": 1, "mean_maxZ": 1, "theorem1_bound": 1, '
+        '"min_disc": 1, "tail": []}\n',
+        '{"runs": 3.0, "mean_hatT": 1, "mean_maxZ": 1, "theorem1_bound": 1, '
+        '"min_disc": 1, "tail": []}\n',
+        '{"runs": 3, "mean_hatT": NaN, "mean_maxZ": 1, "theorem1_bound": 1, '
+        '"min_disc": 1, "tail": []}\n',
+        '{"runs": 3, "mean_hatT": 1, "mean_maxZ": Infinity, "theorem1_bound": 1, '
+        '"min_disc": 1, "tail": []}\n',
+        '{"runs": 3, "mean_hatT": 1, "mean_maxZ": 1, "theorem1_bound": 1e999, '
+        '"min_disc": 1, "tail": []}\n',
+        '{"runs": 3, "mean_hatT": 1, "mean_maxZ": 1, "theorem1_bound": 1, '
+        '"min_disc": -Infinity, "tail": []}\n',
+        '{"runs": 3, "mean_hatT": 1, "mean_maxZ": 1, "theorem1_bound": 1, '
+        '"min_disc": 1, "tail": [{"c": 0.5, "empirical": NaN, "bound": 1}]}\n',
+        '{"runs": 3, "mean_hatT": 1, "mean_maxZ": 1, "theorem1_bound": 1, '
+        '"min_disc": 1, "tail": [{"c": 1e999, "empirical": 0, "bound": 1}]}\n',
+        '{"runs": 3, "mean_hatT": 1%s, "mean_maxZ": 1, "theorem1_bound": 1, '
+        '"min_disc": 1, "tail": []}\n' % ("0" * 400),
+        '{"runs": 1%s, "mean_hatT": 1, "mean_maxZ": 1, "theorem1_bound": 1, '
+        '"min_disc": 1, "tail": []}\n' % ("0" * 5000),
+        "run_index,discrepancy,hatT,maxZ,final_X\n0,-2.0,2,0.25,+1-1\n",
+        "run_index,discrepancy,hatT,maxZ,final_X\n0,0.5,2,7.5,+1-1\n",
+        "run_index,discrepancy,hatT,maxZ,final_X\n0,0.5,2,-0.25,+1-1\n",
+        "run_index,discrepancy,hatT,maxZ,final_X\n-1,0.5,2,0.25,+1-1\n",
+        "run_index,discrepancy,hatT,maxZ,final_X\n5,0.5,2,0.25,+1-1\n5,0.5,2,0.25,+1-1\n",
+        "run_index,discrepancy,hatT,maxZ,final_X\n5,0.5,2,0.25,+1-1\n3,0.5,2,0.25,+1-1\n",
     ], ids=["csv-header-only", "csv-four-fields", "not-a-report", "json-no-mean_hatT",
             "json-str-mean_hatT", "json-tail-no-bound", "csv-nan-inf-garbage",
             "csv-nan-discrepancy", "csv-inf-maxZ", "csv-negative-hatT",
-            "csv-signs-not-in-pairs", "csv-rows-differ-in-n"])
+            "csv-signs-not-in-pairs", "csv-rows-differ-in-n",
+            "json-negative-runs", "json-zero-runs", "json-bool-runs", "json-float-runs",
+            "json-nan-mean_hatT", "json-inf-mean_maxZ", "json-overflow-bound",
+            "json-minus-inf-min_disc", "json-nan-tail-empirical", "json-overflow-tail-c",
+            "json-int-overflows-float", "json-runs-too-many-digits",
+            "csv-negative-discrepancy", "csv-maxZ-above-one",
+            "csv-negative-maxZ", "csv-negative-run_index", "csv-repeated-run_index",
+            "csv-unsorted-run_index"])
     def test_malformed_report(self, tmp_path, capsys, text):
         path = tmp_path / "bad-report"
         path.write_text(text)

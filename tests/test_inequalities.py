@@ -163,6 +163,26 @@ class TestTwoPoint:
     def test_grid(self):
         assert two_point_grid_min(step=0.02) >= -1e-12
 
+    def test_gaps_match_reference_bits(self):
+        # the gap as one expression, each temporary its own array
+        zs = inequalities._grid(-inequalities.Z_LIM, inequalities.Z_LIM, 0.01)[:, None]
+        bs = inequalities._grid(-inequalities.B_LIM, inequalities.B_LIM, 0.01)[None, :]
+        want = np.exp(0.5 * bs * bs) - (0.5 * (1.0 - zs) * np.exp(-(1.0 + zs) * bs)
+                                        + 0.5 * (1.0 + zs) * np.exp((1.0 - zs) * bs))
+        assert two_point_mgf_gap(zs, bs).tobytes() == want.tobytes()
+        assert two_point_grid_min(step=0.01) == float(want.min())
+
+    def test_grid_memory(self):
+        # the 201 x 601 grid at once peaked at 2.07e6 bytes; a band is 8192 points
+        two_point_grid_min(step=0.01)
+        tracemalloc.start()
+        try:
+            two_point_grid_min(step=0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
     def test_overflow_guard(self):
         with pytest.raises(DomainOverflowError):
             two_point_mgf_gap(0.0, 51.0)
@@ -238,25 +258,35 @@ class TestCoshChain:
             tracemalloc.stop()
         assert peak < 19.3e6 / 2
 
+
+class TestBandedGrids:
+    @pytest.mark.parametrize("grid_min, gap, ends", [
+        (two_point_grid_min, "two_point_mgf_gap",
+         lambda step: ((-inequalities.Z_LIM, inequalities.Z_LIM),
+                       (-inequalities.B_LIM, inequalities.B_LIM))),
+        (cosh_chain_grid_min, "cosh_chain_check",
+         lambda step: ((2.0, inequalities.C_MAX), (step, inequalities.LAM_MAX))),
+    ], ids=["hoeffding", "cosh"])
     @pytest.mark.parametrize("step", [0.3, 0.07, 0.01])
-    def test_grid_axes_hit_domain_ends(self, monkeypatch, step):
+    def test_grid_axes_hit_domain_ends(self, monkeypatch, grid_min, gap, ends, step):
         # an arange axis overshot to c = 10.1, lam = 5.1 at step 0.3 and
         # stopped at c = 9.98 at step 0.07
         seen = []
+        real = getattr(inequalities, gap)
 
-        def spy(c, lam):
-            seen.append((c.ravel(), lam.ravel()))
-            return cosh_chain_check(c, lam)
+        def spy(row, col):
+            seen.append((row.ravel(), col.ravel()))
+            return real(row, col)
 
-        monkeypatch.setattr(inequalities, "cosh_chain_check", spy)
-        cosh_chain_grid_min(step=step)
-        # the c axis arrives in bands of rows, each against the whole lam axis
-        cs = np.concatenate([c for c, _ in seen])
-        lams = seen[0][1]
-        assert all(np.array_equal(lam, lams) for _, lam in seen)
-        assert (cs[0], cs[-1]) == (2.0, inequalities.C_MAX)
-        assert (lams[0], lams[-1]) == (step, inequalities.LAM_MAX)
-        for axis in (cs, lams):
+        monkeypatch.setattr(inequalities, gap, spy)
+        grid_min(step=step)
+        # the row axis arrives in bands, in row order, each against the whole column axis
+        row_axis = np.concatenate([row for row, _ in seen])
+        col_axis = seen[0][1]
+        assert all(np.array_equal(col, col_axis) for _, col in seen)
+        assert all(row.size * col_axis.size <= inequalities.BAND_FLOATS for row, _ in seen)
+        assert ((row_axis[0], row_axis[-1]), (col_axis[0], col_axis[-1])) == ends(step)
+        for axis in (row_axis, col_axis):
             gaps = np.diff(axis)
             assert gaps.min() > 0 and gaps.max() - gaps.min() < 1e-12
             assert abs(gaps[0] - step) <= step / 2
@@ -310,5 +340,6 @@ class TestTheorem1Bound:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             BoundInputs(1.2, 2.0)
-        with pytest.raises(ValueError):
-            BoundInputs(0.5, 0.5)
+        for blocks in (0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                BoundInputs(0.5, blocks)

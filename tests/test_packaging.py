@@ -78,6 +78,10 @@ def test_zero_residual_rule_has_one_place():
     assert calls_outside({"ZERO_RESIDUAL_RTOL"}, {"decompose_stack"}, reads=True) == []
 
 
+def test_grid_bands_have_one_loop():
+    assert calls_outside({"BAND_FLOATS"}, {"_band_mins"}, reads=True) == []
+
+
 def test_step_records_have_one_builder():
     assert calls_outside({"StepRecord"}, {"walk_path", "apply_step"}) == []
 
