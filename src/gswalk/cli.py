@@ -100,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="summarize a JSON or CSV report file")
     p.add_argument("--in", dest="path", required=True)
-    p.add_argument("--summary", action="store_true")
+    p.add_argument("--summary", action="store_true", help="JSON reports: also print each tail row")
     return top
 
 
@@ -328,6 +328,8 @@ def _cmd_report(args) -> int:
     else:
         from . import harness
         stats = harness.parse_csv(text)
+        if args.summary:
+            raise ParameterError("--summary needs a JSON report; a per-run CSV has no tail rows")
         disc = stats.discrepancy
         print(f"runs={stats.run_index.size} mean_hatT={stats.block_count.mean():.6g} "
               f"mean_maxZ={stats.max_proxy.mean():.6g} min_disc={disc.min():.6g} "

@@ -14,13 +14,16 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .exceptions import (ContractViolationError, DegeneratePairError,
                          DomainOverflowError, ParameterError)
 from .instances import Instance, distinct_rows, ordered_sum, stream_rng
-from .enumeration import LeafDistribution
+
+if TYPE_CHECKING:       # importing enumeration would load the walk stack
+    from .enumeration import LeafDistribution
 
 WILSON_Z = 1.959963984540054        # two-sided 95%
 DEFAULT_DELTA = 0.1

@@ -159,6 +159,15 @@ class TestCheckIneq:
     def test_cosh_coarse(self):
         assert main(["check-ineq", "--which", "cosh", "--grid-step", "0.1"]) == 0
 
+    def test_grids_pinned(self, capsys):
+        # the grid step of the benchmark; the mirrored axes print what plain ones did
+        for which in ("lemma1", "hoeffding", "cosh"):
+            assert main(["check-ineq", "--which", which, "--grid-step", "0.01"]) == 0
+        assert capsys.readouterr().out == (
+            "lemma1 min gap over grid: 0.000e+00\n"
+            "hoeffding two-point min gap over grid: 0.000e+00\n"
+            "cosh chain min gaps over grid: 1.003e-04, 4.557e-41\n")
+
     def test_comparison_trials(self, capsys):
         assert main(["check-ineq", "--which", "comparison", "--trials", "20",
                      "--seed", "5"]) == 0
@@ -396,7 +405,9 @@ class TestDomainErrors:
     def test_malformed_report(self, tmp_path, capsys, text):
         path = tmp_path / "bad-report"
         path.write_text(text)
-        assert main(["report", "--in", str(path), "--summary"]) == 1
+        # --summary reads a JSON report's tail rows and is refused on any CSV
+        summary = ["--summary"] if text.startswith("{") else []
+        assert main(["report", "--in", str(path), *summary]) == 1
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
@@ -425,6 +436,18 @@ class TestReportCmd:
         capsys.readouterr()
         assert main(["report", "--in", str(rep)]) == 0
         assert "runs=30" in capsys.readouterr().out
+        # a per-run CSV has no tail rows to print
+        assert main(["report", "--in", str(rep), "--summary"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "--summary" in lines[0]
+        assert captured.out == ""
+
+    def test_summary_help(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["report", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())     # argparse may wrap it
+        assert "--summary JSON reports: also print each tail row" in help_text
 
 
 def test_runs_without_scipy(rand24):

@@ -97,10 +97,11 @@ class TestLemma1:
         xs = inequalities._grid(-inequalities.X_LIM, inequalities.X_LIM, step)
         ab = inequalities._grid(-inequalities.AB_LIM, inequalities.AB_LIM, step)
         want = min(float(gap.min()) for gap in lemma1_sweep(xs, ab, ab))
-        bands = []
+        bands, swept = [], []
 
         def spy(xs, a, b):
             bands.append(a)
+            swept.append(xs)
             return lemma1_sweep(xs, a, b)
 
         monkeypatch.setattr(inequalities, "usable_cores", lambda: cores)
@@ -110,6 +111,8 @@ class TestLemma1:
         assert len(bands) == min(cores, len(ab))
         bands.sort(key=lambda a: a[0])
         assert np.concatenate(bands).tobytes() == ab.tobytes()
+        # each band sweeps the slices x >= 0 alone, x = 0 among them on an odd axis
+        assert all(half.tobytes() == xs[xs >= 0].tobytes() for half in swept)
 
     def test_split_capped_at_one_row_a_band(self, monkeypatch):
         # more cores than the 13 rows of step 0.495: no band may be empty
@@ -257,6 +260,35 @@ class TestCoshChain:
         finally:
             tracemalloc.stop()
         assert peak < 19.3e6 / 2
+
+
+class TestMirroredGrids:
+    STEPS = [0.495, 0.05, 0.02, 0.01, 0.003]
+
+    @pytest.mark.parametrize("lim", ["X_LIM", "AB_LIM", "Z_LIM", "B_LIM"])
+    @pytest.mark.parametrize("step", STEPS)
+    def test_symmetric_axes_mirror_exactly(self, lim, step):
+        lim = getattr(inequalities, lim)
+        g = inequalities._grid(-lim, lim, step)
+        plain = np.linspace(-lim, lim, int(round(2 * lim / step)) + 1)
+        # 0 - g, not -g: the centre of an odd axis is +0, whose negation is -0
+        assert g[::-1].tobytes() == (0.0 - g).tobytes()
+        assert (g[0], g[-1]) == (-lim, lim)
+        assert g.size == plain.size and np.abs(g - plain).max() <= 4.5e-16
+
+    @pytest.mark.parametrize("step", STEPS)
+    def test_cosh_axes_are_plain_linspace(self, step):
+        for lo, hi in ((2.0, inequalities.C_MAX), (step, inequalities.LAM_MAX)):
+            plain = np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
+            assert inequalities._grid(lo, hi, step).tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("step", [0.05, 0.02])     # 41 and 100 x values
+    def test_sweep_gap_is_mirror_symmetric(self, step):
+        xs = inequalities._grid(-inequalities.X_LIM, inequalities.X_LIM, step)
+        ab = inequalities._grid(-inequalities.AB_LIM, inequalities.AB_LIM, step)
+        gaps = [gap.copy() for gap in lemma1_sweep(xs, ab, ab)]
+        for gap, mirror in zip(gaps, reversed(gaps), strict=True):
+            assert gap[::-1, ::-1].tobytes() == mirror.tobytes()
 
 
 class TestBandedGrids:

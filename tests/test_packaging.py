@@ -82,6 +82,12 @@ def test_grid_bands_have_one_loop():
     assert calls_outside({"BAND_FLOATS"}, {"_band_mins"}, reads=True) == []
 
 
+def test_grid_axes_have_one_rule():
+    # every inequality axis is mirrored where its domain is symmetric
+    found = calls_outside({"linspace"}, {"_grid"})
+    assert [at for at in found if at.startswith("inequalities.py:")] == []
+
+
 def test_step_records_have_one_builder():
     assert calls_outside({"StepRecord"}, {"walk_path", "apply_step"}) == []
 
@@ -179,6 +185,12 @@ def test_harness_imports_the_pool_only_to_start_one():
 
 def test_inequalities_import_the_pool_only_to_start_one():
     assert "concurrent.futures" not in modules_after("import gswalk.inequalities")
+
+
+def test_smoothed_import_leaves_the_walk_stack_unloaded():
+    loaded = modules_after("import gswalk.smoothed")
+    assert "gswalk.smoothed" in loaded
+    assert not {"gswalk.walk", "gswalk.ortho", "gswalk.enumeration"} & loaded
 
 
 def test_command_loads_only_what_it_runs():
