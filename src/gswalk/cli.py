@@ -348,8 +348,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (GswError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (GswError, OSError, MemoryError) as exc:
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -1,7 +1,9 @@
 """Seeded Monte Carlo experiments over walk runs.
 
 Each run draws its generator from (master_seed, run_index), so results are
-identical regardless of execution order or worker count.  The per-run CSV is
+identical regardless of execution order or worker count.  ``mc``'s run draws
+are the values ``stream_rng(seed, r).random(n)`` gives, computed in bulk by
+``_stream_uniforms`` and pinned bitwise by a test.  The per-run CSV is
 the canonical record; ``RunStats`` holds its columns from the sampler through
 the process pool to ``parse_csv``, and the JSON report aggregates it.
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate, permutations
 
 import numpy as np
 
@@ -23,8 +26,7 @@ from . import walk
 from .enumeration import brute_force_min_discrepancy
 from .exceptions import ContractViolationError, ParameterError, ReportFormatError
 from .inequalities import PROXY_SLACK, BoundInputs, theorem1_bound
-from .instances import (Instance, distinct_rows, json_text, stream_rng, usable_cores,
-                        write_text)
+from .instances import Instance, distinct_rows, json_text, usable_cores, write_text
 from .ortho import basis_variance_proxies, decompose_stack
 
 # The report's empirical tail: coordinate and thresholds c.
@@ -35,6 +37,10 @@ TAIL_GRID = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 CHUNK_FLOATS = 1 << 17
 CSV_HEADER = "run_index,discrepancy,hatT,maxZ,final_X"
 SIGN_TOKENS = {"+1": 1.0, "-1": -1.0}
+# numpy's SeedSequence hash constants and multipliers, and PCG64's multiplier
+SEED_INIT_A, SEED_MULT_A, SEED_INIT_B, SEED_MULT_B = 0x43b0d7e5, 0x931e8875, 0x8b51f9dd, 0x58f38ded
+PCG_MULT = 0x2360ed051fc65da44385df649fccf645
+MASK32, MASK64, MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 
 
 @dataclass
@@ -91,6 +97,72 @@ def _walk_rows(inst: Instance, draws: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return x, when
 
 
+def _hashmix(value, const: int, mult: int):
+    """SeedSequence's hash of a uint32 word (an int or a uint32 array), and
+    the next hash constant."""
+    following = const * mult & MASK32
+    value = (value ^ const) * following & MASK32
+    return value ^ value >> 16, following
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 words; ``x`` may be an int where
+    ``y`` is an array, since the int term is reduced first."""
+    value = ((0xca01f9dd * x & MASK32) - 0x4973f715 * y) & MASK32
+    return value ^ value >> 16
+
+
+def _mul128(xh, xl, ch, cl):
+    """The uint64 limbs (high, low) of (xh, xl) * (ch, cl) mod 2**128."""
+    x1, x0, c1, c0 = xl >> 32, xl & MASK32, cl >> 32, cl & MASK32
+    carry = ((x0 * c0 >> 32) + (x1 * c0 & MASK32) + (x0 * c1 & MASK32)) >> 32
+    return x1 * c1 + (x1 * c0 >> 32) + (x0 * c1 >> 32) + carry + xh * cl + xl * ch, xl * cl
+
+
+def _stream_uniforms(seed: int, keys: np.ndarray, n: int) -> np.ndarray:
+    """Row i is ``stream_rng(seed, keys[i]).random(n)`` bit for bit, for
+    keys below 2**32: numpy's SeedSequence and PCG64, vectorized over keys.
+
+    The seed's words, padded to the pool's four, mix into a pool that every
+    key shares; each key then mixes in as the last entropy word, and the
+    pool gives each key's PCG64 state s and increment inc.  After seeding
+    (two steps from s + inc) and t draws the state is
+    M^(t+1) s + (1 + M + ... + M^(t+1)) inc mod 2**128, which the draw turns
+    into 64 bits by XSL-RR and a double by its top 53.
+    """
+    words = [seed >> shift & MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))
+    const, pool = SEED_INIT_A, [0] * 4
+    for i in range(4):
+        pool[i], const = _hashmix(words[i], const, SEED_MULT_A)
+    for src, dst in permutations(range(4), 2):
+        value, const = _hashmix(pool[src], const, SEED_MULT_A)
+        pool[dst] = _mix(pool[dst], value)
+    for word in words[4:] + [np.asarray(keys, dtype=np.uint32)]:
+        for dst in range(4):
+            value, const = _hashmix(word, const, SEED_MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    const, state = SEED_INIT_B, []
+    for i in range(8):
+        value, const = _hashmix(pool[i % 4], const, SEED_MULT_B)
+        state.append(value.astype(np.uint64))
+    s_hi, s_lo, seq_hi, seq_lo = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    powers = [1]
+    for _ in range(n + 1):
+        powers.append(powers[-1] * PCG_MULT & MASK128)
+    jumps = powers[2:] + [total & MASK128 for total in accumulate(powers)][2:]
+    (a_hi, c_hi), (a_lo, c_lo) = np.array(
+        [[v >> 64 for v in jumps], [v & MASK64 for v in jumps]], dtype=np.uint64).reshape(2, 2, n)
+    p_hi, p_lo = _mul128(s_hi[:, None], s_lo[:, None], a_hi, a_lo)
+    q_hi, q_lo = _mul128(inc_hi[:, None], inc_lo[:, None], c_hi, c_lo)
+    lo = p_lo + q_lo
+    hi = p_hi + q_hi + (lo < p_lo)
+    rot, x = hi >> 58, hi ^ lo
+    x = x >> rot | x << (64 - rot & 63)
+    return (x >> 11) * 2.0 ** -53
+
+
 def _run_range(args):
     inst, master_seed, start, stop = args
     chunk = max(1, CHUNK_FLOATS // (inst.n * inst.d))
@@ -99,8 +171,7 @@ def _run_range(args):
                    np.empty(runs), np.empty((runs, inst.n)))
     for lo in range(0, runs, chunk):
         rows = slice(lo, lo + chunk)
-        signs, when = _walk_rows(inst, np.array([stream_rng(master_seed, r).random(inst.n)
-                                                for r in out.run_index[rows].tolist()]))
+        signs, when = _walk_rows(inst, _stream_uniforms(master_seed, out.run_index[rows], inst.n))
         out.signs[rows] = signs
         # the stacked product makes each run's own matrix-vector call (as in
         # ``enumeration.leaf_margins``), so every discrepancy keeps its bits
@@ -114,9 +185,12 @@ def _run_range(args):
 
 def run_experiment(inst: Instance, runs: int, master_seed: int,
                    workers: int = 1) -> RunStats:
-    """Independent seeded walk runs, sorted by index, on <= usable_cores() processes."""
-    if runs < 1:
-        raise ParameterError(f"runs must be >= 1, got {runs}")
+    """Independent seeded walk runs, sorted by index, on <= usable_cores() processes;
+    at most 2**32 runs, so that every run index is one 32-bit stream key."""
+    if not 1 <= runs <= 2**32:
+        raise ParameterError(f"runs must be in [1, 2**32], got {runs}")
+    if master_seed < 0:
+        raise ParameterError(f"master seed must be >= 0, got {master_seed}")
     if workers < 1:
         raise ParameterError(f"worker count must be >= 1, got {workers}")
     workers = min(workers, usable_cores())

@@ -2,7 +2,9 @@
 
 Columns must satisfy ||v_i||_2 <= 1 (up to a small load tolerance).  Instances
 are immutable after construction and safe to share between threads.
-Every random stream of the package is ``stream_rng(seed, *key)``, every file
+Every random stream of the package is ``stream_rng(seed, *key)`` (``mc``'s run
+draws are those values, computed in bulk by ``harness._stream_uniforms`` and
+pinned bitwise by a test), every file
 goes through ``read_text`` / ``write_text``, every JSON document ``json_text``,
 every pool or split is sized by ``usable_cores``, every set of distinct rows
 comes from ``distinct_rows`` and every byte-stable total is ``ordered_sum``.

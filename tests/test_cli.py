@@ -116,6 +116,20 @@ class TestMc:
                                                "--out", "o"])
         assert args.threads == 3
 
+    def test_out_of_memory_is_one_line(self, id4, tmp_path, capsys, monkeypatch):
+        from gswalk import harness
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72.8 TiB")
+
+        monkeypatch.setattr(harness, "run_experiment", exhausted)
+        out = tmp_path / "r.json"
+        assert main(["mc", "--instance", str(id4), "--runs", "10", "--threads", "1",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: Unable to allocate 72.8 TiB"]
+        assert captured.out == "" and not out.exists()
+
     def test_byte_identical_reruns(self, rand24, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
@@ -250,6 +264,9 @@ class TestDomainErrors:
          "--out", "{tmp}/r.json"],
         ["mc", "--instance", "{id4}", "--runs", "10", "--threads", "-2",
          "--out", "{tmp}/r.json"],
+        # one run past the 32-bit stream keys, refused before any allocation
+        ["mc", "--instance", "{id4}", "--runs", "4294967297", "--threads", "1",
+         "--out", "{tmp}/s.json"],
         # d/(sigma^2 n) so large that a tilt weight exp(d s/(2 sigma^2 n)) overflows
         ["smoothed", "--instance", "{tmp}/big.txt", "--r-trials", "3",
          "--out", "{tmp}/s.json"],

@@ -1,8 +1,10 @@
 import concurrent.futures
+import hashlib
 import json
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from gswalk.exceptions import ContractViolationError, ParameterError, ReportForm
 from gswalk.harness import (RunStats, build_report, empirical_tail,
                             estimate_bound, parse_csv, report_to_json,
                             run_experiment, stats_to_csv, write_report)
-from gswalk.instances import Instance, generate_instance
+from gswalk.instances import Instance, generate_instance, stream_rng
 from gswalk.ortho import basis_variance_proxies, decompose
 from gswalk.walk import run_walk
 from conftest import make_columns
@@ -177,6 +179,58 @@ class TestRunExperiment:
             run_experiment(inst, 0, 0)
         with pytest.raises(ParameterError):
             run_experiment(inst, -3, 0)
+        # every run index must be one 32-bit stream key; refused before allocating
+        with pytest.raises(ParameterError, match=r"2\*\*32"):
+            run_experiment(inst, 2**32 + 1, 0)
+        # numpy's SeedSequence, whose streams the runs draw, refuses it too
+        with pytest.raises(ParameterError, match="seed"):
+            run_experiment(inst, 3, -1)
+
+    # sha256 of stats_to_csv before the runs' draws were computed in bulk
+    @pytest.mark.parametrize("d,n,runs,seed,workers,digest", [
+        (8, 8, 3000, 1, 1, "d11593d0fbd009688b693c6cb4d689d51e84f37e59fc0a6ba84086f39efc583c"),
+        (8, 8, 3000, 1, 2, "d11593d0fbd009688b693c6cb4d689d51e84f37e59fc0a6ba84086f39efc583c"),
+        (8, 8, 40, 2**128 + 1, 1,
+         "0a39c620d862c17944b7af23ea53a191b7f7f8ea53f7aa10d7892ac59ef424e7"),
+        (8, 64, 30, 1, 1, "27b6b174a4bb9542ef1065366f1763071c3732ea3db451440f25f97bf176bdc2"),
+    ])
+    def test_csv_bytes_pinned(self, d, n, runs, seed, workers, digest):
+        inst = generate_instance("random_unit_sphere", d, n, 1)
+        text = stats_to_csv(run_experiment(inst, runs, seed, workers=workers))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def assert_stream_uniforms(seed: int, keys, n: int) -> None:
+    """Each row of ``_stream_uniforms`` has the bits of numpy's own stream,
+    with every warning an error."""
+    keys = np.asarray(keys, dtype=np.int64)
+    want = np.array([stream_rng(seed, k).random(n) for k in keys.tolist()])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = harness._stream_uniforms(seed, keys, n)
+    assert got.shape == (keys.size, n)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestStreamUniforms:
+    """The bulk draws are numpy's SeedSequence and PCG64 streams; a numpy
+    release that changes either algorithm fails here."""
+
+    @pytest.mark.parametrize("n", [1, 8, 532])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 9])
+    def test_matches_numpy(self, seed, n):
+        assert_stream_uniforms(seed, [0, 1, 2**32 - 1], n)
+
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_matches_numpy_over_a_range(self, n):
+        assert_stream_uniforms(7, np.arange(3000), n)
+
+    @given(seed=st.integers(0, 2**200 - 1),
+           keys=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5),
+           n=st.integers(1, 64))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_numpy_property(self, seed, keys, n):
+        assert_stream_uniforms(seed, keys, n)
 
 
 class TestLockstep:

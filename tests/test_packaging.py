@@ -61,6 +61,10 @@ def test_seeded_streams_come_from_stream_rng():
     assert calls_outside({"SeedSequence", "default_rng"}, {"stream_rng"}) == []
 
 
+def test_bulk_stream_draws_have_one_caller():
+    assert calls_outside({"_stream_uniforms"}, {"_run_range"}) == []
+
+
 def test_files_go_through_the_text_helpers():
     assert calls_outside({"open"}, {"read_text", "write_text"}) == []
 
