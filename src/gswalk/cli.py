@@ -90,9 +90,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--kappa", type=float, default=32.0)
     p.add_argument("--cutoff-c", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--epsilon-auto", action="store_true",
-                   help="use sigma*sqrt(ln d)*d^(-kappa/32)")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--epsilon", type=float)
+    group.add_argument("--epsilon-auto", action="store_true",
+                       help="use sigma*sqrt(ln d)*d^(-kappa/32) (the default)")
     p.add_argument("--r-trials", type=int, default=50)
     p.add_argument("--delta", type=float)
     p.add_argument("--seed", type=int)
@@ -183,6 +184,7 @@ def _cmd_oracle(args) -> int:
               else ["martingale", "subgaussian", "increments", "bruteforce"])
     if "subgaussian" in checks and not math.isfinite(args.lam):
         raise ParameterError(f"--lambda must be finite, got {args.lam}")
+    v = _direction(args.v, inst.d, seed) if {"martingale", "subgaussian"} & set(checks) else None
     dist = None
     if set(checks) & {"martingale", "subgaussian", "increments"}:
         dist = enumeration.enumerate_walk(inst)
@@ -194,11 +196,9 @@ def _cmd_oracle(args) -> int:
             print(f"brute force min discrepancy = {val:.12g} at [{txt}]")
             continue
         if check == "martingale":
-            v = _direction(args.v, inst.d, seed)
             dev = enumeration.verify_martingale(dist, inst, v)
             ok, line = dev <= 1e-10, f"martingale |E<MX,v>| = {dev:.3e}"
         elif check == "subgaussian":
-            v = _direction(args.v, inst.d, seed)
             m = enumeration.verify_subgaussian(dist, inst, v, args.lam)
             ok = m <= 1.0 + 1e-10
             line = f"subgaussian moment (lambda={args.lam}) = {m:.12g}"
@@ -264,7 +264,7 @@ def _cmd_smoothed(args) -> int:
     seed = _resolve_seed(args.seed)
     sigma = args.sigma
     eps = args.epsilon
-    if args.epsilon_auto or eps is None:
+    if eps is None:
         eps = smoothed.epsilon_of(sigma, max(inst.d, 2), args.kappa)
     cutoff = args.cutoff_c
     if cutoff is None:

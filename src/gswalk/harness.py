@@ -197,8 +197,7 @@ def run_experiment(inst: Instance, runs: int, master_seed: int,
     if workers <= 1 or runs < 4 * workers:
         return _run_range((inst, master_seed, 0, runs))
     bounds = np.linspace(0, runs, workers + 1).astype(int)
-    chunks = [(inst, master_seed, int(a), int(b))
-              for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+    chunks = [(inst, master_seed, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         # map keeps the order of the chunks, which are in index order

@@ -150,14 +150,11 @@ def cosh_chain_grid_min(step: float = 0.01) -> tuple[float, float]:
 
 def _band_mins(gap, rows: np.ndarray, cols: np.ndarray) -> list:
     """Minima of ``gap(rows[:, None], cols[None, :])``, an array or a tuple of
-    arrays, over bands of rows of at most BAND_FLOATS points, in row order."""
+    arrays, over bands of rows of at most BAND_FLOATS points, in row order;
+    a band's arrays are freed before the next band is built."""
     band = max(1, BAND_FLOATS // cols.size)
-
-    def band_min(lo):       # a band's arrays are freed before the next band is built
-        out = gap(rows[lo:lo + band, None], cols[None, :])
-        return tuple(g.min() for g in out) if isinstance(out, tuple) else out.min()
-
-    return [band_min(lo) for lo in range(0, len(rows), band)]
+    return [np.min(gap(rows[lo:lo + band, None], cols[None, :]), axis=(-2, -1))
+            for lo in range(0, len(rows), band)]
 
 
 def _check_grid(step: float, *spans: float) -> None:

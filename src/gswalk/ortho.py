@@ -105,7 +105,7 @@ def decompose_stack(inst: Instance, when: np.ndarray) -> OrthoDecomposition:
         col = order[live, r]
         v = cols[col]
         w = directions[live, :r]
-        for _ in range(2 if r else 0):      # twice, for numerical orthogonality
+        for _ in range(2):                  # twice, for numerical orthogonality
             v -= np.matmul(w.transpose(0, 2, 1), np.matmul(w, v[:, :, None]))[:, :, 0]
         nrm = np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
         keep = (scale[col] > 0) & (nrm > ZERO_RESIDUAL_RTOL * scale[col])

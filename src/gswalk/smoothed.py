@@ -166,18 +166,19 @@ def epsilon_of(sigma: float, d: int, kappa: float) -> float:
     return sigma * math.sqrt(math.log(d)) * d ** (-kappa / 32.0)
 
 
-def _overlap(x: np.ndarray, y: np.ndarray) -> float:
-    return 0.25 * float(np.sum((x + y) ** 2))
+def _pair(row: np.ndarray, x: np.ndarray, y: np.ndarray, n: int) -> tuple[float, float, float]:
+    """The overlap k of sign vectors x and y and the margins <row, x>, <row, y>;
+    raises ``DegeneratePairError`` unless 0 < k < n."""
+    k = 0.25 * float(np.sum((x + y) ** 2))
+    if k <= 0 or k >= n:
+        raise DegeneratePairError("sign vectors are equal or opposite")
+    return k, float(row @ x), float(row @ y)
 
 
 def comparison_constant(row: np.ndarray, x: np.ndarray, y: np.ndarray,
                         sigma: float, d: int, n: int, epsilon: float) -> float:
     """Closed-form factor bounding joint over product hit probabilities."""
-    k = _overlap(x, y)
-    if k <= 0 or k >= n:
-        raise DegeneratePairError("sign vectors are equal or opposite")
-    m1 = float(row @ x)
-    m2 = float(row @ y)
+    k, m1, m2 = _pair(row, x, y, n)
     scale = d / (2.0 * n * sigma * sigma * max(k, n - k))
     prefactor = n / (2.0 * math.sqrt(k * (n - k)))
     tilt = math.exp(scale * abs(n - 2 * k) * (epsilon * (abs(m1) + abs(m2)) + epsilon ** 2))
@@ -196,11 +197,7 @@ def joint_rect_probability(row: np.ndarray, x: np.ndarray, y: np.ndarray,
     """
     if epsilon <= 0:
         return 0.0
-    k = _overlap(x, y)
-    if k <= 0 or k >= n:
-        raise DegeneratePairError("sign vectors are equal or opposite")
-    m1 = float(row @ x)
-    m2 = float(row @ y)
+    k, m1, m2 = _pair(row, x, y, n)
     s1 = sigma * math.sqrt(k / d)
     s2 = sigma * math.sqrt((n - k) / d)
     mu = 0.5 * (m1 + m2)

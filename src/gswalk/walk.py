@@ -131,15 +131,12 @@ def _gram_solve(at: np.ndarray, target: np.ndarray, out: np.ndarray) -> list[int
     """
     lam, vecs = np.linalg.eigh(at.transpose(0, 2, 1) @ at)
     ok = lam[:, 0] > GRAM_GUARD * lam[:, -1]
-    left = []
-    if np.count_nonzero(ok) < len(ok):
-        left = np.flatnonzero(~ok).tolist()
-        # each set's products are its own, so a left set's eigenvalues, taken
-        # as 1 to keep its discarded row finite, change no other row
-        lam = np.where(ok[:, None], lam, 1.0)
+    # each set's products are its own, so a left set's eigenvalues, taken
+    # as 1 to keep its discarded row finite, change no other row
+    lam = np.where(ok[:, None], lam, 1.0)
     out[...] = (at @ (vecs @ ((vecs.transpose(0, 2, 1) @ target[:, :, None])
                               / lam[:, :, None])))[:, :, 0]
-    return left
+    return np.flatnonzero(~ok).tolist()
 
 
 def feasible_interval(x: np.ndarray, u: np.ndarray) -> tuple:
@@ -156,17 +153,15 @@ def feasible_interval(x: np.ndarray, u: np.ndarray) -> tuple:
     ends[0], ends[1] = -np.inf, np.inf
     lo_ends = np.divide(-1.0 - x, u, out=ends[0], where=on)
     hi_ends = np.divide(1.0 - x, u, out=ends[1], where=on)
-    lows = np.minimum(lo_ends, hi_ends)
-    highs = np.maximum(lo_ends, hi_ends)
-    lo, hi = lows.max(), highs.min()    # over every row
-    if not (lo < 0.0 < hi):
+    lo = np.minimum(lo_ends, hi_ends).max(axis=-1)
+    hi = np.maximum(lo_ends, hi_ends).min(axis=-1)
+    if not (lo.max() < 0.0 < hi.min()):
         # a coordinate of the support on the boundary puts an end at 0 or past it
         if np.count_nonzero((np.abs(x) >= 1.0) & on):
             raise ContractViolationError("direction touches a frozen coordinate")
-        raise ContractViolationError(f"feasible interval [{lo}, {hi}] does not contain 0")
-    if x.ndim == 1:
-        return -float(lo), float(hi)
-    return -lows.max(axis=-1), highs.min(axis=-1)
+        raise ContractViolationError(f"feasible interval [{lo.max()}, {hi.min()}] "
+                                     "does not contain 0")
+    return -lo, hi
 
 
 def move(x: np.ndarray, u: np.ndarray, chosen_delta,
@@ -183,8 +178,7 @@ def move(x: np.ndarray, u: np.ndarray, chosen_delta,
     hit = np.abs(moved) >= 1.0 - FREEZE_TOL
     np.sign(moved, out=moved, where=hit)
     froze = hit & active
-    # one count for a vector; rows need one test each
-    if not (np.count_nonzero(froze) if froze.ndim == 1 else froze.any(axis=1).all()):
+    if not froze.any(axis=-1).all():
         raise ContractViolationError("step froze no coordinate")
     return moved, froze
 

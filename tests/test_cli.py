@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gswalk import cli, enumeration
+from gswalk import cli, enumeration, inequalities
 from gswalk.cli import main
 from gswalk.instances import generate_instance, load_instance, save_instance
 
@@ -159,6 +159,22 @@ class TestOracle:
                      "--v", "e9"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("check", ["martingale", "subgaussian", "all"])
+    def test_direction_checked_before_enumeration(self, id4, monkeypatch, capsys, check):
+        def refuse(inst):
+            raise AssertionError("enumeration reached with a bad --v")
+
+        monkeypatch.setattr(enumeration, "enumerate_walk", refuse)
+        assert main(["oracle", "--instance", str(id4), "--check", check, "--v", "foo"]) == 1
+        assert capsys.readouterr().err == "error: unknown direction spec 'foo'\n"
+
+    def test_failed_check_fails_closed(self, id4, monkeypatch, capsys):
+        monkeypatch.setattr(enumeration, "verify_martingale", lambda dist, inst, v: 1.0)
+        assert main(["oracle", "--instance", str(id4), "--check", "martingale"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "martingale |E<MX,v>| = 1.000e+00 (FAIL)\n"
+        assert captured.err == "error: 1 oracle check(s) failed\n"
+
 
 class TestCheckIneq:
     def test_lemma1_coarse(self, capsys):
@@ -181,6 +197,13 @@ class TestCheckIneq:
             "lemma1 min gap over grid: 0.000e+00\n"
             "hoeffding two-point min gap over grid: 0.000e+00\n"
             "cosh chain min gaps over grid: 1.003e-04, 4.557e-41\n")
+
+    def test_failed_certification_fails_closed(self, monkeypatch, capsys):
+        monkeypatch.setattr(inequalities, "two_point_grid_min", lambda step: -1.0)
+        assert main(["check-ineq", "--which", "hoeffding"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "hoeffding two-point min gap over grid: -1.000e+00\n"
+        assert captured.err == "error: inequality certification failed\n"
 
     def test_comparison_trials(self, capsys):
         assert main(["check-ineq", "--which", "comparison", "--trials", "20",
@@ -216,6 +239,28 @@ class TestSmoothed:
                          "--out", str(path)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("option, line", [
+        (["--epsilon-auto"], "outer success fraction 0.1 (95% Wilson [0.02787, 0.301]), "
+                             "epsilon=0.294353\n"),
+        ([], "outer success fraction 0.1 (95% Wilson [0.02787, 0.301]), epsilon=0.294353\n"),
+        (["--epsilon", "0.5"], "outer success fraction 0.7 (95% Wilson [0.481, 0.8545]), "
+                               "epsilon=0.5\n"),
+    ])
+    def test_epsilon_options_pinned(self, tmp_path, capsys, option, line):
+        inst = tmp_path / "i.txt"
+        save_instance(generate_instance("random_unit_sphere", 4, 12, 1), inst)
+        assert main(["smoothed", "--instance", str(inst), *option, "--r-trials", "20",
+                     "--seed", "1"]) == 0
+        assert capsys.readouterr().out == line
+
+    @pytest.mark.parametrize("options", [["--epsilon", "0.5", "--epsilon-auto"],
+                                         ["--epsilon-auto", "--epsilon", "0.5"]])
+    def test_epsilon_and_auto_exclusive(self, rand24, capsys, options):
+        with pytest.raises(SystemExit) as exc:
+            main(["smoothed", "--instance", str(rand24), *options])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_cutoff_mass_written_at_most_one(self, tmp_path):
         # the base masses of this cutoff set sum to 1 + 2^-52
         inst, out = tmp_path / "b.txt", tmp_path / "b.json"
@@ -241,6 +286,7 @@ class TestDomainErrors:
         ["oracle", "--instance", "{id4}", "--check", "martingale", "--v", "e"],
         ["oracle", "--instance", "{id4}", "--check", "martingale", "--v", "ex"],
         ["oracle", "--instance", "{id4}", "--check", "martingale", "--v", "e1.5"],
+        ["oracle", "--instance", "{id4}", "--check", "martingale", "--v", "foo"],
         ["run", "--instance", "{id4}", "--seed", "-3"],
         ["smoothed", "--instance", "{id4}", "--delta", "-1", "--out", "{tmp}/s.json"],
         ["smoothed", "--instance", "{id4}", "--epsilon", "nan", "--out", "{tmp}/s.json"],

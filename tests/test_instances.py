@@ -7,7 +7,7 @@ import pytest
 from gswalk.exceptions import (ContractViolationError, DimensionError,
                                InstanceFormatError, NormViolationError,
                                ReportFormatError)
-from gswalk.instances import (Instance, distinct_rows, generate_instance, json_text,
+from gswalk.instances import (KINDS, Instance, distinct_rows, generate_instance, json_text,
                               load_instance, ordered_sum, read_text, save_instance,
                               stream_rng, usable_cores, write_text)
 
@@ -63,6 +63,17 @@ class TestInstance:
         with pytest.raises(NormViolationError):
             Instance(np.array([[1.5], [0.0]]))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (3,)])
+    def test_empty_or_flat_matrix_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            Instance(np.zeros(shape))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d, n", [(0, 3), (3, 0)])
+    def test_generate_needs_positive_sizes(self, kind, d, n):
+        with pytest.raises(DimensionError, match="must be >= 1"):
+            generate_instance(kind, d, n, 0)
+
     def test_non_finite_rejected(self):
         with pytest.raises(InstanceFormatError):
             Instance(np.array([[np.nan], [0.0]]))
@@ -115,6 +126,16 @@ class TestFileFormat:
         p = tmp_path / "bad.txt"
         p.write_text("two 2\n1 0\n0 1\n")
         with pytest.raises(InstanceFormatError):
+            load_instance(p)
+
+    @pytest.mark.parametrize("text, message", [("", "empty instance file"),
+                                               ("\n  \n", "empty instance file"),
+                                               ("2\n1 0\n0 1\n", "header must be 'd n'"),
+                                               ("2 2 2\n1 0\n0 1\n", "header must be 'd n'")])
+    def test_load_empty_or_short_header(self, tmp_path, text, message):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        with pytest.raises(InstanceFormatError, match=message):
             load_instance(p)
 
     def test_save_identity_text(self, tmp_path):

@@ -220,6 +220,19 @@ def test_commands_leave_numpy_ma_unloaded(tmp_path):
     assert "gswalk.enumeration" in loaded and "numpy.ma" not in loaded
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_mc_leaves_numpy_random_unloaded(tmp_path, fmt):
+    # mc draws through harness._stream_uniforms; numpy.random costs about 6 ms to import
+    from gswalk.instances import generate_instance, save_instance
+    path = str(tmp_path / "instance.txt")
+    save_instance(generate_instance("random_unit_sphere", 4, 9, 1), path)
+    loaded = modules_after(
+        "from gswalk.cli import main; "
+        f"main(['mc', '--instance', {path!r}, '--runs', '20', '--threads', '1', "
+        f"'--out', {str(tmp_path / 'runs')!r}, '--format', {fmt!r}])")
+    assert "gswalk.harness" in loaded and "numpy.random" not in loaded
+
+
 def test_every_public_name_resolves():
     import gswalk
     assert len(set(gswalk.__all__)) == len(gswalk.__all__)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from decimal import Decimal, getcontext
 from functools import lru_cache
@@ -8,7 +9,8 @@ from numpy.polynomial.legendre import leggauss
 
 from gswalk import smoothed
 from gswalk.enumeration import enumerate_walk
-from gswalk.exceptions import DegeneratePairError, ParameterError
+from gswalk.exceptions import (ContractViolationError, DegeneratePairError,
+                               ParameterError)
 from gswalk.instances import Instance, generate_instance
 from gswalk.smoothed import (SmoothedConfig, TiltedDistribution,
                              admissibility_report, base_law, build_augmented,
@@ -57,6 +59,11 @@ class TestTiltedDistribution:
         for x, bp, tp in zip(tilted.support, tilted.base_p, tilted.tilted_p):
             assert tp == pytest.approx(base[x.tobytes()], abs=1e-12)
             assert bp == pytest.approx(base[x.tobytes()], abs=1e-15)
+
+    def test_law_of_another_n_refused(self):
+        leaves = enumerate_walk(build_augmented(generate_instance("identity", 4, 4, 0)))
+        with pytest.raises(ContractViolationError, match="disagree on n"):
+            tilt_distribution(leaves, generate_instance("identity", 5, 5, 0), 1.0, 2.0)
 
     def test_masses_sum_to_one(self):
         for seed in range(4):
@@ -374,6 +381,22 @@ class TestRectProbabilities:
         assert joint_rect_probability(row, x, y, sigma, d, n, eps) == pytest.approx(
             1.0, abs=1e-8)
 
+    def test_joint_margins_past_reach_are_zero(self):
+        # the mean sits far more than 12 standard deviations beyond epsilon
+        row, x, y, sigma, d, n = self.case()
+        assert joint_rect_probability(10.0 * x, x, y, sigma, d, n, 0.5) == 0.0
+        assert joint_rect_probability(-10.0 * x, x, y, sigma, d, n, 0.5) == 0.0
+
+    def test_joint_one_panel_off_zero(self):
+        # row along the overlap (x + y)/2 puts mu = 15 sd and nu = 0, so the
+        # clipped a-range [-27 sd, -3 sd] excludes 0 and is one panel
+        _, x, y, sigma, d, n = self.case()
+        k = 0.25 * float(np.sum((x + y) ** 2))
+        s1 = sigma * math.sqrt(k / d)
+        row = 15.0 * s1 / k * (x + y) / 2
+        val = joint_rect_probability(row, x, y, sigma, d, n, 1e6)
+        assert val == pytest.approx(1.0, abs=1e-8)
+
     def test_joint_against_monte_carlo(self):
         # symmetric case m1 = m2 = 0, k = n/2
         n, d, sigma, eps = 8, 4, 1.0, 1.0
@@ -506,6 +529,12 @@ class TestAdmissibility:
         assert cond["name"] == "gaussian_cube_mass"
         assert cond["lhs"] == 0.0 and cond["holds"] is False
         assert report["all_hold"] is False
+
+    @pytest.mark.parametrize("field, value", [("cutoff_c", 1.0), ("epsilon", -0.1),
+                                              ("r_trials", 0)])
+    def test_config_refuses_out_of_range(self, field, value):
+        with pytest.raises(ParameterError):
+            dataclasses.replace(self.config(0.1), **{field: value})
 
     @pytest.mark.parametrize("sigma", [1e155, 1e200])
     def test_config_rejects_overflowing_sigma(self, sigma):

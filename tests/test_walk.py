@@ -303,6 +303,10 @@ class TestFeasibleInterval:
                 with pytest.raises(ContractViolationError, match="touches a frozen"):
                     feasible_interval(np.array([end, 0.0]), np.array([slope, 1.0]))
 
+    def test_nan_direction_rejected(self):
+        with pytest.raises(ContractViolationError, match="does not contain 0"):
+            feasible_interval(np.zeros(2), np.array([np.nan, 1.0]))
+
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
     def test_interval_endpoints_property(self, seed):
