@@ -5,7 +5,10 @@ identical regardless of execution order or worker count.  ``mc``'s run draws
 are the values ``stream_rng(seed, r).random(n)`` gives, computed in bulk by
 ``_stream_uniforms`` and pinned bitwise by a test.  The per-run CSV is
 the canonical record; ``RunStats`` holds its columns from the sampler through
-the process pool to ``parse_csv``, and the JSON report aggregates it.
+the fork split to ``parse_csv``, and the JSON report aggregates it.  The split
+cuts the runs into at most ``usable_cores()`` index ranges: the calling
+process walks the first, and one forked child walks each of the others and
+pickles its columns back through a pipe.
 
 Runs advance together as rows, a chunk at a time, with the arithmetic of a
 plain ``run_walk``, so every value is unchanged, and fill their range's
@@ -17,8 +20,12 @@ sequences (``distinct_rows``) are decomposed in one ``ortho.decompose_stack``.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate, permutations
+from typing import BinaryIO
 
 import numpy as np
 
@@ -163,8 +170,7 @@ def _stream_uniforms(seed: int, keys: np.ndarray, n: int) -> np.ndarray:
     return (x >> 11) * 2.0 ** -53
 
 
-def _run_range(args):
-    inst, master_seed, start, stop = args
+def _run_range(inst: Instance, master_seed: int, start: int, stop: int) -> RunStats:
     chunk = max(1, CHUNK_FLOATS // (inst.n * inst.d))
     runs = stop - start
     out = RunStats(np.arange(start, stop), np.empty(runs), np.empty(runs, dtype=int),
@@ -183,10 +189,45 @@ def _run_range(args):
     return out
 
 
+def _fork_range(inst: Instance, master_seed: int, start: int, stop: int) -> tuple[int, BinaryIO]:
+    """Fork a child that walks runs [start, stop) and pickles its RunStats,
+    or the exception it raised, into a pipe; the child's pid and the pipe's
+    read end.
+
+    The child leaves only through ``os._exit``, with status 0 once its
+    result is written, so it never returns into the caller's stack nor
+    flushes the stdio it inherited.  Orphaned, it exits when its write meets
+    a closed pipe (BrokenPipeError).
+    """
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, os.fdopen(read, "rb")
+    status = 1
+    try:
+        os.close(read)
+        try:
+            result = _run_range(inst, master_seed, start, stop)
+        except Exception as exc:
+            result = exc
+        data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def run_experiment(inst: Instance, runs: int, master_seed: int,
                    workers: int = 1) -> RunStats:
     """Independent seeded walk runs, sorted by index, on <= usable_cores() processes;
-    at most 2**32 runs, so that every run index is one 32-bit stream key."""
+    at most 2**32 runs, so that every run index is one 32-bit stream key.
+
+    A forked child's exception is raised here with its class and message; a
+    child that ends without a result raises ``ChildProcessError``.  However
+    the call ends, every child it forked has been reaped.
+    """
     if not 1 <= runs <= 2**32:
         raise ParameterError(f"runs must be in [1, 2**32], got {runs}")
     if master_seed < 0:
@@ -194,15 +235,33 @@ def run_experiment(inst: Instance, runs: int, master_seed: int,
     if workers < 1:
         raise ParameterError(f"worker count must be >= 1, got {workers}")
     workers = min(workers, usable_cores())
-    if workers <= 1 or runs < 4 * workers:
-        return _run_range((inst, master_seed, 0, runs))
-    bounds = np.linspace(0, runs, workers + 1).astype(int)
-    chunks = [(inst, master_seed, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # map keeps the order of the chunks, which are in index order
-        parts = [vars(p).values() for p in pool.map(_run_range, chunks)]
-    return RunStats(*map(np.concatenate, zip(*parts)))
+    if workers <= 1 or runs < 4 * workers or not hasattr(os, "fork"):
+        return _run_range(inst, master_seed, 0, runs)
+    bounds = np.linspace(0, runs, workers + 1).astype(int).tolist()
+    children = []       # (pid, read end, start, stop) of each child not yet reaped
+    try:
+        for start, stop in zip(bounds[1:-1], bounds[2:]):
+            children.append((*_fork_range(inst, master_seed, start, stop), start, stop))
+        parts = [_run_range(inst, master_seed, 0, bounds[1])]
+        while children:
+            pid, pipe, start, stop = children[0]
+            with pipe:      # to EOF before waitpid: a result can outgrow the pipe's buffer
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            if status:
+                raise ChildProcessError(f"the worker for runs {start} to {stop - 1} ended "
+                                        f"without a result (wait status {status})")
+            result = pickle.loads(data)
+            if isinstance(result, Exception):
+                raise result
+            parts.append(result)
+    finally:
+        for pid, pipe, _, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return RunStats(*map(np.concatenate, zip(*(vars(p).values() for p in parts))))
 
 
 def estimate_bound(stats: RunStats) -> tuple[float, bool]:

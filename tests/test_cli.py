@@ -1,4 +1,6 @@
 import json
+import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -316,8 +318,21 @@ class TestDomainErrors:
         # d/(sigma^2 n) so large that a tilt weight exp(d s/(2 sigma^2 n)) overflows
         ["smoothed", "--instance", "{tmp}/big.txt", "--r-trials", "3",
          "--out", "{tmp}/s.json"],
+        # the forked worker of runs 32 to 63 is killed mid-run (patched below)
+        ["mc", "--instance", "{id4}", "--runs", "64", "--threads", "2",
+         "--out", "{tmp}/s.json"],
     ])
-    def test_message_not_traceback(self, id4, tmp_path, capsys, argv):
+    def test_message_not_traceback(self, id4, tmp_path, capsys, monkeypatch, argv):
+        from gswalk import harness
+        run_range = harness._run_range
+
+        def killed_if_forked(inst, master_seed, start, stop):
+            if start:           # only a forked child walks a range past run 0
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run_range(inst, master_seed, start, stop)
+
+        monkeypatch.setattr(harness, "_run_range", killed_if_forked)
+        monkeypatch.setattr(harness, "usable_cores", lambda: 2)
         (tmp_path / "latin1.txt").write_bytes(b"2 2\n1 0\n0 1\n# caf\xe9\n")
         (tmp_path / "latin1.json").write_bytes(b'{"runs": 1, "caf\xe9": 2}\n')
         save_instance(generate_instance("random_unit_sphere", 2000, 4, 1),

@@ -1,8 +1,10 @@
-import concurrent.futures
 import hashlib
 import json
 import math
+import os
 import re
+import signal
+import time
 import tracemalloc
 import warnings
 
@@ -92,21 +94,29 @@ def family_instance(family: str, seed: int) -> Instance:
     return Instance(m)
 
 
-class InProcessPool:
-    """Stand-in process pool that records its size and maps in this process."""
-    sizes: list[int] = []
+def counting_forks(monkeypatch) -> list[int]:
+    """Patch ``os.fork`` to record, in the calling process, each child's pid."""
+    pids, fork = [], os.fork
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    def __enter__(self):
-        return self
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
 
-    def __exit__(self, *exc):
-        return False
 
-    def map(self, fn, items):
-        return map(fn, items)
+def failing_range(monkeypatch, fail) -> None:
+    """Patch ``harness._run_range`` to call ``fail(start, stop)`` first."""
+    run_range = harness._run_range
+
+    def patched(inst, master_seed, start, stop):
+        fail(start, stop)
+        return run_range(inst, master_seed, start, stop)
+
+    monkeypatch.setattr(harness, "_run_range", patched)
 
 
 class TestRunExperiment:
@@ -144,14 +154,62 @@ class TestRunExperiment:
         assert serial == parallel
 
     def test_pool_capped_at_cpu_count(self, monkeypatch):
-        # run_experiment imports the pool class when it starts a pool
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(InProcessPool, "sizes", [])
+        # three usable cores: the caller walks one range and forks two children
+        pids = counting_forks(monkeypatch)
         monkeypatch.setattr(harness, "usable_cores", lambda: 3)
         inst = generate_instance("random_unit_sphere", 3, 5, 2)
         capped = stats_to_csv(run_experiment(inst, 2000, 3, workers=500))
-        assert InProcessPool.sizes == [3]
+        assert len(pids) == 2
         assert capped == stats_to_csv(run_experiment(inst, 2000, 3, workers=1))
+
+    def test_child_error_is_raised_as_serial(self, monkeypatch):
+        # run 50 lies in the forked child's range [32, 64) and in the serial one
+        def fail(start, stop):
+            if start <= 50 < stop:
+                raise ContractViolationError("run 50 breaks the walk's contract")
+
+        failing_range(monkeypatch, fail)
+        monkeypatch.setattr(harness, "usable_cores", lambda: 2)
+        pids = counting_forks(monkeypatch)
+        inst = generate_instance("random_unit_sphere", 3, 5, 2)
+        raised = []
+        for workers in (1, 2):
+            with pytest.raises(ContractViolationError) as info:
+                run_experiment(inst, 64, 3, workers=workers)
+            raised.append((type(info.value), str(info.value)))
+        assert len(pids) == 1
+        assert raised[0] == raised[1]
+
+    def test_killed_child_raises_child_process_error(self, monkeypatch):
+        def die(start, stop):
+            if start:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        failing_range(monkeypatch, die)
+        monkeypatch.setattr(harness, "usable_cores", lambda: 2)
+        inst = generate_instance("random_unit_sphere", 3, 5, 2)
+        with pytest.raises(ChildProcessError, match=r"runs 32 to 63 .*wait status 9"):
+            run_experiment(inst, 64, 3, workers=2)
+
+    def test_children_reaped_when_the_callers_range_raises(self, monkeypatch):
+        # the children would walk for a minute; they are killed and reaped
+        def fail(start, stop):
+            if not start:
+                raise ContractViolationError("the caller's range fails")
+            time.sleep(60)
+
+        failing_range(monkeypatch, fail)
+        monkeypatch.setattr(harness, "usable_cores", lambda: 3)
+        pids = counting_forks(monkeypatch)
+        inst = generate_instance("random_unit_sphere", 3, 5, 2)
+        t0 = time.monotonic()
+        with pytest.raises(ContractViolationError, match="the caller's range fails"):
+            run_experiment(inst, 64, 3, workers=3)
+        assert time.monotonic() - t0 < 30
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_invariants_per_run(self):
         inst = generate_instance("random_unit_sphere", 4, 8, 6)
@@ -261,14 +319,12 @@ class TestLockstep:
     @given(family=st.sampled_from(FAMILIES), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=12, deadline=None)
     def test_differential_families(self, rows, workers, family, seed):
-        # chunks of 1 and 2 rows split the runs of each worker's range; the
-        # pool maps in this process so that it sees the patched chunk size
+        # chunks of 1 and 2 rows split the runs of each worker's range; a
+        # forked child inherits the patched chunk size and core count
         inst = family_instance(family, seed)
         with pytest.MonkeyPatch.context() as patch:
             if rows is not None:
                 patch.setattr(harness, "CHUNK_FLOATS", rows * inst.n * inst.d)
-            patch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-            patch.setattr(InProcessPool, "sizes", [])
             patch.setattr(harness, "usable_cores", lambda: 2)
             got = run_experiment(inst, 13, seed % 1000, workers=workers)
         assert np.array_equal(got.run_index, np.arange(13))

@@ -233,6 +233,21 @@ def test_mc_leaves_numpy_random_unloaded(tmp_path, fmt):
     assert "gswalk.harness" in loaded and "numpy.random" not in loaded
 
 
+def test_mc_split_leaves_the_process_pool_unloaded(tmp_path):
+    # mc forks its workers, on two usable cores whatever the host has;
+    # importing concurrent.futures.process and multiprocessing cost about 36 ms
+    from gswalk.instances import generate_instance, save_instance
+    path = str(tmp_path / "instance.txt")
+    save_instance(generate_instance("random_unit_sphere", 4, 9, 1), path)
+    loaded = modules_after(
+        "from gswalk import harness; harness.usable_cores = lambda: 2; "
+        "from gswalk.cli import main; "
+        f"main(['mc', '--instance', {path!r}, '--runs', '40', '--threads', '2', "
+        f"'--out', {str(tmp_path / 'runs.csv')!r}, '--format', 'csv'])")
+    assert "gswalk.harness" in loaded
+    assert not {"concurrent.futures", "multiprocessing"} & loaded
+
+
 def test_every_public_name_resolves():
     import gswalk
     assert len(set(gswalk.__all__)) == len(gswalk.__all__)
