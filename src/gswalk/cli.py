@@ -135,7 +135,7 @@ def _cmd_run(args) -> int:
     inst = instances.load_instance(args.instance)
     seed = _resolve_seed(args.seed)
     trace = walk.run_walk(inst, instances.stream_rng(seed, 0))
-    disc = float(np.abs(inst.matrix @ trace.final_x).max())
+    disc = float(np.abs(inst.images(trace.final_x[None])).max())
     signs = " ".join(f"{int(s):+d}" for s in trace.final_x)
     print(f"seed {seed}: T={trace.total_steps} discrepancy={disc:.12g} X=[{signs}]")
     if args.dump_trace:
@@ -213,49 +213,28 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_check_ineq(args) -> int:
-    from . import inequalities
-    if args.which == "lemma1":
-        gap = inequalities.lemma1_grid_min(step=args.grid_step)
-        print(f"lemma1 min gap over grid: {gap:.3e}")
-        ok = gap >= -1e-12
-    elif args.which == "hoeffding":
-        gap = inequalities.two_point_grid_min(step=args.grid_step)
-        print(f"hoeffding two-point min gap over grid: {gap:.3e}")
-        ok = gap >= -1e-12
-    elif args.which == "cosh":
-        g1, g2 = inequalities.cosh_chain_grid_min(step=args.grid_step)
-        print(f"cosh chain min gaps over grid: {g1:.3e}, {g2:.3e}")
-        ok = g1 > 0 and g2 >= 0
-    else:
-        worst = _comparison_trials(args.trials, _resolve_seed(args.seed))
+    if args.which == "comparison":
+        from . import smoothed
+        worst = smoothed.comparison_trials(args.trials, _resolve_seed(args.seed))
         print(f"comparison min relative slack over {args.trials} trials: {worst:.3e}")
         ok = worst >= -1e-6
+    else:
+        from . import inequalities
+        if args.which == "lemma1":
+            gap = inequalities.lemma1_grid_min(step=args.grid_step)
+            print(f"lemma1 min gap over grid: {gap:.3e}")
+            ok = gap >= -1e-12
+        elif args.which == "hoeffding":
+            gap = inequalities.two_point_grid_min(step=args.grid_step)
+            print(f"hoeffding two-point min gap over grid: {gap:.3e}")
+            ok = gap >= -1e-12
+        else:
+            g1, g2 = inequalities.cosh_chain_grid_min(step=args.grid_step)
+            print(f"cosh chain min gaps over grid: {g1:.3e}, {g2:.3e}")
+            ok = g1 > 0 and g2 >= 0
     if not ok:
         raise GswError("inequality certification failed")
     return 0
-
-
-def _comparison_trials(trials: int, seed: int) -> float:
-    """Min relative slack of the joint-vs-product comparison over random cases."""
-    from . import smoothed
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
-    rng = instances.stream_rng(seed, 11)
-    worst = math.inf
-    count = 0
-    while count < trials:
-        d = int(rng.integers(2, 6))
-        n = int(rng.integers(4, 10))
-        x = rng.choice([-1.0, 1.0], size=n)
-        y = rng.choice([-1.0, 1.0], size=n)
-        if abs(x @ y) > n / 2 or abs(x @ y) == n:
-            continue
-        row = rng.normal(0, 1 / math.sqrt(n), size=n)
-        sigma = float(rng.uniform(1.0, 3.0))
-        eps = float(rng.uniform(0.05, 1.0))
-        worst = min(worst, smoothed.verify_comparison(row, x, y, sigma, d, n, eps))
-        count += 1
-    return worst
 
 
 def _cmd_smoothed(args) -> int:
@@ -263,17 +242,12 @@ def _cmd_smoothed(args) -> int:
     inst = instances.load_instance(args.instance)
     seed = _resolve_seed(args.seed)
     sigma = args.sigma
-    eps = args.epsilon
-    if eps is None:
-        eps = smoothed.epsilon_of(sigma, max(inst.d, 2), args.kappa)
-    cutoff = args.cutoff_c
-    if cutoff is None:
-        cutoff = max(2.0, math.log(max(inst.d, 2)) ** 2)
-    config = smoothed.SmoothedConfig(sigma=sigma, kappa=args.kappa,
-                                     cutoff_c=cutoff, epsilon=eps,
-                                     r_trials=args.r_trials, master_seed=seed,
-                                     delta=(smoothed.DEFAULT_DELTA if args.delta is None
-                                            else args.delta))
+    eps = (smoothed.epsilon_of(sigma, max(inst.d, 2), args.kappa) if args.epsilon is None
+           else args.epsilon)
+    cutoff = smoothed.default_cutoff(inst.d) if args.cutoff_c is None else args.cutoff_c
+    config = smoothed.SmoothedConfig(
+        sigma=sigma, kappa=args.kappa, cutoff_c=cutoff, epsilon=eps, r_trials=args.r_trials,
+        master_seed=seed, delta=smoothed.DEFAULT_DELTA if args.delta is None else args.delta)
     leaves = enumeration.enumerate_walk(smoothed.build_augmented(inst))
     tilted = smoothed.tilt_distribution(leaves, inst, sigma, cutoff)
     fraction, (lo, hi) = smoothed.outer_success_estimate(inst, tilted, config)

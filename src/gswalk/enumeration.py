@@ -23,13 +23,12 @@ import numpy as np
 
 from . import walk
 from .exceptions import ContractViolationError, DimensionError, DomainOverflowError
-from .instances import Instance, distinct_rows, ordered_sum
+from .instances import EXP_LIMIT, Instance, distinct_rows, ordered_sum
 from .ortho import OrthoDecomposition, decompose_stack, variance_proxy_batch
 from .walk import WalkTrace
 
 PRUNE_TOL = 1e-15                   # branches below this mass are dropped
 DEPTH_CAP = 16                      # largest n enumerated (up to 2^n leaves)
-MGF_EXP_LIMIT = 600.0
 
 
 @dataclass(eq=False)
@@ -197,13 +196,9 @@ def _expectation(dist: LeafDistribution, values) -> float:
 
 
 def leaf_margins(dist: LeafDistribution, inst: Instance, v) -> np.ndarray:
-    """<M x, v> for each leaf outcome x.
-
-    The stacked products make, per leaf, the BLAS calls of ``M @ x @ v`` (a
-    matrix-vector product, then a dot), so every value keeps its per-leaf bits.
-    """
-    mx = np.matmul(inst.matrix, dist.signs[:, :, None])             # (m, d, 1)
-    return np.matmul(mx.transpose(0, 2, 1), np.asarray(v, float)[:, None])[:, 0, 0]
+    """<M x, v> for each leaf outcome x: each leaf's image, then its own dot
+    with v, so every value has the bits of ``M @ x @ v``."""
+    return np.matmul(inst.images(dist.signs)[:, None, :], np.asarray(v, float)[:, None])[:, 0, 0]
 
 
 def verify_martingale(dist: LeafDistribution, inst: Instance, v) -> float:
@@ -216,16 +211,16 @@ def verify_subgaussian(dist: LeafDistribution, inst: Instance, v,
     """E exp(lam <M X, v> - lam^2 Z/2) with each leaf's own proxy Z.
 
     Z is computed once per freeze sequence, every sequence in one call; the
-    leaves that share one share its decomposition, hence their proxy.
+    leaves that share one share its decomposition, hence their proxy.  The
+    largest exponent must lie in +-``EXP_LIMIT``: above, its exp overflows;
+    below, the whole moment underflows.
     """
     v = np.asarray(v, float)
     proxies = variance_proxy_batch(inst, dist.decompositions, v[:, None])[:, 0]
     args = lam * leaf_margins(dist, inst, v) - 0.5 * lam * lam * proxies[dist.freeze_ids]
-    wild = np.flatnonzero(np.abs(args) > MGF_EXP_LIMIT)
-    if wild.size:
-        # report the leaf of largest probability, first in leaf order
-        arg = args[wild[np.argmax(dist.probabilities[wild])]]
-        raise DomainOverflowError(f"mgf exponent {arg:.3g} out of range")
+    top = float(args.max())
+    if not -EXP_LIMIT <= top <= EXP_LIMIT:
+        raise DomainOverflowError(f"largest mgf exponent {top:.3g} out of range")
     return _expectation(dist, [math.exp(a) for a in args.tolist()])
 
 

@@ -179,9 +179,7 @@ def _run_range(inst: Instance, master_seed: int, start: int, stop: int) -> RunSt
         rows = slice(lo, lo + chunk)
         signs, when = _walk_rows(inst, _stream_uniforms(master_seed, out.run_index[rows], inst.n))
         out.signs[rows] = signs
-        # the stacked product makes each run's own matrix-vector call (as in
-        # ``enumeration.leaf_margins``), so every discrepancy keeps its bits
-        out.discrepancy[rows] = np.abs(np.matmul(inst.matrix, signs[:, :, None])).max(axis=(1, 2))
+        out.discrepancy[rows] = np.abs(inst.images(signs)).max(axis=1)
         first, seq = distinct_rows(when)
         dec = decompose_stack(inst, when[first])
         out.max_proxy[rows] = basis_variance_proxies(inst, dec).max(axis=1)[seq]
@@ -289,9 +287,8 @@ def estimate_bound(stats: RunStats) -> tuple[float, bool]:
 
 def empirical_tail(inst: Instance, stats: RunStats, coord: int,
                    c_grid) -> list[dict]:
-    """Exceedance fractions of |<M X, e_coord>| against the 2 exp(-c^2/2) bound;
-    stacked (1, n) by (n, 1) products keep each run's own dot product bits."""
-    margins = np.abs(np.matmul(stats.signs[:, None, :], inst.matrix[coord][:, None]))[:, 0, 0]
+    """Exceedance fractions of |<M X, e_coord>| against the 2 exp(-c^2/2) bound."""
+    margins = np.abs(inst.images(stats.signs)[:, coord])
     return [{"c": float(c),
              "empirical": float(np.mean(margins > c)),
              "bound": 2.0 * math.exp(-c * c / 2.0)} for c in c_grid]

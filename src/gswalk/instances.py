@@ -4,16 +4,18 @@ Columns must satisfy ||v_i||_2 <= 1 (up to a small load tolerance).  Instances
 are immutable after construction and safe to share between threads.
 Every random stream of the package is ``stream_rng(seed, *key)`` (``mc``'s run
 draws are those values, computed in bulk by ``harness._stream_uniforms`` and
-pinned bitwise by a test), every file
-goes through ``read_text`` / ``write_text``, every JSON document ``json_text``,
-every pool or split is sized by ``usable_cores``, every set of distinct rows
-comes from ``distinct_rows`` and every byte-stable total is ``ordered_sum``.
+pinned bitwise by a test), every file goes through ``read_text`` /
+``write_text``, every JSON document ``json_text``, every pool or split is sized
+by ``usable_cores``, every set of distinct rows comes from ``distinct_rows``,
+every byte-stable total is ``ordered_sum``, every outcome's image M x is
+``Instance.images`` and every exp-overflow check reads ``EXP_LIMIT``.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +24,7 @@ from .exceptions import (ContractViolationError, DimensionError, InstanceFormatE
                          NormViolationError)
 
 NORM_TOL = 1e-9
+EXP_LIMIT = math.log(sys.float_info.max)    # largest x with a finite math.exp(x)
 
 KINDS = ("identity", "random_unit_sphere", "random_in_ball", "duplicated_column",
          "sign_columns")
@@ -55,6 +58,11 @@ class Instance:
     @property
     def n(self) -> int:
         return self.matrix.shape[1]
+
+    def images(self, rows: np.ndarray) -> np.ndarray:
+        """M x for each row x of ``rows`` (m, n), as (m, d); the stacked product
+        makes each row's own matrix-vector call, the bits of ``matrix @ x``."""
+        return np.matmul(self.matrix, rows[:, :, None])[:, :, 0]
 
 
 def generate_instance(kind: str, d: int, n: int, seed: int) -> Instance:

@@ -11,7 +11,6 @@ quadrature oracle.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cache
 from typing import TYPE_CHECKING
@@ -20,7 +19,7 @@ import numpy as np
 
 from .exceptions import (ContractViolationError, DegeneratePairError,
                          DomainOverflowError, ParameterError)
-from .instances import Instance, distinct_rows, ordered_sum, stream_rng
+from .instances import EXP_LIMIT, Instance, distinct_rows, ordered_sum, stream_rng
 
 if TYPE_CHECKING:       # importing enumeration would load the walk stack
     from .enumeration import LeafDistribution
@@ -30,7 +29,6 @@ DEFAULT_DELTA = 0.1
 LOWER_C = 0.5                       # constant c of the epsilon lower bound
 RATIO_L = 10.0                      # lower bound on the aspect ratio n/d
 QUAD_POINTS = 64                    # Gauss-Legendre nodes per axis and panel
-EXP_LIMIT = math.log(sys.float_info.max)    # largest x with a finite math.exp(x)
 
 
 @dataclass(frozen=True)
@@ -87,14 +85,14 @@ def tilt_distribution(leaves: LeafDistribution, inst: Instance, sigma: float,
 
     Weights exp(d ||M x||^2 / (2 sigma^2 n)) restricted to
     {||M x||^2 <= 2 * cutoff_c * V} and normalized; V is exact from the leaves.
-    The norms and weights are taken point by point and the reported sums left
-    to right, so the report's values do not depend on BLAS or SIMD order.
+    Each point's image (``Instance.images``), norm and weight are its own and
+    the reported sums run left to right, so no value depends on BLAS or SIMD order.
     """
     if leaves.n != inst.n:
         raise ContractViolationError("leaf law and instance disagree on n")
     signs, probs = base_law(leaves)
     d, n = inst.d, inst.n
-    sq_norms = np.array([float(np.sum((inst.matrix @ x) ** 2)) for x in signs])
+    sq_norms = np.sum(inst.images(signs) ** 2, axis=1)
     two_v = ordered_sum(probs * sq_norms)
     keep = sq_norms <= cutoff_c * two_v * (1.0 + 1e-12) + 1e-300
     base_p = probs[keep]
@@ -164,6 +162,11 @@ def epsilon_of(sigma: float, d: int, kappa: float) -> float:
     if kappa < 1:
         raise ParameterError("kappa must be >= 1")
     return sigma * math.sqrt(math.log(d)) * d ** (-kappa / 32.0)
+
+
+def default_cutoff(d: int) -> float:
+    """The cutoff constant max(2, ln(max(d, 2))^2) used when none is given."""
+    return max(2.0, math.log(max(d, 2)) ** 2)
 
 
 def _pair(row: np.ndarray, x: np.ndarray, y: np.ndarray, n: int) -> tuple[float, float, float]:
@@ -261,6 +264,28 @@ def verify_comparison(row: np.ndarray, x: np.ndarray, y: np.ndarray,
     prod = product_rect_probability(row, x, y, sigma, d, n, epsilon)
     joint = joint_rect_probability(row, x, y, sigma, d, n, epsilon)
     return (ci * prod - joint) / (ci * prod)
+
+
+def comparison_trials(trials: int, seed: int) -> float:
+    """Min relative slack of the joint-vs-product comparison over random cases."""
+    if trials < 1:
+        raise ParameterError(f"trials must be >= 1, got {trials}")
+    rng = stream_rng(seed, 11)
+    worst = math.inf
+    count = 0
+    while count < trials:
+        d = int(rng.integers(2, 6))
+        n = int(rng.integers(4, 10))
+        x = rng.choice([-1.0, 1.0], size=n)
+        y = rng.choice([-1.0, 1.0], size=n)
+        if abs(x @ y) > n / 2 or abs(x @ y) == n:
+            continue
+        row = rng.normal(0, 1 / math.sqrt(n), size=n)
+        sigma = float(rng.uniform(1.0, 3.0))
+        eps = float(rng.uniform(0.05, 1.0))
+        worst = min(worst, verify_comparison(row, x, y, sigma, d, n, eps))
+        count += 1
+    return worst
 
 
 def cube_gaussian_measure(radius: float, d: int) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import signal
@@ -132,6 +133,18 @@ class TestMc:
         assert captured.err.splitlines() == ["error: Unable to allocate 72.8 TiB"]
         assert captured.out == "" and not out.exists()
 
+    # sha256 of the report, whose tail reads each run's image of the coloring
+    @pytest.mark.parametrize("n,runs,digest", [
+        (8, 500, "b03ef88bf6c090c194845d82e22ecb69f152d0a4f664b37cae3d84a624163fd9"),
+        (532, 24, "e831cd02e31d6446203d8aecd41c268de27f4f74d4edc1b519284b08a2fb96c9"),
+    ])
+    def test_json_bytes_pinned(self, tmp_path, monkeypatch, n, runs, digest):
+        monkeypatch.chdir(tmp_path)     # the report records the instance path
+        save_instance(generate_instance("random_unit_sphere", 8, n, 1), "instance.txt")
+        assert main(["mc", "--instance", "instance.txt", "--runs", str(runs), "--seed", "1",
+                     "--threads", "1", "--out", "report.json"]) == 0
+        assert hashlib.sha256(Path("report.json").read_bytes()).hexdigest() == digest
+
     def test_byte_identical_reruns(self, rand24, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
@@ -169,6 +182,15 @@ class TestOracle:
         monkeypatch.setattr(enumeration, "enumerate_walk", refuse)
         assert main(["oracle", "--instance", str(id4), "--check", check, "--v", "foo"]) == 1
         assert capsys.readouterr().err == "error: unknown direction spec 'foo'\n"
+
+    def test_subgaussian_large_lambda(self, tmp_path, capsys):
+        # most leaves' exponents lie below -EXP_LIMIT, the largest near -49
+        path = tmp_path / "i.txt"
+        save_instance(generate_instance("random_unit_sphere", 4, 13, 3), path)
+        assert main(["oracle", "--instance", str(path), "--check", "subgaussian",
+                     "--lambda", "40"]) == 0
+        assert capsys.readouterr().out == (
+            "subgaussian moment (lambda=40.0) = 3.3763586158e-27 (ok)\n")
 
     def test_failed_check_fails_closed(self, id4, monkeypatch, capsys):
         monkeypatch.setattr(enumeration, "verify_martingale", lambda dist, inst, v: 1.0)
@@ -254,6 +276,18 @@ class TestSmoothed:
         assert main(["smoothed", "--instance", str(inst), *option, "--r-trials", "20",
                      "--seed", "1"]) == 0
         assert capsys.readouterr().out == line
+
+    # sha256 of the report, whose tilt reads each support point's image
+    @pytest.mark.parametrize("seed,digest", [
+        (1, "77477c31de2bf5355dce2d8c1930ef1fb1e00e9b527147cec1cae0b972cea6ae"),
+        (2, "090679799a80de5a9350b8a8bd7c3aeecdecb308d5962e0c146c5b64acca3fae"),
+    ])
+    def test_json_bytes_pinned(self, tmp_path, monkeypatch, seed, digest):
+        monkeypatch.chdir(tmp_path)     # the report records the instance path
+        save_instance(generate_instance("random_unit_sphere", 4, 12, seed), "instance.txt")
+        assert main(["smoothed", "--instance", "instance.txt", "--epsilon-auto",
+                     "--r-trials", "300", "--seed", str(seed), "--out", "report.json"]) == 0
+        assert hashlib.sha256(Path("report.json").read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("options", [["--epsilon", "0.5", "--epsilon-auto"],
                                          ["--epsilon-auto", "--epsilon", "0.5"]])

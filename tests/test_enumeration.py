@@ -1,5 +1,6 @@
 import builtins
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from gswalk.enumeration import (brute_force_min_discrepancy,
 from gswalk.exceptions import (ContractViolationError, DimensionError,
                                DomainOverflowError)
 from gswalk.inequalities import PROXY_SLACK
-from gswalk.instances import Instance, generate_instance
+from gswalk.instances import EXP_LIMIT, Instance, generate_instance
 from gswalk.ortho import (basis_variance_proxies, decompose, decompose_stack,
                           variance_proxy, variance_proxy_batch)
 from gswalk.smoothed import base_law, build_augmented, tilt_distribution
@@ -302,6 +303,18 @@ class TestSubgaussian:
         dist = enumerate_walk(inst)
         with pytest.raises(DomainOverflowError):
             verify_subgaussian(dist, inst, [1.0, 0.0], 1000.0)
+
+    def test_overflowing_exponent_refused(self, monkeypatch):
+        # with every proxy 0 a leaf's exponent is lam <M x, v>, which math.exp
+        # would refuse with an OverflowError
+        inst = generate_instance("random_unit_sphere", 2, 4, 5)
+        dist = enumerate_walk(inst)
+        monkeypatch.setattr(enumeration, "variance_proxy_batch",
+                            lambda inst, dec, v: np.zeros((len(dist.when), v.shape[1])))
+        top = 1e4 * enumeration.leaf_margins(dist, inst, [1.0, 0.0]).max()
+        assert top > EXP_LIMIT
+        with pytest.raises(DomainOverflowError, match=re.escape(f"exponent {top:.3g} ")):
+            verify_subgaussian(dist, inst, [1.0, 0.0], 1e4)
 
     @pytest.mark.parametrize("case", SHARING_CASES, ids=lambda c: f"{c[0]}-{c[2]}")
     def test_one_proxy_per_decomposition(self, case, monkeypatch):

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gswalk.exceptions import (ContractViolationError, DimensionError,
                                InstanceFormatError, NormViolationError,
@@ -82,6 +84,33 @@ class TestInstance:
         inst = generate_instance("identity", 2, 2, 0)
         with pytest.raises(ValueError):
             inst.matrix[0, 0] = 2.0
+
+    @pytest.mark.parametrize("zero_column", [False, True])
+    @pytest.mark.parametrize("n", [1, 3, 12, 40])
+    @pytest.mark.parametrize("d", [1, 2, 8, 16])
+    def test_images_bitwise(self, d, n, zero_column):
+        assert_images_bitwise(d, n, 7, zero_column, 9)
+
+    @given(d=st.sampled_from([1, 2, 8, 16]), n=st.sampled_from([1, 3, 12, 40]),
+           seed=st.integers(0, 2**32 - 1), zero_column=st.booleans(), rows=st.integers(1, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_images_bitwise_property(self, d, n, seed, zero_column, rows):
+        assert_images_bitwise(d, n, seed, zero_column, rows)
+
+
+def assert_images_bitwise(d: int, n: int, seed: int, zero_column: bool, rows: int) -> None:
+    """Each row of ``Instance.images`` has the bits of ``matrix @ x``."""
+    rng = stream_rng(seed)
+    m = rng.standard_normal((d, n))
+    m /= np.linalg.norm(m, axis=0)
+    if zero_column:
+        m[:, rng.integers(n)] = 0.0
+    inst = Instance(m)
+    signs = rng.choice([-1.0, 1.0], size=(rows, n))
+    images = inst.images(signs)
+    assert images.shape == (rows, d)
+    for x, image in zip(signs, images):
+        assert image.tobytes() == (inst.matrix @ x).tobytes()
 
 
 class TestFileFormat:

@@ -108,6 +108,50 @@ def test_run_record_format_has_one_place():
     assert calls_outside({"CSV_HEADER"}, {"stats_to_csv", "parse_csv"}, reads=True) == []
 
 
+PRODUCT_CALLS = {"matmul", "dot", "vdot", "inner", "tensordot", "einsum"}
+
+
+def matrix_products() -> set[str]:
+    """Each function in ``src/gswalk`` with a product (``@`` or a numpy
+    product call) whose operand reads ``.matrix``, directly or through a
+    name the function assigned from an expression that reads it."""
+    def reads_matrix(node, names):
+        return any(isinstance(sub, ast.Attribute) and sub.attr == "matrix"
+                   or isinstance(sub, ast.Name) and sub.id in names for sub in ast.walk(node))
+
+    found = set()
+    for path in sorted((ROOT / "src" / "gswalk").glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            names = {target.id for node in ast.walk(func) if isinstance(node, ast.Assign)
+                     and reads_matrix(node.value, set())
+                     for target in node.targets if isinstance(target, ast.Name)}
+            for node in ast.walk(func):
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                    operands = [node.left, node.right]
+                elif isinstance(node, ast.Call) and getattr(
+                        node.func, "attr", getattr(node.func, "id", None)) in PRODUCT_CALLS:
+                    operands = node.args
+                else:
+                    continue
+                if any(reads_matrix(operand, names) for operand in operands):
+                    found.add(f"{path.stem}.{func.name}")
+    return found
+
+
+def test_outcome_images_have_one_rule():
+    sign_rows = {
+        "instances.images",                         # M x of each outcome x: the rule
+        "enumeration.brute_force_min_discrepancy",  # one GEMM over all 2^n sign vectors
+        "smoothed.inner_hit_probability",           # M + R is no Instance; thresholded
+    }
+    # these multiply M's columns by walk or basis directions, not by sign rows
+    directions = {"ortho.decompose_stack", "ortho.variance_proxy_batch",
+                  "ortho.direction_expansion_residual"}
+    assert matrix_products() == sign_rows | directions
+
+
 @pytest.mark.parametrize("name", ["sched_getaffinity", "cpu_count"])
 def test_core_count_has_one_rule(name):
     assert calls_outside({name}, {"usable_cores"}, reads=True) == []
@@ -183,10 +227,6 @@ def test_package_import_loads_no_submodule():
     assert not {"gswalk.harness", "concurrent.futures"} & loaded
 
 
-def test_harness_imports_the_pool_only_to_start_one():
-    assert "concurrent.futures" not in modules_after("import gswalk.harness")
-
-
 def test_inequalities_import_the_pool_only_to_start_one():
     assert "concurrent.futures" not in modules_after("import gswalk.inequalities")
 
@@ -197,12 +237,34 @@ def test_smoothed_import_leaves_the_walk_stack_unloaded():
     assert not {"gswalk.walk", "gswalk.ortho", "gswalk.enumeration"} & loaded
 
 
-def test_command_loads_only_what_it_runs():
-    loaded = modules_after(
-        "from gswalk.cli import main; "
-        "main(['check-ineq', '--which', 'hoeffding', '--grid-step', '0.1'])")
-    assert "gswalk.inequalities" in loaded
-    assert not {"gswalk.enumeration", "gswalk.harness", "gswalk.smoothed"} & loaded
+# The gswalk modules each benchmarked command loads.  Without __pycache__, as
+# under PYTHONDONTWRITEBYTECODE=1, a process compiles each of them from source.
+BASE = {"gswalk", "gswalk.cli", "gswalk.exceptions", "gswalk.instances"}
+WALK_STACK = BASE | {"gswalk.walk", "gswalk.ortho", "gswalk.enumeration"}
+COMMAND_MODULES = {
+    "mc": (["mc", "--instance", "{instance}", "--runs", "20", "--threads", "1",
+            "--out", "{tmp}/runs.json"], WALK_STACK | {"gswalk.harness", "gswalk.inequalities"}),
+    "oracle": (["oracle", "--instance", "{instance}", "--check", "all"], WALK_STACK),
+    "smoothed": (["smoothed", "--instance", "{instance}", "--r-trials", "5"],
+                 WALK_STACK | {"gswalk.smoothed"}),
+    **{which: (["check-ineq", "--which", which, "--grid-step", "0.1"],
+               BASE | {"gswalk.inequalities"}) for which in ("lemma1", "hoeffding", "cosh")},
+    "comparison": (["check-ineq", "--which", "comparison", "--trials", "5"],
+                   BASE | {"gswalk.smoothed"}),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_command_loads_only_what_it_runs(tmp_path, command):
+    from gswalk.instances import generate_instance, save_instance
+    instance = tmp_path / "instance.txt"
+    save_instance(generate_instance("random_unit_sphere", 3, 7, 1), instance)
+    argv, modules = COMMAND_MODULES[command]
+    argv = [arg.format(instance=instance, tmp=tmp_path) for arg in argv]
+    loaded = modules_after(f"from gswalk.cli import main; main({argv!r})")
+    assert {name for name in loaded if name.split(".")[0] == "gswalk"} == modules
+    if command == "mc":     # harness forks its workers and imports no pool
+        assert "concurrent.futures" not in loaded
 
 
 def test_commands_leave_numpy_ma_unloaded(tmp_path):
