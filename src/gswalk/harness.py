@@ -6,16 +6,17 @@ are the values ``stream_rng(seed, r).random(n)`` gives, computed in bulk by
 ``_stream_uniforms`` and pinned bitwise by a test.  The per-run CSV is
 the canonical record; ``RunStats`` holds its columns from the sampler through
 the fork split to ``parse_csv``, and the JSON report aggregates it.  The split
-cuts the runs into at most ``usable_cores()`` index ranges: the calling
-process walks the first, and one forked child walks each of the others and
-pickles its columns back through a pipe.
+cuts the runs into at most ``usable_cores()`` index ranges of even size, and
+no more ranges than chunks: the calling process walks the first, and one
+forked child walks each of the others and pickles its columns back through
+a pipe.
 
 Runs advance together as rows, a chunk at a time, with the arithmetic of a
 plain ``run_walk``, so every value is unchanged, and fill their range's
-preallocated columns.  At each depth the active rows go to one
-``walk.stacked_directions`` call, which solves each distinct set once.  A run
-keeps only the step at which each coordinate froze; a chunk's distinct freeze
-sequences (``distinct_rows``) are decomposed in one ``ortho.decompose_stack``.
+preallocated columns.  A row holds its coloring on its active set, and
+each distinct set is solved once per depth.  A run keeps only the step at
+which each coordinate froze; a chunk's distinct freeze sequences
+(``distinct_rows``) are decomposed in one ``ortho.decompose_stack``.
 """
 from __future__ import annotations
 
@@ -82,25 +83,31 @@ def _walk_rows(inst: Instance, draws: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Walk each row to completion, step t of row i taking ``draws[i, t - 1]``.
 
     Returns the final colorings (g, n) and, per coordinate, the step that
-    froze it (g, n).  At each depth the active sets of the rows still
-    walking get their directions from one ``walk.stacked_directions`` call,
-    and every row then steps in one pass along its own.
+    froze it (g, n).  The rows still walking form groups of one active
+    count k: their ids, sorted active sets (g', k) and colorings on them
+    (g', k).  At each depth a group solves each distinct set once and steps;
+    frozen coordinates are written out and dropped, and the rows regroup.
     """
     g, n = draws.shape
     x = np.zeros((g, n))
-    active = np.ones((g, n), dtype=bool)
     when = np.zeros((g, n), dtype=np.int32)
-    live = np.arange(g)
-    t = 0
-    while live.size:
-        act = active[live]
-        u = walk.stacked_directions(inst, act)
-        moved, froze, *_ = walk.step_rows(x[live], u, draws[live, t], act)
-        t += 1
-        x[live] = moved
-        active[live] = act ^ froze      # froze lies within act
-        when[live] += t * froze
-        live = live[active[live].any(axis=1)]
+    groups = [(np.arange(g), np.tile(np.arange(n, dtype=np.int32), (g, 1)), np.zeros((g, n)))]
+    for t in range(1, n + 1):           # every row has frozen by step n
+        parts: dict[int, list] = {}
+        for ids, sets, col in groups:
+            first, number = distinct_rows(sets)
+            coef = walk.min_norm_coefficients(inst, sets[first])
+            col, froze, *_ = walk.step_rows(col, coef[number], draws[ids, t - 1], True)
+            row, at = froze.nonzero()
+            x[ids[row], sets[row, at]] = col[row, at]
+            when[ids[row], sets[row, at]] = t
+            left = sets.shape[1] - np.bincount(row, minlength=ids.size)
+            for k in set(left.tolist()) - {0}:
+                same = np.flatnonzero(left == k)
+                kept = ~froze[same]
+                parts.setdefault(k, []).append(
+                    (ids[same], sets[same][kept].reshape(-1, k), col[same][kept].reshape(-1, k)))
+        groups = [tuple(map(np.concatenate, zip(*part))) for part in parts.values()]
     return x, when
 
 
@@ -170,8 +177,13 @@ def _stream_uniforms(seed: int, keys: np.ndarray, n: int) -> np.ndarray:
     return (x >> 11) * 2.0 ** -53
 
 
+def _chunk_runs(inst: Instance) -> int:
+    """The runs of one lockstep chunk."""
+    return max(1, CHUNK_FLOATS // (inst.n * inst.d))
+
+
 def _run_range(inst: Instance, master_seed: int, start: int, stop: int) -> RunStats:
-    chunk = max(1, CHUNK_FLOATS // (inst.n * inst.d))
+    chunk = _chunk_runs(inst)
     runs = stop - start
     out = RunStats(np.arange(start, stop), np.empty(runs), np.empty(runs, dtype=int),
                    np.empty(runs), np.empty((runs, inst.n)))
@@ -219,7 +231,8 @@ def _fork_range(inst: Instance, master_seed: int, start: int, stop: int) -> tupl
 
 def run_experiment(inst: Instance, runs: int, master_seed: int,
                    workers: int = 1) -> RunStats:
-    """Independent seeded walk runs, sorted by index, on <= usable_cores() processes;
+    """Independent seeded walk runs, sorted by index, on min(workers,
+    usable_cores(), chunks) processes, as a chunk's runs share their solves;
     at most 2**32 runs, so that every run index is one 32-bit stream key.
 
     A forked child's exception is raised here with its class and message; a
@@ -232,8 +245,8 @@ def run_experiment(inst: Instance, runs: int, master_seed: int,
         raise ParameterError(f"master seed must be >= 0, got {master_seed}")
     if workers < 1:
         raise ParameterError(f"worker count must be >= 1, got {workers}")
-    workers = min(workers, usable_cores())
-    if workers <= 1 or runs < 4 * workers or not hasattr(os, "fork"):
+    workers = min(workers, usable_cores(), -(-runs // _chunk_runs(inst)))
+    if workers <= 1 or not hasattr(os, "fork"):
         return _run_range(inst, master_seed, 0, runs)
     bounds = np.linspace(0, runs, workers + 1).astype(int).tolist()
     children = []       # (pid, read end, start, stop) of each child not yet reaped

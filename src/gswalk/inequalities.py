@@ -94,7 +94,8 @@ def theorem1_bound(inputs: BoundInputs) -> float:
 def lemma1_grid_min(step: float = 0.01) -> float:
     """Minimum lemma gap over the x in [-X_LIM, X_LIM], a,b in [-AB_LIM, AB_LIM] grid;
     one band of rows a per usable core is swept on its own thread (numpy's
-    ufuncs release the GIL), and the least band minimum is the exact minimum.
+    ufuncs release the GIL), a single band on the calling one, and the least
+    band minimum is the exact minimum.
     The axes are mirrored, so gap(-x, -a, -b) == gap(x, a, b) bitwise: x >= 0 suffices."""
     _check_grid(step, 2 * X_LIM, 2 * AB_LIM, 2 * AB_LIM)
     xs, ab = _grid(-X_LIM, X_LIM, step), _grid(-AB_LIM, AB_LIM, step)
@@ -104,6 +105,8 @@ def lemma1_grid_min(step: float = 0.01) -> float:
         return min(float(gap.min()) for gap in lemma1_sweep(xs, a, ab))
 
     bands = np.array_split(ab, min(usable_cores(), len(ab)))
+    if len(bands) == 1:             # no thread, nor the pool's import, for one band
+        return band_min(ab)
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=len(bands)) as pool:
         return min(pool.map(band_min, bands))

@@ -6,16 +6,16 @@ direction of minimum residual norm, and steps to one endpoint of the feasible
 interval with the mean-zero choice of probabilities.  Coordinates reaching
 +-1 are snapped exactly and frozen.
 
-The step works on rows of colorings.  ``min_norm_directions`` solves the
-directions of several active sets of one size at once, and
-``stacked_directions`` gives one direction per row of active sets of any
-sizes, solving each distinct set once, one stack per size;
+The step works on rows of colorings.  ``min_norm_coefficients`` solves
+several active sets of one size at once, ``min_norm_directions`` scatters
+them into directions, and ``stacked_directions`` gives one direction per row
+of active sets of any sizes, solving each distinct set once.
 ``feasible_interval``, ``move`` and ``step_rows`` take rows with one
 direction each or one shared by all, with the bits of one call per row.
-Monte Carlo sampling advances its runs as rows and exact enumeration the
-nodes of one depth, both passing every row to ``stacked_directions``;
-``walk_path`` is the one-row case, on the draws of ``run_walk``'s
-generator or of an enumerated leaf's path code.
+Exact enumeration passes the nodes of a depth to ``stacked_directions``;
+Monte Carlo steps each run's coloring on its active set along the
+coefficients; ``walk_path`` is the one-row case, on the draws of
+``run_walk``'s generator or of an enumerated leaf's path code.
 """
 from __future__ import annotations
 
@@ -73,17 +73,28 @@ def min_norm_direction(inst: Instance, active, pivot: int) -> np.ndarray:
 
 
 def min_norm_directions(inst: Instance, sets: np.ndarray) -> np.ndarray:
-    """Directions (g, n) of g active sets of one size, given as rows (g, k) of
-    indices with the pivot last.
+    """Directions (g, n) of g active sets (g, k): ``min_norm_coefficients``
+    scattered into zero rows."""
+    coef = min_norm_coefficients(inst, sets)
+    u = np.zeros((len(sets), inst.n))
+    # one index array into the flat rows is the cheapest scatter
+    u.reshape(-1)[sets + np.arange(0, u.size, inst.n)[:, None]] = coef
+    return u
 
-    Row i has u[pivot] = 1, support in ``sets[i]`` and minimizes ||M u||_2.
-    The coefficients on the other columns solve a least-squares problem;
-    under rank deficiency the minimum-norm solution is taken (SVD cutoff
-    ``RANK_RCOND`` relative to the top singular value), which makes each row
-    a pure function of its set.  When there are more other columns than rows
-    and they are well conditioned (``_gram_solve``), the same minimum-norm
-    solution comes from the d x d Gram matrix instead of an SVD; the sets of
-    one call share those products and eigendecompositions as stacks.
+
+def min_norm_coefficients(inst: Instance, sets: np.ndarray) -> np.ndarray:
+    """Coefficients (g, k) of g active sets of one size, given as rows (g, k)
+    of indices with the pivot last.
+
+    Row i is u[sets[i]] of the u with u[pivot] = 1 and support in ``sets[i]``
+    that minimizes ||M u||_2.  The coefficients on the other columns solve a
+    least-squares problem; under rank deficiency the minimum-norm solution
+    is taken (SVD cutoff ``RANK_RCOND`` relative to the top singular value),
+    which makes each row a pure function of its set.  When there are more
+    other columns than rows and they are well conditioned (``_gram_solve``),
+    the same minimum-norm solution comes from the d x d Gram matrix instead
+    of an SVD; the sets of one call share those products and
+    eigendecompositions as stacks.
     """
     g, k = sets.shape
     coef = np.empty((g, k))
@@ -97,10 +108,7 @@ def min_norm_directions(inst: Instance, sets: np.ndarray) -> np.ndarray:
         left = _gram_solve(at, target, coef[:, :-1]) if k - 1 > inst.d else range(g)
         for i in left:
             coef[i, :-1] = np.linalg.lstsq(at[i].T, target[i], rcond=RANK_RCOND)[0]
-    u = np.zeros((g, inst.n))
-    # one index array into the flat rows is the cheapest scatter
-    u.reshape(-1)[sets + np.arange(0, u.size, inst.n)[:, None]] = coef
-    return u
+    return coef
 
 
 def stacked_directions(inst: Instance, active: np.ndarray) -> np.ndarray:
@@ -168,10 +176,10 @@ def move(x: np.ndarray, u: np.ndarray, chosen_delta,
          active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x + chosen_delta*u with the coordinates within ``FREEZE_TOL`` of +-1
     snapped onto the boundary, and the mask of the ``active`` coordinates
-    that froze.  ``active`` is a boolean mask of x's shape, or of one row
-    shared by all.  Rows x (g, n) move by a column chosen_delta (g, 1) along
-    one u (n,) or one row of u (g, n) each.  Every row must freeze a
-    coordinate.
+    that froze.  ``active`` is a boolean mask of x's shape, of one row
+    shared by all, or True for all.  Rows x (g, n) move by a column
+    chosen_delta (g, 1) along one u (n,) or one row of u (g, n) each.  Every
+    row must freeze a coordinate.
     """
     moved = chosen_delta * u
     moved += x

@@ -1,4 +1,5 @@
 """Functions that only the tests read, kept out of the package's source."""
+import os
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -10,6 +11,20 @@ from gswalk.inequalities import _check_exponent, two_point_moment
 from gswalk.instances import Instance
 from gswalk.ortho import ZERO_RESIDUAL_RTOL, OrthoDecomposition
 from gswalk.walk import WalkTrace
+
+
+def counting_forks(monkeypatch) -> list[int]:
+    """Patch ``os.fork`` to record, in the calling process, each child's pid."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
 
 
 def replay(trace: WalkTrace) -> np.ndarray:

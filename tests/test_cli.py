@@ -12,6 +12,7 @@ import pytest
 from gswalk import cli, enumeration, inequalities
 from gswalk.cli import main
 from gswalk.instances import generate_instance, load_instance, save_instance
+from helpers import counting_forks
 
 
 @pytest.fixture
@@ -352,7 +353,8 @@ class TestDomainErrors:
         # d/(sigma^2 n) so large that a tilt weight exp(d s/(2 sigma^2 n)) overflows
         ["smoothed", "--instance", "{tmp}/big.txt", "--r-trials", "3",
          "--out", "{tmp}/s.json"],
-        # the forked worker of runs 32 to 63 is killed mid-run (patched below)
+        # the forked worker of runs 32 to 63, the second of two chunks, is
+        # killed mid-run (patched below)
         ["mc", "--instance", "{id4}", "--runs", "64", "--threads", "2",
          "--out", "{tmp}/s.json"],
     ])
@@ -367,6 +369,8 @@ class TestDomainErrors:
 
         monkeypatch.setattr(harness, "_run_range", killed_if_forked)
         monkeypatch.setattr(harness, "usable_cores", lambda: 2)
+        monkeypatch.setattr(harness, "CHUNK_FLOATS", 32 * 4 * 4)   # 32 runs of id4
+        pids = counting_forks(monkeypatch)
         (tmp_path / "latin1.txt").write_bytes(b"2 2\n1 0\n0 1\n# caf\xe9\n")
         (tmp_path / "latin1.json").write_bytes(b'{"runs": 1, "caf\xe9": 2}\n')
         save_instance(generate_instance("random_unit_sphere", 2000, 4, 1),
@@ -379,6 +383,8 @@ class TestDomainErrors:
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not (tmp_path / "s.json").exists()
+        threads = argv[argv.index("--threads") + 1] if "--threads" in argv else None
+        assert len(pids) == int(threads == "2")
 
     @pytest.mark.parametrize("option", [["--epsilon", "0"], ["--kappa", "1e6"]])
     def test_zero_epsilon_reports(self, rand24, tmp_path, option):

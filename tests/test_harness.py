@@ -22,13 +22,16 @@ from gswalk.instances import Instance, generate_instance, stream_rng
 from gswalk.ortho import basis_variance_proxies, decompose
 from gswalk.walk import run_walk
 from conftest import make_columns
+from helpers import counting_forks
 
 # the instances run_experiment meets in the acceptance suite, plus the
 # degenerate kinds
 LOCKSTEP_CASES = [("identity", 4, 4, 0), ("random_unit_sphere", 8, 8, 4000),
                   ("random_unit_sphere", 8, 8, 77), ("random_unit_sphere", 3, 5, 33),
                   ("random_unit_sphere", 2, 4, 17), ("duplicated_column", 3, 6, 0),
-                  ("sign_columns", 4, 8, 1)]
+                  ("sign_columns", 4, 8, 1),
+                  # wide: the rows share one active set at most depths
+                  ("random_unit_sphere", 8, 128, 3)]
 
 
 def reference_stats(inst, runs: int, master_seed: int) -> tuple[RunStats, np.ndarray]:
@@ -94,18 +97,9 @@ def family_instance(family: str, seed: int) -> Instance:
     return Instance(m)
 
 
-def counting_forks(monkeypatch) -> list[int]:
-    """Patch ``os.fork`` to record, in the calling process, each child's pid."""
-    pids, fork = [], os.fork
-
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
+def chunks_of(monkeypatch, inst, runs: int) -> None:
+    """Patch ``harness.CHUNK_FLOATS`` so that a chunk of ``inst`` holds ``runs`` runs."""
+    monkeypatch.setattr(harness, "CHUNK_FLOATS", runs * inst.n * inst.d)
 
 
 def failing_range(monkeypatch, fail) -> None:
@@ -147,17 +141,25 @@ class TestRunExperiment:
         assert np.array_equal(short.discrepancy, long.discrepancy[:20])
         assert np.array_equal(short.signs, long.signs[:20])
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        # two chunks of 32 runs on two usable cores: one forked child
         inst = generate_instance("random_unit_sphere", 3, 5, 2)
+        chunks_of(monkeypatch, inst, 32)
+        monkeypatch.setattr(harness, "usable_cores", lambda: 2)
+        pids = counting_forks(monkeypatch)
         serial = stats_to_csv(run_experiment(inst, 64, 3, workers=1))
+        assert pids == []
         parallel = stats_to_csv(run_experiment(inst, 64, 3, workers=2))
+        assert len(pids) == 1
         assert serial == parallel
 
     def test_pool_capped_at_cpu_count(self, monkeypatch):
-        # three usable cores: the caller walks one range and forks two children
+        # three usable cores and four chunks: the caller walks one range and
+        # forks two children
         pids = counting_forks(monkeypatch)
         monkeypatch.setattr(harness, "usable_cores", lambda: 3)
         inst = generate_instance("random_unit_sphere", 3, 5, 2)
+        chunks_of(monkeypatch, inst, 500)
         capped = stats_to_csv(run_experiment(inst, 2000, 3, workers=500))
         assert len(pids) == 2
         assert capped == stats_to_csv(run_experiment(inst, 2000, 3, workers=1))
@@ -172,6 +174,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "usable_cores", lambda: 2)
         pids = counting_forks(monkeypatch)
         inst = generate_instance("random_unit_sphere", 3, 5, 2)
+        chunks_of(monkeypatch, inst, 32)
         raised = []
         for workers in (1, 2):
             with pytest.raises(ContractViolationError) as info:
@@ -187,9 +190,12 @@ class TestRunExperiment:
 
         failing_range(monkeypatch, die)
         monkeypatch.setattr(harness, "usable_cores", lambda: 2)
+        pids = counting_forks(monkeypatch)
         inst = generate_instance("random_unit_sphere", 3, 5, 2)
+        chunks_of(monkeypatch, inst, 32)
         with pytest.raises(ChildProcessError, match=r"runs 32 to 63 .*wait status 9"):
             run_experiment(inst, 64, 3, workers=2)
+        assert len(pids) == 1
 
     def test_children_reaped_when_the_callers_range_raises(self, monkeypatch):
         # the children would walk for a minute; they are killed and reaped
@@ -202,6 +208,7 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "usable_cores", lambda: 3)
         pids = counting_forks(monkeypatch)
         inst = generate_instance("random_unit_sphere", 3, 5, 2)
+        chunks_of(monkeypatch, inst, 16)
         t0 = time.monotonic()
         with pytest.raises(ContractViolationError, match="the caller's range fails"):
             run_experiment(inst, 64, 3, workers=3)
@@ -244,18 +251,40 @@ class TestRunExperiment:
         with pytest.raises(ParameterError, match="seed"):
             run_experiment(inst, 3, -1)
 
-    # sha256 of stats_to_csv before the runs' draws were computed in bulk
+    # sha256 of stats_to_csv before the runs' draws were computed in bulk;
+    # at 8x532, mc-wide's shape, before the rows stepped on their active sets
     @pytest.mark.parametrize("d,n,runs,seed,workers,digest", [
         (8, 8, 3000, 1, 1, "d11593d0fbd009688b693c6cb4d689d51e84f37e59fc0a6ba84086f39efc583c"),
         (8, 8, 3000, 1, 2, "d11593d0fbd009688b693c6cb4d689d51e84f37e59fc0a6ba84086f39efc583c"),
         (8, 8, 40, 2**128 + 1, 1,
          "0a39c620d862c17944b7af23ea53a191b7f7f8ea53f7aa10d7892ac59ef424e7"),
         (8, 64, 30, 1, 1, "27b6b174a4bb9542ef1065366f1763071c3732ea3db451440f25f97bf176bdc2"),
+        (8, 532, 24, 1, 1, "676dfd95d3f6b33be57db4964c58dd1ea3f6cb9daeb1bf13490abf5d7b3c6e23"),
+        (8, 532, 24, 1, 2, "676dfd95d3f6b33be57db4964c58dd1ea3f6cb9daeb1bf13490abf5d7b3c6e23"),
     ])
-    def test_csv_bytes_pinned(self, d, n, runs, seed, workers, digest):
+    def test_csv_bytes_pinned(self, monkeypatch, d, n, runs, seed, workers, digest):
+        # on two usable cores, workers=2 forks a child only for 3000 runs at
+        # 8x8, two chunks of 2048; 24 runs at 8x532 fill one chunk, whose
+        # rows share each depth's solves, and fork none
+        monkeypatch.setattr(harness, "usable_cores", lambda: 2)
+        pids = counting_forks(monkeypatch)
         inst = generate_instance("random_unit_sphere", d, n, 1)
         text = stats_to_csv(run_experiment(inst, runs, seed, workers=workers))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert len(pids) == int(workers == 2 and runs == 3000)
+
+    @pytest.mark.parametrize("cores", [2, 3])
+    @pytest.mark.parametrize("chunks", [1, 2, 3, 5])
+    def test_no_more_children_than_chunks(self, monkeypatch, cores, chunks):
+        # 40 runs in chunks of ceil(40 / chunks) runs fill ``chunks`` chunks;
+        # the ranges split the runs evenly, not at chunk boundaries
+        inst = generate_instance("random_unit_sphere", 3, 5, 2)
+        chunks_of(monkeypatch, inst, -(-40 // chunks))
+        monkeypatch.setattr(harness, "usable_cores", lambda: cores)
+        pids = counting_forks(monkeypatch)
+        stats = run_experiment(inst, 40, 3, workers=8)
+        assert len(pids) == min(cores, chunks) - 1
+        assert np.array_equal(stats.run_index, np.arange(40))
 
 
 def assert_stream_uniforms(seed: int, keys, n: int) -> None:
@@ -297,9 +326,14 @@ class TestLockstep:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kind,d,n,seed", LOCKSTEP_CASES)
-    def test_matches_uncached_walk(self, kind, d, n, seed, workers):
+    def test_matches_uncached_walk(self, monkeypatch, kind, d, n, seed, workers):
         inst = generate_instance(kind, d, n, seed)
+        if workers == 2:    # three chunks of 100 runs on two usable cores: one child
+            chunks_of(monkeypatch, inst, 100)
+            monkeypatch.setattr(harness, "usable_cores", lambda: 2)
+        pids = counting_forks(monkeypatch)
         stats = run_experiment(inst, 300, 5 + seed, workers=workers)
+        assert len(pids) == workers - 1
         assert np.array_equal(stats.run_index, np.arange(300))
         assert_matches_reference(stats, inst, 5 + seed)
 

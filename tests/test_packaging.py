@@ -70,7 +70,11 @@ def test_files_go_through_the_text_helpers():
 
 
 def test_directions_have_one_solve_path():
-    assert calls_outside({"lstsq", "eigh"}, {"min_norm_directions", "_gram_solve"}) == []
+    assert calls_outside({"lstsq", "eigh"}, {"min_norm_coefficients", "_gram_solve"}) == []
+
+
+def test_chunk_size_has_one_rule():
+    assert calls_outside({"CHUNK_FLOATS"}, {"_chunk_runs"}, reads=True) == []
 
 
 def test_decompositions_have_one_builder():
@@ -231,6 +235,15 @@ def test_inequalities_import_the_pool_only_to_start_one():
     assert "concurrent.futures" not in modules_after("import gswalk.inequalities")
 
 
+def test_lemma1_on_one_core_starts_no_pool():
+    # one usable core sweeps its single band on the calling thread
+    loaded = modules_after(
+        "from gswalk import inequalities; inequalities.usable_cores = lambda: 1; "
+        "from gswalk.cli import main; "
+        "main(['check-ineq', '--which', 'lemma1', '--grid-step', '0.1'])")
+    assert "gswalk.inequalities" in loaded and "concurrent.futures" not in loaded
+
+
 def test_smoothed_import_leaves_the_walk_stack_unloaded():
     loaded = modules_after("import gswalk.smoothed")
     assert "gswalk.smoothed" in loaded
@@ -296,16 +309,20 @@ def test_mc_leaves_numpy_random_unloaded(tmp_path, fmt):
 
 
 def test_mc_split_leaves_the_process_pool_unloaded(tmp_path):
-    # mc forks its workers, on two usable cores whatever the host has;
-    # importing concurrent.futures.process and multiprocessing cost about 36 ms
+    # mc forks its workers, on two usable cores whatever the host has, here
+    # one child for the second of two chunks of 20 runs; importing
+    # concurrent.futures.process and multiprocessing cost about 36 ms
     from gswalk.instances import generate_instance, save_instance
     path = str(tmp_path / "instance.txt")
     save_instance(generate_instance("random_unit_sphere", 4, 9, 1), path)
     loaded = modules_after(
-        "from gswalk import harness; harness.usable_cores = lambda: 2; "
+        "import os; from gswalk import harness; harness.usable_cores = lambda: 2; "
+        "harness.CHUNK_FLOATS = 20 * 9 * 4; forks, fork = [], os.fork; "
+        "os.fork = lambda: forks.append(1) or fork(); "
         "from gswalk.cli import main; "
         f"main(['mc', '--instance', {path!r}, '--runs', '40', '--threads', '2', "
-        f"'--out', {str(tmp_path / 'runs.csv')!r}, '--format', 'csv'])")
+        f"'--out', {str(tmp_path / 'runs.csv')!r}, '--format', 'csv']); "
+        "assert forks == [1], forks")
     assert "gswalk.harness" in loaded
     assert not {"concurrent.futures", "multiprocessing"} & loaded
 
