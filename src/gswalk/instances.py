@@ -101,6 +101,9 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     appearance, and each row's number among them; rows are equal when their
     bytes are.  ``rows[first][number]`` is ``rows``."""
     rows = np.ascontiguousarray(rows)
+    raw = rows.view(np.uint8)
+    if len(rows) and (raw == raw[0]).all():
+        return np.zeros(1, dtype=np.intp), np.zeros(len(rows), dtype=np.intp)
     # index outputs keep np.unique from importing numpy.ma
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
     _, first, number = np.unique(keys, return_index=True, return_inverse=True)

@@ -24,6 +24,11 @@ from gswalk.walk import run_walk
 from conftest import make_columns
 from helpers import counting_forks
 
+# kind, d, n, seed: the runs of ``TestLockstep``, seeded 5 + seed, leave
+# the pivot chain at depth 1 (several coordinates freezing), at the first
+# size of a block of prefix rows (n > 2 PREFIX_BLOCK), or never
+CHAIN_CASES = [("sign_columns", 4, 6, 1), ("random_unit_sphere", 4, 40, 1),
+               ("identity", 40, 40, 0)]
 # the instances run_experiment meets in the acceptance suite, plus the
 # degenerate kinds
 LOCKSTEP_CASES = [("identity", 4, 4, 0), ("random_unit_sphere", 8, 8, 4000),
@@ -31,7 +36,11 @@ LOCKSTEP_CASES = [("identity", 4, 4, 0), ("random_unit_sphere", 8, 8, 4000),
                   ("random_unit_sphere", 2, 4, 17), ("duplicated_column", 3, 6, 0),
                   ("sign_columns", 4, 8, 1),
                   # wide: the rows share one active set at most depths
-                  ("random_unit_sphere", 8, 128, 3)]
+                  ("random_unit_sphere", 8, 128, 3),
+                  # the pivot chain: every row leaves it at depth 1, freezing
+                  # several coordinates; rows leave it as a new block of
+                  # prefix rows is solved; no row ever leaves it
+                  *CHAIN_CASES]
 
 
 def reference_stats(inst, runs: int, master_seed: int) -> tuple[RunStats, np.ndarray]:
@@ -337,6 +346,25 @@ class TestLockstep:
         assert np.array_equal(stats.run_index, np.arange(300))
         assert_matches_reference(stats, inst, 5 + seed)
 
+    @pytest.mark.parametrize("case", range(len(CHAIN_CASES)))
+    def test_chain_cases_leave_where_stated(self, case):
+        # the active count at the step where each run first froze more than
+        # its pivot, or other than its pivot; 0 when it never did
+        kind, d, n, seed = CHAIN_CASES[case]
+        inst = generate_instance(kind, d, n, seed)
+        _, when = harness._walk_rows(inst, harness._stream_uniforms(5 + seed, np.arange(300), n))
+        counts = np.array([np.bincount(row, minlength=n + 1) for row in when])
+        on = (when[:, ::-1] == np.arange(1, n + 1)) & (counts[:, 1:] == 1)
+        exits = np.where(on.all(axis=1), 0, n - np.argmin(on, axis=1))
+        block = harness.PREFIX_BLOCK
+        if case == 0:
+            assert (exits == n).all() and ((when == 1).sum(axis=1) > 1).all()
+        elif case == 1:
+            assert n > 2 * block
+            assert np.isin(exits, np.arange(n - block, 0, -block)).any()
+        else:
+            assert n > 2 * block and (exits == 0).all()
+
     def test_runs_do_not_share_arrays(self):
         # writing into one experiment's columns leaves a second one unchanged
         inst = generate_instance("identity", 3, 3, 0)
@@ -375,6 +403,20 @@ class TestLockstep:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    def test_memory_keeps_prefix_blocks_small(self):
+        # the pivot chain's prefix rows are solved PREFIX_BLOCK sizes at a
+        # time; all n of them at once would take half a dense n x n table
+        # (16 MB here), and the bound is an eighth of one
+        inst = generate_instance("random_unit_sphere", 4, 2000, 1)
+        run_experiment(inst, 1, 0)
+        tracemalloc.start()
+        try:
+            run_experiment(inst, 2, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < inst.n * inst.n
 
     def test_memory_bounded_in_runs(self):
         # what a chunk keeps is freed with it: beyond the returned statistics,

@@ -263,6 +263,16 @@ class TestSharedRules:
         assert number.tolist() == want
         assert first.tolist() == [want.index(k) for k in range(len(seen))]
         assert rows[first][number].tobytes() == rows.tobytes()
+        # every row equal by its bytes; a float row that differs only in the
+        # sign of a zero is another row
+        same_first, same_number = distinct_rows(np.repeat(rows[-1:], m, axis=0))
+        assert same_first.tolist() == [0] and same_number.tolist() == [0] * m
+        for index in (first, number, same_first, same_number):
+            assert index.dtype == np.intp
+        if dtype is float:
+            signed = np.zeros((m + 1, 5))
+            signed[1:, 2] = -0.0
+            assert distinct_rows(signed)[1].tolist() == [0] + [1] * m
 
     @pytest.mark.parametrize("values, total", [([], 0.0), ([0.25], 0.25),
                                                # fsum and 3.12's sum() give 1.0

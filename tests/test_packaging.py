@@ -150,9 +150,10 @@ def test_outcome_images_have_one_rule():
         "enumeration.brute_force_min_discrepancy",  # one GEMM over all 2^n sign vectors
         "smoothed.inner_hit_probability",           # M + R is no Instance; thresholded
     }
-    # these multiply M's columns by walk or basis directions, not by sign rows
+    # these multiply M's columns by walk or basis directions, or by each
+    # other and by solve weights in a direction solve, not by sign rows
     directions = {"ortho.decompose_stack", "ortho.variance_proxy_batch",
-                  "ortho.direction_expansion_residual"}
+                  "ortho.direction_expansion_residual", "walk.prefix_coefficients"}
     assert matrix_products() == sign_rows | directions
 
 
@@ -257,6 +258,10 @@ WALK_STACK = BASE | {"gswalk.walk", "gswalk.ortho", "gswalk.enumeration"}
 COMMAND_MODULES = {
     "mc": (["mc", "--instance", "{instance}", "--runs", "20", "--threads", "1",
             "--out", "{tmp}/runs.json"], WALK_STACK | {"gswalk.harness", "gswalk.inequalities"}),
+    # past n = 20 the report has no brute-force optimum to import
+    "mc-wide": (["mc", "--instance", "{instance}", "--runs", "20", "--threads", "1",
+                 "--out", "{tmp}/runs.json"],
+                WALK_STACK - {"gswalk.enumeration"} | {"gswalk.harness", "gswalk.inequalities"}),
     "oracle": (["oracle", "--instance", "{instance}", "--check", "all"], WALK_STACK),
     "smoothed": (["smoothed", "--instance", "{instance}", "--r-trials", "5"],
                  WALK_STACK | {"gswalk.smoothed"}),
@@ -271,12 +276,13 @@ COMMAND_MODULES = {
 def test_command_loads_only_what_it_runs(tmp_path, command):
     from gswalk.instances import generate_instance, save_instance
     instance = tmp_path / "instance.txt"
-    save_instance(generate_instance("random_unit_sphere", 3, 7, 1), instance)
+    save_instance(generate_instance("random_unit_sphere", 3, 24 if command == "mc-wide" else 7, 1),
+                  instance)
     argv, modules = COMMAND_MODULES[command]
     argv = [arg.format(instance=instance, tmp=tmp_path) for arg in argv]
     loaded = modules_after(f"from gswalk.cli import main; main({argv!r})")
     assert {name for name in loaded if name.split(".")[0] == "gswalk"} == modules
-    if command == "mc":     # harness forks its workers and imports no pool
+    if command.startswith("mc"):    # harness forks its workers and imports no pool
         assert "concurrent.futures" not in loaded
 
 
