@@ -15,10 +15,9 @@ Runs advance together as rows, a chunk at a time, with the arithmetic of a
 plain ``run_walk``, so every value is unchanged, and fill their range's
 preallocated columns.  A row holds its coloring on its active set.  While
 a run freezes only its pivot, that set is the prefix {0, ..., n - t}, which
-every such row shares: these rows step along one row of
-``walk.prefix_coefficients``, solved a block of sizes at a time.  Every
-other row is in a group of one active count, and each distinct set is
-solved once per depth.  A run keeps only the step at
+every such row shares: these rows step along that set's one row of
+coefficients.  Every other row is in a group of one active count, and each
+distinct set is solved once per depth.  A run keeps only the step at
 which each coordinate froze; a chunk's distinct freeze sequences
 (``distinct_rows``) are decomposed in one ``ortho.decompose_stack``.
 """
@@ -46,9 +45,6 @@ TAIL_GRID = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
 # A chunk holds max(1, CHUNK_FLOATS // (n d)) runs, so that its gather of
 # other active columns, (rows, k - 1, d) floats, stays under 1 MiB.
 CHUNK_FLOATS = 1 << 17
-# The prefix sets {0, ..., k - 1} solved at a time for the runs still on the
-# pivot chain: a block holds PREFIX_BLOCK rows of at most n floats.
-PREFIX_BLOCK = 16
 CSV_HEADER = "run_index,discrepancy,hatT,maxZ,final_X"
 SIGN_TOKENS = {"+1": 1.0, "-1": -1.0}
 # numpy's SeedSequence hash constants and multipliers, and PCG64's multiplier
@@ -91,29 +87,28 @@ def _walk_rows(inst: Instance, draws: np.ndarray) -> tuple[np.ndarray, np.ndarra
     Returns the final colorings (g, n) and, per coordinate, the step that
     froze it (g, n).  A row that has frozen only its pivots is on the chain:
     its active set is the prefix {0, ..., n - t}, shared by every such row,
-    so the chain keeps only ids and colorings and steps along one row of
-    ``walk.prefix_coefficients``, solved ``PREFIX_BLOCK`` sizes at a time.
-    Every other row is in a group of one active count k: ids, sorted active
-    sets (g', k) and colorings on them (g', k).  At each depth a group
-    solves each distinct set once and steps; frozen coordinates are written
-    out and dropped, and the rows regroup.
+    so the chain keeps only ids and colorings and steps along that set's one
+    row of coefficients.  Every other row is in a group of one active count
+    k: ids, sorted active sets (g', k) and colorings on them (g', k).  At
+    each depth a group solves each distinct set once and steps; frozen
+    coordinates are written out and dropped, and the rows regroup.
     """
     g, n = draws.shape
     x = np.zeros((g, n))
     when = np.zeros((g, n), dtype=np.int32)
-    chain, chain_col, block = np.arange(g), np.zeros((g, n)), {}
+    chain, chain_col = np.arange(g), np.zeros((g, n))
     groups = []
     for t in range(1, n + 1):           # every row has frozen by step n
         parts: dict[int, list] = {}
         k = n - t + 1                   # the chain's active count
         if chain.size:
-            if k not in block:
-                block = walk.prefix_coefficients(inst, range(max(k - PREFIX_BLOCK, 0) + 1, k + 1))
-            col, froze, *_ = walk.step_rows(chain_col, block.pop(k), draws[chain, t - 1], True)
+            prefix = np.arange(k, dtype=np.int32)
+            coef = walk.min_norm_coefficients(inst, prefix[None])[0]
+            col, froze, *_ = walk.step_rows(chain_col, coef, draws[chain, t - 1], True)
             stay = froze[:, -1] & ~froze[:, :-1].any(axis=1)     # only the pivot froze
             if not stay.all():
                 off = ~stay
-                sets = np.broadcast_to(np.arange(k, dtype=np.int32), (np.count_nonzero(off), k))
+                sets = np.broadcast_to(prefix, (np.count_nonzero(off), k))
                 _settle(parts, x, when, t, chain[off], sets, col[off], froze[off])
                 chain, col = chain[stay], col[stay]
             x[chain, k - 1] = col[:, -1]

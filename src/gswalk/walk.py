@@ -10,16 +10,13 @@ The step works on rows of colorings.  ``min_norm_coefficients`` solves
 several active sets of one size at once, ``min_norm_directions`` scatters
 them into directions, and ``stacked_directions`` gives one direction per row
 of active sets of any sizes, solving each distinct set once.
-``prefix_coefficients`` solves the prefix sets {0, ..., k - 1} of a block
-of sizes k in one stack, with the bits of ``min_norm_coefficients``: the
-active sets of a walk that has frozen only its pivots.
 ``feasible_interval``, ``move`` and ``step_rows`` take rows with one
 direction each or one shared by all, with the bits of one call per row.
 Exact enumeration passes the nodes of a depth to ``stacked_directions``;
 Monte Carlo steps each run's coloring on its active set along the
-coefficients, and the runs still on the prefix sets along one shared row;
-``walk_path`` is the one-row case, on the draws of ``run_walk``'s generator
-or of an enumerated leaf's path code.
+coefficients, and the runs that have frozen only their pivots along the
+one row of the prefix set they share; ``walk_path`` is the one-row case, on
+the draws of ``run_walk``'s generator or of an enumerated leaf's path code.
 """
 from __future__ import annotations
 
@@ -109,41 +106,10 @@ def min_norm_coefficients(inst: Instance, sets: np.ndarray) -> np.ndarray:
         # makes the calls, and gets the bits, of a solve for one set
         cols = inst.matrix.T[sets]
         at, target = cols[:, :-1], -cols[:, -1]
-        left = range(g)
-        if k - 1 > inst.d:
-            weights, ok = _gram_solve(at.transpose(0, 2, 1) @ at, target)
-            coef[:, :-1] = (at @ weights)[:, :, 0]
-            left = np.flatnonzero(~ok).tolist()
+        left = _gram_solve(at, target, coef[:, :-1]) if k - 1 > inst.d else range(g)
         for i in left:
             coef[i, :-1] = np.linalg.lstsq(at[i].T, target[i], rcond=RANK_RCOND)[0]
     return coef
-
-
-def prefix_coefficients(inst: Instance, sizes) -> dict[int, np.ndarray]:
-    """The coefficients (k,) of each prefix set {0, ..., k - 1}, k in
-    ``sizes`` (each in [1, n]): the row ``min_norm_coefficients`` gives the
-    set, bit for bit.
-
-    The sizes with more other columns than rows share one stack: each
-    size's Gram matrix and back-product are taken on a slice of one
-    C-contiguous copy of M^T, the layout of the gather in
-    ``min_norm_coefficients``, and all of them go through one stacked
-    ``_gram_solve``.  The other sizes, and the sets the guard refuses, are
-    solved by ``min_norm_coefficients`` itself.
-    """
-    rows = {}
-    wide = [k for k in sizes if k - 1 > inst.d]
-    if wide:
-        mt = np.ascontiguousarray(inst.matrix.T)
-        weights, ok = _gram_solve(np.stack([mt[:k - 1].T @ mt[:k - 1] for k in wide]),
-                                  -mt[np.array(wide) - 1])
-        for k, w, good in zip(wide, weights, ok.tolist()):
-            if good:
-                rows[k] = np.append((mt[:k - 1] @ w)[:, 0], 1.0)
-    for k in sizes:
-        if k not in rows:
-            rows[k] = min_norm_coefficients(inst, np.arange(k)[None])[0]
-    return rows
 
 
 def stacked_directions(inst: Instance, active: np.ndarray) -> np.ndarray:
@@ -162,24 +128,24 @@ def stacked_directions(inst: Instance, active: np.ndarray) -> np.ndarray:
     return u[number]
 
 
-def _gram_solve(gram: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each G = a a^T of the stack ``gram`` (g, d, d) and its ``target``
-    (g, d): the weights G^-1 target (g, d, 1), whose back-product a^T w is
-    the minimum-norm solution c of a c = target, and whether the set passes
-    the guard (g,); a set that fails is left to ``lstsq``, and its weights
-    are to be discarded.
+def _gram_solve(at: np.ndarray, target: np.ndarray, out: np.ndarray) -> list[int]:
+    """Minimum-norm solutions a^T G^-1 target of a c = target, G = a a^T, for
+    the stack a = at[i].T, written into ``out``; returns the sets left to
+    ``lstsq``, whose rows of ``out`` are to be overwritten.
 
-    A set passes when the eigenvalues of its G satisfy
+    A set is left to ``lstsq`` unless the eigenvalues of its G satisfy
     lambda_min > GRAM_GUARD lambda_max.  The singular values of its ``a``
     then lie within a factor 1e-3 of the largest, far above ``RANK_RCOND``,
     so ``lstsq`` would truncate nothing and the two agree to roundoff.
     """
-    lam, vecs = np.linalg.eigh(gram)
+    lam, vecs = np.linalg.eigh(at.transpose(0, 2, 1) @ at)
     ok = lam[:, 0] > GRAM_GUARD * lam[:, -1]
     # each set's products are its own, so a left set's eigenvalues, taken
     # as 1 to keep its discarded row finite, change no other row
     lam = np.where(ok[:, None], lam, 1.0)
-    return vecs @ ((vecs.transpose(0, 2, 1) @ target[:, :, None]) / lam[:, :, None]), ok
+    out[...] = (at @ (vecs @ ((vecs.transpose(0, 2, 1) @ target[:, :, None])
+                              / lam[:, :, None])))[:, :, 0]
+    return np.flatnonzero(~ok).tolist()
 
 
 def feasible_interval(x: np.ndarray, u: np.ndarray) -> tuple:

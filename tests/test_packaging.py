@@ -150,10 +150,9 @@ def test_outcome_images_have_one_rule():
         "enumeration.brute_force_min_discrepancy",  # one GEMM over all 2^n sign vectors
         "smoothed.inner_hit_probability",           # M + R is no Instance; thresholded
     }
-    # these multiply M's columns by walk or basis directions, or by each
-    # other and by solve weights in a direction solve, not by sign rows
+    # these multiply M's columns by walk or basis directions, not by sign rows
     directions = {"ortho.decompose_stack", "ortho.variance_proxy_batch",
-                  "ortho.direction_expansion_residual", "walk.prefix_coefficients"}
+                  "ortho.direction_expansion_residual"}
     assert matrix_products() == sign_rows | directions
 
 

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from gswalk.exceptions import ContractViolationError
 from gswalk.instances import Instance, generate_instance
 from gswalk.walk import (RANK_RCOND, WalkState, apply_step, feasible_interval,
-                         min_norm_coefficients, min_norm_direction, min_norm_directions,
-                         move, prefix_coefficients, run_walk, stacked_directions,
-                         step_rows)
+                         min_norm_direction, min_norm_directions, move, run_walk,
+                         stacked_directions, step_rows)
 from conftest import make_columns
 from helpers import replay
 
@@ -274,60 +273,6 @@ class TestStackedSolve:
         sets = np.sort([gen.choice(12, k, replace=False) for _ in range(6)], axis=1)
         for row, active in zip(min_norm_directions(inst, sets), sets):
             assert row.tobytes() == lstsq_direction(inst, active, active[-1]).tobytes()
-
-
-PREFIX_CASES = {
-    # kind, d, n, seed; whether the guard refuses some prefix with more
-    # other columns than rows
-    "sphere_8x532": (("random_unit_sphere", 8, 532, 1), False),
-    "sphere_32x800": (("random_unit_sphere", 32, 800, 1), False),
-    "sphere_4x300": (("random_unit_sphere", 4, 300, 2), False),
-    "d1": (("random_unit_sphere", 1, 30, 3), False),
-    "ball_8x200": (("random_in_ball", 8, 200, 1), False),
-    "sign_4x64": (("sign_columns", 4, 64, 1), True),
-    "duplicated_3x40": (("duplicated_column", 3, 40, 0), True),
-    "mixed_scale": (None, True),
-    "no_gram_prefix": (("random_unit_sphere", 8, 9, 1), False),     # n = d + 1
-}
-
-
-class TestPrefixCoefficients:
-    """The pivot chain's rows, solved a block of sizes at a time, get the bits
-    of ``min_norm_coefficients`` on each prefix set alone."""
-
-    @pytest.mark.parametrize("block", [16, 5])
-    @pytest.mark.parametrize("case", PREFIX_CASES)
-    def test_rows_equal_one_set_solves(self, monkeypatch, case, block):
-        spec, refuses = PREFIX_CASES[case]
-        inst = generate_instance(*spec) if spec else degenerate("mixed_scale", 4)
-        calls = []
-        real = np.linalg.lstsq
-
-        def counting(*args, **kw):
-            calls.append(args[0].shape)
-            return real(*args, **kw)
-
-        monkeypatch.setattr(np.linalg, "lstsq", counting)
-        rows = {}
-        for hi in range(inst.n, 0, -block):     # top down, as the chain reaches them
-            sizes = range(max(hi - block, 0) + 1, hi + 1)
-            got = prefix_coefficients(inst, sizes)
-            assert sorted(got) == list(sizes)
-            rows.update(got)
-        refused = sum(cols > inst.d for _, cols in calls)
-        monkeypatch.undo()
-        for k, row in rows.items():
-            want = min_norm_coefficients(inst, np.arange(k)[None])[0]
-            assert row.shape == (k,) and row.tobytes() == want.tobytes(), k
-        assert (refused > 0) == refuses
-
-    def test_any_sizes_in_any_order(self):
-        inst = generate_instance("random_unit_sphere", 3, 20, 4)
-        sizes = [20, 1, 4, 5, 13, 2]
-        rows = prefix_coefficients(inst, sizes)
-        assert sorted(rows) == sorted(sizes)
-        for k in sizes:
-            assert rows[k].tobytes() == min_norm_coefficients(inst, np.arange(k)[None])[0].tobytes()
 
 
 def interval_reference(x, u):
